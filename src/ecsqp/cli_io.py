@@ -25,23 +25,22 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .benchmarks import BenchmarkProblem, Orientation, get_problem, list_problems
-from .encoding import EncodingSpec, decode_batch
+from .encoding import EncodingSpec
 from .evolution import Engine, GAConfig, SelectionMethod
 from .fdcheck import fd_gradient, fd_hessian, max_relative_error
-from .hybrid import HybridResult, SwitchCriteria, run_hybrid
+from .hybrid import HybridResult, SwitchCriteria, evolve, fitness_function, run_hybrid
 from .local_search import SQPConfig, sqp_run
-from .price_monitor import (
-    ConvergenceState,
-    decompose_generation,
-    sigma_width,
-    update_convergence,
-)
+from .price_monitor import sigma_width
+# unused here, but perfbench/tracing.py rebinds these names on this module
+from .encoding import decode_batch  # noqa: F401
+from .price_monitor import decompose_generation  # noqa: F401
 from . import autodiff
 
 __all__ = [
@@ -251,26 +250,14 @@ def _run_ec(cfg: RunConfig, index: int) -> dict:
     )
     ga = replace(cfg.resolved_ga(spec), rng_seed=cfg.run_seed(index))
     sign = 1.0 if problem.orientation is Orientation.MAXIMIZE else -1.0
-
-    def fitness(bits: np.ndarray) -> np.ndarray:
-        return sign * problem.batch(decode_batch(bits, spec))
-
-    engine = Engine(ga, spec.total_length, fitness)
-    pop = engine.random_population()
-    state = ConvergenceState(
-        threshold=cfg.switch.sigma_threshold,
-        smoothing_window=cfg.switch.smoothing_window,
-    )
+    engine = Engine(ga, spec.total_length, fitness_function(problem, spec, sign))
+    generations = evolve(engine, engine.random_population(), cfg.switch)
     rows = []
-    for gen in range(1, ga.max_generations + 1):
-        pop, lineage, stats = engine.step(pop)
-        c = decompose_generation(lineage, gen)
-        xo_width = sigma_width(c.crossover_term, c.crossover_sigma)
-        update_convergence(state, xo_width, gen)
+    for gen, pop, c, stats, state in islice(generations, ga.max_generations):
         rows.append(
             (
                 gen, c.selection_term, c.crossover_term, c.mutation_term,
-                xo_width, sigma_width(c.mutation_term, c.mutation_sigma),
+                sigma_width(c.crossover_sigma), sigma_width(c.mutation_sigma),
                 stats.best, stats.mean, stats.worst,
             )
         )

@@ -10,20 +10,21 @@ operator stage; the record feeds the fitness-change decomposition in
 The engine maximizes internally.  Minimization problems are wrapped by
 negating the objective at the boundary.
 
-Two mutation schemes are supported.  ``per-chromosome`` (the default) flips
-one uniformly chosen bit in an offspring with probability Pm; this weak
-scheme is what the published selection-comparison tables and the collapsing
-crossover envelope require.  ``per-bit`` flips every bit independently with
-probability Pm (the classic rule implemented by :func:`bit_flip_mutation`);
-it explores far more aggressively and keeps the population permanently
-diverse, which prevents envelope-based convergence detection.
+The variation operators work on whole ``(m, L)`` bit matrices, one row per
+chromosome.  Two mutation schemes are supported.  ``per-chromosome`` (the
+default, :func:`single_bit_mutation`) flips one uniformly chosen bit in an
+offspring with probability Pm; this weak scheme is what the published
+selection-comparison tables and the collapsing crossover envelope require.
+``per-bit`` (:func:`bit_flip_mutation`) flips every bit independently with
+probability Pm; it explores far more aggressively and keeps the population
+permanently diverse, which prevents envelope-based convergence detection.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "FitnessStats",
     "GAConfig",
     "GenerationResult",
-    "Individual",
     "LineageRecord",
     "Population",
     "SelectionMethod",
@@ -96,17 +96,10 @@ class GAConfig:
             raise ValueError(f"unknown mutation scheme {self.mutation_scheme!r}")
 
 
-@dataclass(frozen=True)
-class Individual:
-    chromosome: Chromosome
-    fitness: float
-    id: str
-
-
 class Population:
     """Fixed-size evaluated population, stored as bit and fitness arrays."""
 
-    def __init__(self, bits: np.ndarray, fitness: np.ndarray, generation: int = 0):
+    def __init__(self, bits: np.ndarray, fitness: np.ndarray):
         bits = np.asarray(bits, dtype=np.uint8)
         fitness = np.asarray(fitness, dtype=float)
         if bits.ndim != 2 or fitness.shape != (bits.shape[0],):
@@ -117,22 +110,9 @@ class Population:
             raise ValueError("all members must carry finite fitness")
         self.bits = bits
         self.fitness = fitness
-        self.generation = int(generation)
 
     def __len__(self) -> int:
         return self.bits.shape[0]
-
-    @property
-    def chromosome_length(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def members(self) -> list[Individual]:
-        return [
-            Individual(Chromosome(self.bits[i]), float(self.fitness[i]),
-                       f"g{self.generation}i{i}")
-            for i in range(len(self))
-        ]
 
     def best_index(self) -> int:
         return int(np.argmax(self.fitness))
@@ -287,12 +267,11 @@ def binary_tournament_cycle(
     return winners
 
 
-def _select(pop: Population, cfg: GAConfig, count: int, rng) -> np.ndarray:
+def _select(pop: Population, cfg: GAConfig, rng) -> np.ndarray:
+    """N selection slots by the configured method (N is even by GAConfig)."""
     if cfg.selection is SelectionMethod.ROULETTE_WHEEL:
-        return roulette_select(pop, count, rng)
-    if count == len(pop) and count % 2 == 0:
-        return binary_tournament_cycle(pop, rng)
-    return tournament_select(pop, 2, count, rng)
+        return roulette_select(pop, len(pop), rng)
+    return binary_tournament_cycle(pop, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -301,49 +280,53 @@ def _select(pop: Population, cfg: GAConfig, count: int, rng) -> np.ndarray:
 
 
 def single_point_crossover(
-    p1: Chromosome,
-    p2: Chromosome,
-    rng: np.random.Generator,
-    locus: int | None = None,
-) -> tuple[Chromosome, Chromosome]:
-    """Swap the suffixes of two equal-length parents after one locus.
+    bits: np.ndarray, rate: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise single-point crossover of an ``(m, L)`` matrix, m even.
 
-    The locus is uniform over {1, ..., L-1} unless given explicitly.
+    Rows ``2i`` and ``2i+1`` form pair i.  Each pair crosses with probability
+    ``rate``; a crossing pair swaps its suffixes after a locus drawn
+    uniformly from {1, ..., L-1}.  All pair coins are drawn before all loci.
+    Returns the children and, per row, whether its pair crossed.
     """
-    if len(p1) != len(p2):
-        raise ValueError(f"parent length mismatch: {len(p1)} vs {len(p2)}")
-    length = len(p1)
-    if length < 2:
-        raise ValueError("crossover needs chromosomes of length >= 2")
-    if locus is None:
-        locus = int(rng.integers(1, length))
-    if not 1 <= locus <= length - 1:
-        raise ValueError(f"locus {locus} outside [1, {length - 1}]")
-    c1 = np.concatenate((p1.bits[:locus], p2.bits[locus:]))
-    c2 = np.concatenate((p2.bits[:locus], p1.bits[locus:]))
-    return Chromosome(c1), Chromosome(c2)
+    pairs = bits.shape[0] // 2
+    length = bits.shape[1]
+    coins = rng.random(pairs) < rate
+    loci = rng.integers(1, length, size=pairs)
+    child = bits.copy()
+    if coins.any():
+        swap = (np.arange(length)[None, :] >= loci[:, None]) & coins[:, None]
+        a = bits[0::2]
+        b = bits[1::2]
+        child[0::2] = np.where(swap, b, a)
+        child[1::2] = np.where(swap, a, b)
+    return child, np.repeat(coins, 2)
 
 
 def bit_flip_mutation(
-    c: Chromosome, pm: float, rng: np.random.Generator
-) -> Chromosome:
-    """Flip each bit independently with probability ``pm``."""
-    if not 0.0 <= pm <= 1.0:
-        raise ValueError(f"mutation rate must be in [0, 1], got {pm}")
-    mask = rng.random(len(c)) < pm
-    return Chromosome(c.bits ^ mask.astype(np.uint8))
+    bits: np.ndarray, rate: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flip every bit of an ``(m, L)`` matrix independently with probability
+    ``rate``.  Returns the mutants and, per row, whether any bit flipped."""
+    flips = (rng.random(bits.shape) < rate).astype(np.uint8)
+    return bits ^ flips, flips.any(axis=1)
 
 
 def single_bit_mutation(
-    c: Chromosome, pm: float, rng: np.random.Generator
-) -> Chromosome:
-    """With probability ``pm``, flip one uniformly chosen bit."""
-    if not 0.0 <= pm <= 1.0:
-        raise ValueError(f"mutation rate must be in [0, 1], got {pm}")
-    bits = c.bits.copy()
-    if rng.random() < pm:
-        bits[rng.integers(0, len(c))] ^= 1
-    return Chromosome(bits)
+    bits: np.ndarray, rate: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """With probability ``rate`` per row, flip one uniformly chosen bit.
+
+    All row coins are drawn before all bit positions.  Returns the mutants
+    and, per row, whether a bit flipped.
+    """
+    m, length = bits.shape
+    do = rng.random(m) < rate
+    which = rng.integers(0, length, size=m)
+    mutated = bits.copy()
+    rows = np.flatnonzero(do)
+    mutated[rows, which[rows]] ^= 1
+    return mutated, do
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +378,7 @@ def adaptive_elitism_replace(
     off_idx = np.argsort(offspring.fitness)[::-1][: n - k]
     bits = np.concatenate((parents.bits[elite_idx], offspring.bits[off_idx]))
     fit = np.concatenate((parents.fitness[elite_idx], offspring.fitness[off_idx]))
-    return Population(bits, fit, generation=parents.generation + 1)
+    return Population(bits, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -442,22 +425,11 @@ class LineageRecord:
     def population_size(self) -> int:
         return self.parent_fitness.shape[0]
 
-    @property
-    def slot_count(self) -> int:
-        return self.slot_parent.shape[0]
-
     def offspring_counts(self) -> np.ndarray:
         """Selection slots won by each parent (the z-vector over parents)."""
         return np.bincount(self.slot_parent, minlength=self.population_size).astype(
             np.int64
         )
-
-    def stage_fitness(self, stage: str) -> np.ndarray:
-        return {
-            "selection": self.fitness_after_selection,
-            "crossover": self.fitness_after_crossover,
-            "mutation": self.fitness_after_mutation,
-        }[stage]
 
     def stage_deltas(self, stage: str) -> np.ndarray:
         """Per-slot fitness change across one operator stage."""
@@ -473,10 +445,6 @@ class LineageRecord:
         """Offspring attributed to each selected instance by the crossover
         stage: two children when its pair crossed, its own copy otherwise."""
         return np.where(self.pair_crossed, 2, 1).astype(np.int64)
-
-    def children_of(self, parent: int, stage: str) -> np.ndarray:
-        """Raw per-child fitness list of one parent after a stage."""
-        return self.stage_fitness(stage)[self.slot_parent == parent]
 
 
 class GenerationResult(NamedTuple):
@@ -499,47 +467,28 @@ def evolve_generation(
     inherit their fitness without re-evaluation, so the per-stage fitness in
     the lineage costs at most two evaluations per slot.
     """
-    n, length = pop.bits.shape
-    slots = _select(pop, cfg, n, rng)
+    slots = _select(pop, cfg, rng)
     sel_bits = pop.bits[slots]
     f_sel = pop.fitness[slots]
 
-    pairs = n // 2
-    coins = rng.random(pairs) < cfg.crossover_rate
-    loci = rng.integers(1, length, size=pairs) if length > 1 else np.ones(pairs, int)
-    child = sel_bits.copy()
-    if coins.any():
-        swap = (np.arange(length)[None, :] >= loci[:, None]) & coins[:, None]
-        a = sel_bits[0::2]
-        b = sel_bits[1::2]
-        child[0::2] = np.where(swap, b, a)
-        child[1::2] = np.where(swap, a, b)
+    child, crossed = single_point_crossover(sel_bits, cfg.crossover_rate, rng)
     f_xo = f_sel.copy()
     changed = (child != sel_bits).any(axis=1)
     if changed.any():
         f_xo[changed] = fitness_fn(child[changed])
 
-    if cfg.mutation_scheme == "per-bit":
-        flips = (rng.random((n, length)) < cfg.mutation_rate).astype(np.uint8)
-        mutated = child ^ flips
-        touched = flips.any(axis=1)
-    else:
-        do = rng.random(n) < cfg.mutation_rate
-        which = rng.integers(0, length, size=n)
-        mutated = child.copy()
-        touched = do
-        rows = np.flatnonzero(do)
-        mutated[rows, which[rows]] ^= 1
+    mutate = bit_flip_mutation if cfg.mutation_scheme == "per-bit" else single_bit_mutation
+    mutated, touched = mutate(child, cfg.mutation_rate, rng)
     f_mut = f_xo.copy()
     if touched.any():
         f_mut[touched] = fitness_fn(mutated[touched])
 
-    offspring = Population(mutated, f_mut, generation=pop.generation + 1)
+    offspring = Population(mutated, f_mut)
     nxt = adaptive_elitism_replace(pop, offspring, elite)
     lineage = LineageRecord(
         parent_fitness=pop.fitness.copy(),
         slot_parent=slots,
-        pair_crossed=np.repeat(coins, 2),
+        pair_crossed=crossed,
         fitness_after_selection=f_sel,
         fitness_after_crossover=f_xo,
         fitness_after_mutation=f_mut,
@@ -573,10 +522,9 @@ class Engine:
             raise ValueError("fitness function must return one value per row")
         return values
 
-    def random_population(self, size: int | None = None) -> Population:
-        size = size if size is not None else self.cfg.population_size
-        bits = random_bits(self.chromosome_length, size, self.rng)
-        return Population(bits, self._evaluate(bits), generation=0)
+    def random_population(self) -> Population:
+        bits = random_bits(self.chromosome_length, self.cfg.population_size, self.rng)
+        return Population(bits, self._evaluate(bits))
 
     def seeded_population(self, seeds: list[np.ndarray]) -> Population:
         """Random population topped up with explicit seed chromosomes."""
@@ -585,7 +533,7 @@ class Engine:
             raise ValueError("more seeds than population slots")
         bits = random_bits(self.chromosome_length, n - len(seeds), self.rng)
         bits = np.vstack([bits] + [np.asarray(s, dtype=np.uint8)[None, :] for s in seeds])
-        return Population(bits, self._evaluate(bits), generation=0)
+        return Population(bits, self._evaluate(bits))
 
     def step(self, pop: Population) -> GenerationResult:
         return evolve_generation(pop, self.cfg, self._evaluate, self.rng, self.elite)

@@ -1,11 +1,15 @@
 """Task-switching pipeline: global evolutionary search, Newton local refine,
 then a seeded evolutionary validation round.
 
-The evolutionary phase runs until its crossover convergence signal fires (or
-progress stalls, or the generation cap is hit), hands its best decoded point
-to the SQP local solver, and finally validates the refined solution with a
-fresh population seeded with the refined chromosome and its bitwise
-complement.  All reporting is in the problem's native orientation.
+Every evolutionary run in the package goes through :func:`evolve`, one
+generator that steps an engine and tracks the per-operator decomposition and
+the crossover-envelope convergence state.  The exploration phase runs it
+until its crossover convergence signal fires (or progress stalls, or the
+generation cap is hit), hands its best decoded point to the SQP local
+solver, and finally validates the refined solution with a fresh population
+seeded with the refined chromosome and its bitwise complement.  ``ec`` batch
+mode (:mod:`ecsqp.cli_io`) runs the same generator to a generation cap.  All
+reporting is in the problem's native orientation.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from itertools import count
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,6 +33,8 @@ __all__ = [
     "PhaseTraceRow",
     "SwitchCriteria",
     "SwitchReason",
+    "evolve",
+    "fitness_function",
     "invert_chromosome",
     "run_hybrid",
     "should_switch",
@@ -106,75 +114,64 @@ class HybridResult:
     warnings: list[str] = field(default_factory=list)
 
 
-class _EvolutionPhase:
-    """Shared driver for the exploration and validation phases."""
+def fitness_function(
+    problem: BenchmarkProblem, spec: EncodingSpec, sign: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Engine fitness of an ``(m, L)`` bit matrix: ``sign`` times the objective
+    of the decoded rows, so that the engine always maximizes."""
 
-    def __init__(
-        self,
-        problem: BenchmarkProblem,
-        spec: EncodingSpec,
-        ga_cfg: GAConfig,
-        crit: SwitchCriteria,
-        rng: np.random.Generator,
-        sign: float,
-    ):
-        self.problem = problem
-        self.spec = spec
-        self.crit = crit
-        self.sign = sign
+    def fitness(bits: np.ndarray) -> np.ndarray:
+        return sign * problem.batch(decode_batch(bits, spec))
 
-        def fitness(bits: np.ndarray) -> np.ndarray:
-            return sign * problem.batch(decode_batch(bits, spec))
+    return fitness
 
-        self.engine = Engine(ga_cfg, spec.total_length, fitness, rng=rng)
 
-    def run(
-        self,
-        name: str,
-        trace: list[PhaseTraceRow],
-        price_rows: list,
-        eval_base: int,
-        seeds: list[np.ndarray] | None = None,
-    ) -> tuple[Population, SwitchReason]:
-        engine, crit = self.engine, self.crit
-        pop = (
-            engine.seeded_population(seeds) if seeds else engine.random_population()
-        )
-        state = ConvergenceState(
-            threshold=crit.sigma_threshold, smoothing_window=crit.smoothing_window
-        )
-        best_history = [float(pop.fitness.max())]
-        best_pop = pop
+def evolve(engine: Engine, pop: Population, crit: SwitchCriteria) -> Iterator[tuple]:
+    """Step ``engine`` from ``pop`` for as long as the caller keeps drawing.
+
+    Yields ``(generation, population, contribution, stats, state)`` for
+    generations 1, 2, ...: the new population, its operator decomposition
+    and fitness summary, and the crossover-envelope convergence state built
+    from ``crit.sigma_threshold`` and ``crit.smoothing_window``.
+    """
+    state = ConvergenceState(
+        threshold=crit.sigma_threshold, smoothing_window=crit.smoothing_window
+    )
+    for generation in count(1):
+        pop, lineage, stats = engine.step(pop)
+        contribution = decompose_generation(lineage, generation)
+        update_convergence(state, sigma_width(contribution.crossover_sigma), generation)
+        yield generation, pop, contribution, stats, state
+
+
+def _switching_phase(
+    name: str,
+    engine: Engine,
+    pop: Population,
+    crit: SwitchCriteria,
+    sign: float,
+    trace: list[PhaseTraceRow],
+    price_rows: list,
+    eval_base: int,
+) -> tuple[Population, SwitchReason]:
+    """Evolve until :func:`should_switch` fires; returns the final population,
+    whose best member elitism keeps the best seen, and the reason."""
+    best_history = [float(pop.fitness.max())]
+    trace.append(
+        PhaseTraceRow(name, 0, sign * best_history[0],
+                      sign * float(pop.fitness.mean()), eval_base + engine.evaluations)
+    )
+    for generation, pop, contribution, stats, state in evolve(engine, pop, crit):
+        best_history.append(stats.best)
+        price_rows.append((name, contribution, stats))
         trace.append(
-            PhaseTraceRow(
-                name, 0, self.sign * best_history[0],
-                self.sign * float(pop.fitness.mean()),
-                eval_base + engine.evaluations,
-            )
+            PhaseTraceRow(name, generation, sign * stats.best, sign * stats.mean,
+                          eval_base + engine.evaluations)
         )
-        generation = 0
-        while True:
-            generation += 1
-            pop, lineage, stats = engine.step(pop)
-            contribution = decompose_generation(lineage, generation)
-            update_convergence(
-                state,
-                sigma_width(contribution.crossover_term, contribution.crossover_sigma),
-                generation,
-            )
-            best_history.append(stats.best)
-            if stats.best >= float(best_pop.fitness.max()):
-                best_pop = pop
-            price_rows.append((name, contribution, stats))
-            trace.append(
-                PhaseTraceRow(
-                    name, generation, self.sign * stats.best,
-                    self.sign * stats.mean, eval_base + engine.evaluations,
-                )
-            )
-            reason = should_switch(state, best_history, generation, crit)
-            if reason is not None:
-                return best_pop, reason
+        reason = should_switch(state, best_history, generation, crit)
+        if reason is not None:
+            break
+    return pop, reason
 
 
 def run_hybrid(
@@ -207,14 +204,17 @@ def run_hybrid(
     )
     sign = 1.0 if problem.orientation is Orientation.MAXIMIZE else -1.0
     rng = np.random.default_rng(rng_seed)
+    fitness = fitness_function(problem, spec, sign)
     warnings: list[str] = []
     trace: list[PhaseTraceRow] = []
     price_rows: list = []
 
     # phase 1: global exploration
-    phase1 = _EvolutionPhase(problem, spec, ga_cfg, crit, rng, sign)
-    pop1, reason = phase1.run("ec", trace, price_rows, eval_base=0)
-    ec_evals = phase1.engine.evaluations
+    explore = Engine(ga_cfg, spec.total_length, fitness, rng=rng)
+    pop1, reason = _switching_phase(
+        "ec", explore, explore.random_population(), crit, sign, trace, price_rows, 0
+    )
+    ec_evals = explore.evaluations
     x_ec = decode(pop1.best_chromosome(), spec)
     f_ec = sign * float(pop1.fitness.max())
 
@@ -248,13 +248,12 @@ def run_hybrid(
     # phase 3: seeded validation round
     seed_chrom = encode(x_sqp, spec)
     seeds = [seed_chrom.bits, invert_chromosome(seed_chrom).bits]
-    phase3 = _EvolutionPhase(
-        problem, spec, validation_ga or ga_cfg, validation_criteria or crit, rng, sign
+    validate = Engine(validation_ga or ga_cfg, spec.total_length, fitness, rng=rng)
+    pop3, val_reason = _switching_phase(
+        "validation", validate, validate.seeded_population(seeds),
+        validation_criteria or crit, sign, trace, price_rows, ec_evals + sqp_evals,
     )
-    pop3, val_reason = phase3.run(
-        "validation", trace, price_rows, eval_base=ec_evals + sqp_evals, seeds=seeds
-    )
-    val_evals = phase3.engine.evaluations
+    val_evals = validate.evaluations
     x_val = decode(pop3.best_chromosome(), spec)
     f_val = sign * float(pop3.fitness.max())
 

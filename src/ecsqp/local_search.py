@@ -156,9 +156,10 @@ def newton_direction(
 ) -> tuple[np.ndarray, float]:
     """Descent direction solving ``(H + lambda I) d = -g``.
 
-    The shift ``lambda`` is escalated until the factorization succeeds and the
-    direction points downhill; an exhausted ladder falls back to steepest
-    descent with ``lambda_used = inf``.
+    ``lambda`` is the first rung of :func:`regularize_hessian`'s ladder that
+    makes the matrix positive definite.  An exhausted ladder, or a shifted
+    solve that does not point downhill, falls back to steepest descent with
+    ``lambda_used = inf``.
     """
     grad = np.asarray(grad, dtype=float)
     hess = np.asarray(hess, dtype=float)
@@ -166,19 +167,11 @@ def newton_direction(
         raise ValueError("gradient/Hessian must be finite")
     if np.all(grad == 0.0):
         return np.zeros_like(grad), 0.0
-    n = grad.shape[0]
-    lam = 0.0
-    while lam <= REGULARIZATION_LADDER_CAP * lambda_min:
-        candidate = hess if lam == 0.0 else hess + lam * np.eye(n)
-        try:
-            np.linalg.cholesky(candidate)
-        except np.linalg.LinAlgError:
-            lam = lambda_min if lam == 0.0 else lam * 10.0
-            continue
-        d = np.linalg.solve(candidate, -grad)
+    shifted, lam = regularize_hessian(hess, lambda_min)
+    if shifted is not None:
+        d = np.linalg.solve(shifted, -grad)
         if d @ grad < 0.0:
             return d, lam
-        lam = lambda_min if lam == 0.0 else lam * 10.0
     return -grad, math.inf
 
 

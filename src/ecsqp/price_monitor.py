@@ -84,8 +84,8 @@ def operator_term_sigma(lineage: LineageRecord, stage: Stage) -> float:
     return math.sqrt(max(second - mean * mean, 0.0))
 
 
-def sigma_width(term_mean: float, sigma: float) -> float:
-    """Width of the +/- sigma envelope around an operator term: always 2*sigma.
+def sigma_width(sigma: float) -> float:
+    """Width of the +/- sigma envelope around an operator term: 2*sigma.
 
     The term mean cancels: (mean + sigma) - (mean - sigma) == 2*sigma.
     """

@@ -1,5 +1,7 @@
 """Configuration parsing, batch execution, CSV schemas and the CLI surface."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,19 @@ class TestRunBatch:
         a = (tmp_path / "a" / "trace_0.csv").read_bytes()
         b = (tmp_path / "b" / "trace_0.csv").read_bytes()
         assert a == b
+
+    def test_seeded_output_pinned(self, config_file, tmp_path):
+        # SHA-256 of a seeded ec batch's whole output directory; it changes
+        # whenever the RNG draw order or a GA operator's result changes
+        cfg = load_config(config_file)
+        cfg = cli_io.replace(cfg, mode="ec", output=str(tmp_path / "out"))
+        run_batch(cfg, cfg.output, jobs=1)
+        digest = hashlib.sha256()
+        for path in sorted((tmp_path / "out").iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "7d1a6a7c9308dccb3100644af6670084b26820019375361f81ed66737af7c416"
+        )
 
     def test_aggregate_matches_independent_recomputation(self, config_file, tmp_path):
         cfg = load_config(config_file)

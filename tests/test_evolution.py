@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import chi_square_statistic
-from ecsqp.encoding import Chromosome
 from ecsqp.evolution import (
     EliteState,
     Engine,
@@ -134,63 +133,80 @@ class TestTournamentCycle:
             assert counts.max() <= 2
 
 
+def rows(*texts):
+    return np.array([[int(c) for c in t] for t in texts], dtype=np.uint8)
+
+
+def text(row):
+    return "".join(map(str, row))
+
+
+class FixedLoci:
+    """Draw source for crossover whose every pair crosses at given loci."""
+
+    def __init__(self, *loci):
+        self.loci = np.array(loci)
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def integers(self, low, high, size):
+        assert size == self.loci.size and np.all((low <= self.loci) & (self.loci < high))
+        return self.loci
+
+
 class TestCrossover:
-    def test_worked_example(self, rng):
-        p1 = Chromosome(np.array([1, 0, 1, 0, 1, 1, 0], dtype=np.uint8))
-        p2 = Chromosome(np.array([0, 1, 0, 1, 1, 0, 1], dtype=np.uint8))
-        c1, c2 = single_point_crossover(p1, p2, rng, locus=3)
-        assert "".join(map(str, c1.bits)) == "1011101"
-        assert "".join(map(str, c2.bits)) == "0100110"
+    def test_worked_example(self):
+        parents = rows("1010110", "0101101")
+        children, crossed = single_point_crossover(parents, 1.0, FixedLoci(3))
+        assert text(children[0]) == "1011101"
+        assert text(children[1]) == "0100110"
+        assert crossed.tolist() == [True, True]
 
-    def test_identical_parents_unchanged(self, rng):
-        p = Chromosome(np.array([1, 1, 0, 1], dtype=np.uint8))
+    def test_identical_parents_unchanged(self):
+        parents = rows("1101", "1101")
         for locus in range(1, 4):
-            c1, c2 = single_point_crossover(p, p.copy(), rng, locus=locus)
-            assert c1 == p and c2 == p
+            children, _ = single_point_crossover(parents, 1.0, FixedLoci(locus))
+            np.testing.assert_array_equal(children, parents)
 
-    def test_last_locus_swaps_single_bit(self, rng):
-        p1 = Chromosome(np.array([0, 0, 0, 0], dtype=np.uint8))
-        p2 = Chromosome(np.array([1, 1, 1, 1], dtype=np.uint8))
-        c1, c2 = single_point_crossover(p1, p2, rng, locus=3)
-        assert "".join(map(str, c1.bits)) == "0001"
-        assert "".join(map(str, c2.bits)) == "1110"
-
-    def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            single_point_crossover(
-                Chromosome(np.zeros(3, np.uint8)), Chromosome(np.zeros(4, np.uint8)), rng
-            )
+    def test_last_locus_swaps_single_bit(self):
+        children, _ = single_point_crossover(rows("0000", "1111"), 1.0, FixedLoci(3))
+        assert text(children[0]) == "0001"
+        assert text(children[1]) == "1110"
 
     def test_random_locus_in_range(self, rng):
-        p1 = Chromosome(np.zeros(10, np.uint8))
-        p2 = Chromosome(np.ones(10, np.uint8))
-        for _ in range(200):
-            c1, _ = single_point_crossover(p1, p2, rng)
-            prefix_len = int(np.argmax(c1.bits))  # first 1 marks the locus
-            assert 1 <= prefix_len <= 9
+        parents = np.tile(rows("0" * 10, "1" * 10), (200, 1))
+        children, _ = single_point_crossover(parents, 1.0, rng)
+        prefix_len = np.argmax(children[0::2], axis=1)  # first 1 marks the locus
+        assert np.all((1 <= prefix_len) & (prefix_len <= 9))
 
 
 class TestMutation:
     def test_zero_rate_is_identity(self, rng):
-        c = Chromosome(np.array([1, 0, 1, 1], dtype=np.uint8))
-        assert bit_flip_mutation(c, 0.0, rng) == c
+        c = rows("1011")
+        for mutate in (bit_flip_mutation, single_bit_mutation):
+            mutated, touched = mutate(c, 0.0, rng)
+            np.testing.assert_array_equal(mutated, c)
+            assert not touched.any()
 
     def test_unit_rate_is_complement(self, rng):
-        c = Chromosome(np.array([1, 0, 1, 1], dtype=np.uint8))
-        m = bit_flip_mutation(c, 1.0, rng)
-        np.testing.assert_array_equal(m.bits, 1 - c.bits)
+        c = rows("1011")
+        mutated, touched = bit_flip_mutation(c, 1.0, rng)
+        np.testing.assert_array_equal(mutated, 1 - c)
+        assert touched.all()
 
     def test_expected_hamming_distance(self, rng):
         # binomial expectation: L * Pm = 1 flip per chromosome at Pm = 1/L
         L = 100
-        c = Chromosome(np.zeros(L, np.uint8))
-        total = sum(bit_flip_mutation(c, 1.0 / L, rng).bits.sum() for _ in range(100_000))
+        zeros = np.zeros((10_000, L), np.uint8)
+        total = sum(int(bit_flip_mutation(zeros, 1.0 / L, rng)[0].sum()) for _ in range(10))
         assert total / 100_000 == pytest.approx(1.0, abs=0.05)
 
     def test_single_bit_scheme_flips_at_most_one(self, rng):
-        c = Chromosome(np.zeros(50, np.uint8))
-        flips = [int(single_bit_mutation(c, 0.5, rng).bits.sum()) for _ in range(2000)]
-        assert set(flips) <= {0, 1}
+        mutated, touched = single_bit_mutation(np.zeros((2000, 50), np.uint8), 0.5, rng)
+        flips = mutated.sum(axis=1)
+        assert set(flips.tolist()) <= {0, 1}
+        np.testing.assert_array_equal(flips == 1, touched)
         assert np.mean(flips) == pytest.approx(0.5, abs=0.05)
 
 

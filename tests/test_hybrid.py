@@ -125,6 +125,15 @@ class TestRunHybrid:
             (r.phase, r.step, r.best) for r in b.trace
         ]
 
+    def test_seeded_stream_pinned(self):
+        # pinned seeded outcome; it changes whenever the RNG draw order or a
+        # GA operator's result changes
+        problem, _ = grid_sphere_problem()
+        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=4)
+        assert result.f_ec == float.fromhex("0x1.a693b4833adcep-11")
+        assert result.f_star == 0.0
+        assert result.evaluations == {"ec": 135, "sqp": 3, "validation": 119, "total": 257}
+
     def test_evaluation_accounting_conserved(self):
         problem = get_problem("ackley", 2)
         ga = GAConfig(population_size=20, mutation_rate=0.05, rng_seed=2,
