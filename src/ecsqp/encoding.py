@@ -25,6 +25,9 @@ __all__ = [
     "random_bits",
 ]
 
+#: Widest field whose integer codes float64 holds exactly; decoding relies on it.
+MAX_BIT_LENGTH = 53
+
 
 def compute_bit_length(lower: float, upper: float, precision: float) -> int:
     """Smallest bit count ``l`` with ``(upper - lower) / precision <= 2**l``.
@@ -81,6 +84,11 @@ class VariableSpec:
             )
         ratio = (self.upper - self.lower) / self.precision
         l = self.bit_length
+        if l > MAX_BIT_LENGTH:
+            raise ValueError(
+                f"bit_length {l} exceeds {MAX_BIT_LENGTH}, the widest field "
+                "decoded exactly in float64"
+            )
         if ratio > 2**l or (l > 1 and ratio < 2 ** (l - 1)):
             raise ValueError(
                 f"bit_length {l} inconsistent with range/precision (ratio {ratio})"
@@ -127,17 +135,24 @@ class EncodingSpec:
         return len(self.variables)
 
     @cached_property
-    def _offsets(self) -> np.ndarray:
-        lengths = [v.bit_length for v in self.variables]
-        return np.concatenate(([0], np.cumsum(lengths)))
+    def _decoder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(W, lower, span, denom)`` for decoding by one matmul.
 
-    @cached_property
-    def _weights(self) -> list[np.ndarray]:
-        # big-endian: first bit of each field is the most significant
-        return [
-            (2 ** np.arange(v.bit_length - 1, -1, -1)).astype(np.int64)
-            for v in self.variables
-        ]
+        ``W`` is the ``(L, n)`` place-value matrix: column i holds the powers
+        of two of variable i's field (big-endian, the first bit is the most
+        significant) and zeros elsewhere.  Every code is an integer below
+        2**53, so ``bits @ W`` is exact in float64.
+        """
+        W = np.zeros((self.total_length, self.dimension))
+        start = 0
+        for i, v in enumerate(self.variables):
+            stop = start + v.bit_length
+            W[start:stop, i] = 2.0 ** np.arange(v.bit_length - 1, -1, -1)
+            start = stop
+        lower = np.array([v.lower for v in self.variables])
+        span = np.array([v.upper - v.lower for v in self.variables])
+        denom = np.array([2.0**v.bit_length - 1 for v in self.variables])
+        return W, lower, span, denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,14 +202,8 @@ def decode_batch(bits: np.ndarray, spec: EncodingSpec) -> np.ndarray:
     if bits.ndim != 2:
         raise ValueError("expected a 2-D bit matrix")
     _check_length(bits.shape[1], spec)
-    offs = spec._offsets
-    out = np.empty((bits.shape[0], spec.dimension), dtype=float)
-    for i, var in enumerate(spec.variables):
-        field = bits[:, offs[i] : offs[i + 1]].astype(np.int64)
-        codes = field @ spec._weights[i]
-        denom = 2**var.bit_length - 1
-        out[:, i] = var.lower + (var.upper - var.lower) * (codes / denom)
-    return out
+    W, lower, span, denom = spec._decoder
+    return lower + span * ((bits @ W) / denom)
 
 
 def decode(chrom: Chromosome, spec: EncodingSpec) -> np.ndarray:

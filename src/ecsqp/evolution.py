@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,7 +45,6 @@ __all__ = [
     "binary_tournament_cycle",
     "bit_flip_mutation",
     "evolve_generation",
-    "fitness_stats",
     "roulette_select",
     "selection_diagnostics",
     "single_bit_mutation",
@@ -97,7 +97,11 @@ class GAConfig:
 
 
 class Population:
-    """Fixed-size evaluated population, stored as bit and fitness arrays."""
+    """Fixed-size evaluated population, stored as bit and fitness arrays.
+
+    The fitness summary :attr:`stats` is computed once, on first use; the
+    arrays are not to be modified after that.
+    """
 
     def __init__(self, bits: np.ndarray, fitness: np.ndarray):
         bits = np.asarray(bits, dtype=np.uint8)
@@ -113,6 +117,10 @@ class Population:
 
     def __len__(self) -> int:
         return self.bits.shape[0]
+
+    @cached_property
+    def stats(self) -> "FitnessStats":
+        return FitnessStats.from_values(self.fitness)
 
     def best_index(self) -> int:
         return int(np.argmax(self.fitness))
@@ -141,10 +149,6 @@ class FitnessStats:
             best=float(values.max()),
             worst=float(values.min()),
         )
-
-
-def fitness_stats(pop: Population) -> FitnessStats:
-    return FitnessStats.from_values(pop.fitness)
 
 
 @dataclass(frozen=True)
@@ -365,8 +369,8 @@ def adaptive_elitism_replace(
         raise ValueError("parent and offspring populations must have equal size")
     if state.n_elite < 1:
         raise ValueError("elite size must be at least 1")
-    ps = fitness_stats(parents)
-    os = fitness_stats(offspring)
+    ps = parents.stats
+    os = offspring.stats
     if os.mean > ps.mean and os.variance > ps.variance:
         if state.shrink == "halve":
             state.n_elite = max(1, state.n_elite // 2)
@@ -493,7 +497,7 @@ def evolve_generation(
         fitness_after_crossover=f_xo,
         fitness_after_mutation=f_mut,
     )
-    return GenerationResult(nxt, lineage, fitness_stats(nxt))
+    return GenerationResult(nxt, lineage, nxt.stats)
 
 
 class Engine:

@@ -252,9 +252,15 @@ def ipm_qp_solve(
     ``box`` holds bounds for the step itself and must contain 0 strictly
     (i.e. the current point is strictly interior).  A log-barrier Newton
     iteration is run for each barrier weight of the schedule, which by
-    default decays from 1 by factors of 10 down to 1e-8.  The returned step
-    is strictly feasible; if an inner iteration stalls the clipped
-    unconstrained Newton step is returned instead.
+    default decays from 1 by factors of 10 down to 1e-8.  Centring for a
+    weight ends when the residual is small, after 50 Newton steps, or as
+    soon as the backtracked step no longer strictly lowers the barrier
+    (an ill-conditioned ``H`` can leave the residual above tolerance in
+    floating point); the iteration then moves on to the next weight.
+    The returned step is strictly feasible.  If a Newton system is singular
+    or backtracking finds no acceptable step, the unconstrained Newton step
+    ``-H^{-1} g`` (steepest descent ``-g`` when ``H`` is singular), scaled
+    back to the boundary fraction, is returned instead.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -265,7 +271,10 @@ def ipm_qp_solve(
         mu_schedule = [10.0**-k for k in range(0, 9)]
 
     def fallback() -> np.ndarray:
-        d = np.linalg.solve(H, -g)
+        try:
+            d = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            d = -g
         return _fraction_to_boundary(np.zeros_like(d), d, lb, ub, tau) * d
 
     def barrier(s: np.ndarray, mu: float) -> float:
@@ -277,6 +286,7 @@ def ipm_qp_solve(
     scale = 1.0 + float(np.max(np.abs(g)))
     for mu in mu_schedule:
         tol = max(1e-12 * scale, 1e-3 * mu)
+        base = barrier(s, mu)
         for _ in range(50):
             inv_lo = 1.0 / (s - lb)
             inv_hi = 1.0 / (ub - s)
@@ -289,12 +299,17 @@ def ipm_qp_solve(
             except np.linalg.LinAlgError:
                 return fallback()
             alpha = min(1.0, _fraction_to_boundary(s, p, lb, ub, tau))
-            base = barrier(s, mu)
-            while alpha > 1e-14 and barrier(s + alpha * p, mu) > base:
+            while alpha > 1e-14:
+                trial = barrier(s + alpha * p, mu)
+                if trial <= base:
+                    break
                 alpha *= 0.5
-            if alpha <= 1e-14:
+            else:
                 return fallback()
             s = s + alpha * p
+            if trial >= base:  # no strict decrease: centring has stalled
+                break
+            base = trial
     return s
 
 

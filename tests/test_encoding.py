@@ -111,6 +111,35 @@ class TestDecode:
         for i in range(50):
             np.testing.assert_array_equal(batch[i], decode(Chromosome(mat[i]), spec))
 
+    def test_matmul_is_bitwise_equal_to_per_field_loop(self, rng):
+        # widths 1, 10, 17, 34 and 53 bits; 53 is the widest field allowed
+        spec = EncodingSpec(
+            variables=(
+                VariableSpec(0.0, 1.0, 1.0),
+                VariableSpec(-5.0, 5.0, 0.01),
+                VariableSpec(-500.0, 500.0, 0.01),
+                VariableSpec(0.0, 10.0, 1e-9),
+                VariableSpec(-1.0, 1.0, 2.0**-52),
+            )
+        )
+        assert [v.bit_length for v in spec.variables] == [1, 10, 17, 34, 53]
+
+        def per_field_loop(mat):
+            out = np.empty((mat.shape[0], spec.dimension))
+            start = 0
+            for i, var in enumerate(spec.variables):
+                l = var.bit_length
+                field = mat[:, start : start + l].astype(np.int64)
+                codes = field @ (2 ** np.arange(l - 1, -1, -1)).astype(np.int64)
+                out[:, i] = var.lower + (var.upper - var.lower) * (codes / (2**l - 1))
+                start += l
+            return out
+
+        mat = random_bits(spec.total_length, 500, rng)
+        mat[0] = 0
+        mat[1] = 1
+        np.testing.assert_array_equal(decode_batch(mat, spec), per_field_loop(mat))
+
     def test_monotone_in_integer_code(self):
         spec = EncodingSpec.for_bounds([2.0], [7.0], 0.01)
         l = spec.variables[0].bit_length
@@ -163,6 +192,13 @@ class TestSpecs:
     def test_variable_spec_validates_bit_length(self):
         with pytest.raises(ValueError):
             VariableSpec(0.0, 1.0, 0.01, bit_length=3)  # needs 7
+
+    def test_fields_wider_than_53_bits_rejected(self):
+        assert VariableSpec(0.0, 1.0, 2.0**-53).bit_length == 53
+        with pytest.raises(ValueError, match="exceeds 53"):
+            VariableSpec(0.0, 1.0, 2.0**-54)  # derived width 54
+        with pytest.raises(ValueError, match="exceeds 53"):
+            VariableSpec(0.0, 1.0, 2.0**-63, bit_length=63)
 
     def test_chromosome_rejects_non_binary(self):
         with pytest.raises(ValueError):

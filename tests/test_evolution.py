@@ -15,7 +15,6 @@ from ecsqp.evolution import (
     binary_tournament_cycle,
     bit_flip_mutation,
     evolve_generation,
-    fitness_stats,
     roulette_select,
     selection_diagnostics,
     single_bit_mutation,
@@ -313,6 +312,30 @@ class TestEvolveGeneration:
         for _ in range(5):
             pop, lineage, _ = eng.step(pop)
             np.testing.assert_array_equal(lineage.crossover_stage_z(), np.full(8, 2))
+
+    def test_fitness_summarized_twice_per_step(self, rng, monkeypatch):
+        # offspring and new population; the parents' summary is the one the
+        # previous step already computed for its new population
+        w = rng.normal(size=10)
+        cfg = GAConfig(population_size=8, mutation_rate=0.1, overlap_fraction=0.25,
+                       rng_seed=5)
+        eng = Engine(cfg, 10, bit_objective(w))
+        pop = eng.step(eng.random_population()).population
+        from_values = FitnessStats.from_values.__func__
+        calls = 0
+
+        def counting(cls, values):
+            nonlocal calls
+            calls += 1
+            return from_values(cls, values)
+
+        monkeypatch.setattr(FitnessStats, "from_values", classmethod(counting))
+        for _ in range(5):
+            calls = 0
+            result = eng.step(pop)
+            assert calls == 2
+            assert result.stats == FitnessStats.from_values(result.population.fitness)
+            pop = result.population
 
     def test_selection_stage_copies_fitness(self, rng):
         w = rng.normal(size=10)

@@ -139,6 +139,40 @@ class TestIpmQpSolve:
             s = ipm_qp_solve(g, H, BoundBox(lb, ub))
             assert np.all(s > lb) and np.all(s < ub)
 
+    def test_ill_conditioned_subproblem_stops_stalled_centring(self, monkeypatch):
+        # Ackley n=10 just off its kink at 0: cond(H) ~ 6e6, max|H| ~ 6e7.
+        # The residual cannot reach 1e-3*mu in floating point for small mu,
+        # so centring once ran all 50 Newton steps per weight (205 solves).
+        problem = get_problem("ackley", 10)
+        x = 1e-8 * np.linspace(-1.0, 1.0, 10) + 1e-9
+        _, g, H = ad.evaluate(problem.fn, x)
+        H, lam = regularize_hessian(H, 1e-6)
+        assert lam == 0.0
+        box = BoundBox(problem.bounds.lower - x, problem.bounds.upper - x)
+        solve = np.linalg.solve
+        solves = 0
+
+        def counting_solve(*args):
+            nonlocal solves
+            solves += 1
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        s = ipm_qp_solve(g, H, box)
+        assert box.contains_strict(s)
+        model = g @ s + 0.5 * s @ H @ s
+        assert model == pytest.approx(-0.07510790059824128, rel=1e-9)  # as with 205 solves
+        assert solves <= 30
+
+    def test_singular_hessian_falls_back_to_steepest_descent(self):
+        # H + mu*D is exactly singular at s = 0, mu = 1, and so is H itself
+        g = np.array([1.0, 1.0])
+        H = np.diag([-2.0, 0.0])
+        box = BoundBox(np.full(2, -1.0), np.full(2, 1.0))
+        s = ipm_qp_solve(g, H, box)
+        np.testing.assert_array_equal(s, -0.995 * g)  # -g cut to the boundary fraction
+        assert box.contains_strict(s)
+
 
 class TestSqpRun:
     def test_convex_quadratic_single_full_step(self, rng):
