@@ -83,10 +83,10 @@ class ADScalar:
             return other
         return None
 
-    def _chain(self, value: float, d1: float, d2: float, nonsmooth=False) -> "ADScalar":
+    def _chain(self, value: float, d1: float, d2: float) -> "ADScalar":
         """Apply a scalar map with derivatives ``d1``, ``d2`` at this node."""
         hess = d1 * self.hess + d2 * np.outer(self.grad, self.grad)
-        return ADScalar(value, d1 * self.grad, hess, self.nonsmooth or nonsmooth)
+        return ADScalar(value, d1 * self.grad, hess, self.nonsmooth)
 
     # -- arithmetic -------------------------------------------------------
 

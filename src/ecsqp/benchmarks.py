@@ -4,6 +4,14 @@ Each function has two callable forms: a generic scalar form that accepts a
 sequence of plain numbers or :mod:`ecsqp.autodiff` scalars (one code path for
 values and exact derivatives), and a vectorized batch form over ``(m, n)``
 numpy arrays used by the population loops.
+
+Both forms stay until the AD layer has a vector node.  A single numpy-style
+definition can drive :class:`~ecsqp.autodiff.ADScalar` through object arrays,
+and its values and derivatives are bitwise identical to the two forms here,
+but its AD sweep is slower (one sweep on a 2-core x86 host, Python 3.11,
+numpy 2.4): Ackley at n=100 takes 36.7 ms instead of 14.4 ms, Rastrigin at
+n=100 31.3 ms instead of 16.1 ms, and Ackley at n=10 0.61 ms instead of
+0.33 ms.
 """
 
 from __future__ import annotations
@@ -109,6 +117,21 @@ class BenchmarkProblem:
         if self.known_optimizer is not None:
             opt = np.asarray(self.known_optimizer, dtype=float)
             object.__setattr__(self, "known_optimizer", opt)
+
+    @property
+    def sign(self) -> float:
+        """+1.0 when maximizing, -1.0 when minimizing: ``sign * f`` is the
+        value to maximize, and ``-sign * f`` the value to minimize."""
+        return 1.0 if self.orientation is Orientation.MAXIMIZE else -1.0
+
+    @property
+    def minimand(self) -> Callable:
+        """The scalar form in minimization orientation: ``fn``, negated when
+        the problem is maximized."""
+        fn = self.fn
+        if self.orientation is Orientation.MINIMIZE:
+            return fn
+        return lambda x: -fn(x)
 
     def evaluate(self, x) -> float:
         """Plain function value at one point."""

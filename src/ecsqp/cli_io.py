@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .benchmarks import BenchmarkProblem, Orientation, get_problem, list_problems
+from .benchmarks import BenchmarkProblem, get_problem, list_problems
 from .encoding import EncodingSpec
 from .evolution import Engine, GAConfig, SelectionMethod
 from .fdcheck import fd_gradient, fd_hessian, max_relative_error
@@ -109,6 +109,11 @@ class RunConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.mode not in ("hybrid", "ec", "sqp"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for raw in (self.mutation_rate_raw, self.validation_mutation_rate_raw):
+            if isinstance(raw, str) and raw.strip().lower().replace(" ", "") != "1/l":
+                raise ConfigError(
+                    f"unrecognized mutation_rate {raw!r}; use 1/l or a number"
+                )
 
     def run_seed(self, index: int) -> int:
         return self.seed + index
@@ -120,12 +125,8 @@ class RunConfig:
     def _bind_mutation(ga: GAConfig, raw, spec: EncodingSpec) -> GAConfig:
         if raw is None:
             return ga
-        if isinstance(raw, str):
-            text = raw.strip().lower().replace(" ", "")
-            if text in ("1/l", "1/len", "auto"):
-                return replace(ga, mutation_rate=1.0 / spec.total_length)
-            raise ConfigError(f"unrecognized mutation_rate {raw!r}")
-        return replace(ga, mutation_rate=float(raw))
+        rate = 1.0 / spec.total_length if isinstance(raw, str) else float(raw)
+        return replace(ga, mutation_rate=rate)
 
     def resolved_ga(self, spec: EncodingSpec) -> GAConfig:
         """GA settings with a '1/l' mutation rate bound to the string length."""
@@ -140,17 +141,13 @@ class RunConfig:
         return ga, self.validation_switch
 
 
-def _build_section(cls, data: dict, *, rename: dict | None = None, context: str = ""):
-    rename = rename or {}
+def _build_section(cls, data: dict, *, context: str = ""):
     known = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        name = rename.get(key, key)
-        if name not in known:
+    for key in data:
+        if key not in known:
             raise ConfigError(f"unknown key {key!r} in {context or cls.__name__}")
-        kwargs[name] = value
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {context or cls.__name__}: {exc}") from exc
 
@@ -249,8 +246,7 @@ def _run_ec(cfg: RunConfig, index: int) -> dict:
         problem.bounds.lower, problem.bounds.upper, cfg.precision
     )
     ga = replace(cfg.resolved_ga(spec), rng_seed=cfg.run_seed(index))
-    sign = 1.0 if problem.orientation is Orientation.MAXIMIZE else -1.0
-    engine = Engine(ga, spec.total_length, fitness_function(problem, spec, sign))
+    engine = Engine(ga, spec.total_length, fitness_function(problem, spec))
     generations = evolve(engine, engine.random_population(), cfg.switch)
     rows = []
     for gen, pop, c, stats, state in islice(generations, ga.max_generations):
@@ -265,7 +261,7 @@ def _run_ec(cfg: RunConfig, index: int) -> dict:
         "index": index,
         "columns": PRICE_COLUMNS,
         "rows": rows,
-        "final_best": sign * float(pop.fitness.max()),
+        "final_best": problem.sign * float(pop.fitness.max()),
         "evaluations": engine.evaluations,
         "converged_at": state.converged_at,
     }
@@ -303,18 +299,15 @@ def _run_hybrid(cfg: RunConfig, index: int) -> dict:
 
 def _run_sqp(cfg: RunConfig, index: int) -> dict:
     problem = cfg.make_problem()
-    sign = 1.0 if problem.orientation is Orientation.MAXIMIZE else -1.0
-    fn = problem.fn
-    objective = (lambda v: -fn(v)) if sign > 0 else fn
     rng = np.random.default_rng(cfg.run_seed(index))
     if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float)
     else:
         box = problem.bounds
         x0 = rng.uniform(box.lower, box.upper)
-    result = sqp_run(objective, x0, problem.bounds, cfg.sqp)
+    result = sqp_run(problem.minimand, x0, problem.bounds, cfg.sqp)
     rows = [
-        (it.iteration, sign * -it.f if sign > 0 else it.f, it.grad_norm,
+        (it.iteration, -problem.sign * it.f, it.grad_norm,
          it.step_norm, it.alpha, it.lambda_used)
         for it in result.trace
     ]
@@ -322,7 +315,7 @@ def _run_sqp(cfg: RunConfig, index: int) -> dict:
         "index": index,
         "columns": SQP_COLUMNS,
         "rows": rows,
-        "final_best": -result.f if sign > 0 else result.f,
+        "final_best": -problem.sign * result.f,
         "evaluations": result.evaluations,
         "stop_reason": result.stop_reason,
     }
@@ -479,10 +472,7 @@ def ad_check(
     problem = get_problem(problem_name, dimension)
     rng = np.random.default_rng(seed)
     box = problem.bounds
-
-    def plain(x: np.ndarray) -> float:
-        return float(problem.batch(x[None, :])[0])
-
+    plain = problem.evaluate  # plain floats, independent of the AD path
     worst_g = 0.0
     worst_h = 0.0
     for _ in range(samples):

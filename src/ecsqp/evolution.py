@@ -46,13 +46,10 @@ __all__ = [
     "bit_flip_mutation",
     "evolve_generation",
     "roulette_select",
-    "selection_diagnostics",
     "single_bit_mutation",
     "single_point_crossover",
     "tournament_select",
 ]
-
-RWS_SHIFT_EPS = 1e-9  # relative offset making shifted fitnesses strictly positive
 
 
 class SelectionMethod(enum.Enum):
@@ -71,7 +68,6 @@ class GAConfig:
     overlap_fraction: float = 0.05
     max_generations: int = 100
     rng_seed: int = 0
-    elite_shrink: str = "halve"  # or "overlap-fraction"
     mutation_scheme: str = "per-chromosome"  # or "per-bit"
 
     def __post_init__(self) -> None:
@@ -90,8 +86,6 @@ class GAConfig:
             raise ValueError("overlap_fraction * population_size must be >= 1")
         if self.max_generations < 1:
             raise ValueError("max_generations must be positive")
-        if self.elite_shrink not in ("halve", "overlap-fraction"):
-            raise ValueError(f"unknown elite_shrink rule {self.elite_shrink!r}")
         if self.mutation_scheme not in ("per-chromosome", "per-bit"):
             raise ValueError(f"unknown mutation scheme {self.mutation_scheme!r}")
 
@@ -151,65 +145,26 @@ class FitnessStats:
         )
 
 
-@dataclass(frozen=True)
-class SelectionDiagnostics:
-    response: float
-    differential: float
-    intensity: float
-
-
-def selection_diagnostics(
-    parents: FitnessStats,
-    selected: FitnessStats,
-    previous: FitnessStats | None = None,
-) -> SelectionDiagnostics:
-    """Response/differential/intensity of one selection event.
-
-    The differential is the selected-pool mean minus the population mean, the
-    intensity is the differential in units of the population's standard
-    deviation (NaN when the variance is zero), and the response compares the
-    population mean against ``previous`` when given (NaN otherwise).
-    """
-    differential = selected.mean - parents.mean
-    sd = math.sqrt(parents.variance)
-    intensity = differential / sd if sd > 0.0 else math.nan
-    response = parents.mean - previous.mean if previous is not None else math.nan
-    return SelectionDiagnostics(response, differential, intensity)
-
-
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
 
 
 def roulette_select(
-    pop: Population,
-    count: int,
-    rng: np.random.Generator,
-    nonpositive: str = "uniform",
+    pop: Population, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Fitness-proportionate sampling with replacement.
 
     Each draw lands on the cumulative-probability bins of f_i / F, so the
     selection probability is literally proportional to fitness.  The wheel is
-    only defined for positive fitness; ``nonpositive`` picks the extension
-    used when the population violates that:
-
-    - ``"uniform"`` (default): fall back to an unbiased draw for the whole
-      population until every member is positive.  Proportional pressure then
-      decays naturally as the mean fitness grows, which is the behaviour the
-      selection-comparison experiments depend on.
-    - ``"shift"``: translate all fitnesses by ``-worst + eps`` so the wheel
-      stays usable; this keeps strong pressure at all times.
+    only defined for positive fitness; while any member is nonpositive the
+    whole population is drawn uniformly instead.  Proportional pressure then
+    decays naturally as the mean fitness grows, which is the behaviour the
+    selection-comparison experiments depend on.
     """
     f = pop.fitness
-    worst = f.min()
-    if worst <= 0.0:
-        if nonpositive == "uniform":
-            return rng.integers(0, len(pop), size=count)
-        if nonpositive != "shift":
-            raise ValueError(f"unknown nonpositive policy {nonpositive!r}")
-        f = f + (-worst + RWS_SHIFT_EPS * max(1.0, abs(worst)))
+    if f.min() <= 0.0:
+        return rng.integers(0, len(pop), size=count)
     total = f.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise ValueError(f"total fitness must be positive, got {total}")
@@ -343,16 +298,10 @@ class EliteState:
     """Mutable carry-over size for the adaptive elitist replacement."""
 
     n_elite: int
-    shrink: str = "halve"
-    overlap_fraction: float = 0.05
 
     @classmethod
     def initial(cls, cfg: GAConfig) -> "EliteState":
-        return cls(
-            n_elite=math.ceil(cfg.overlap_fraction * cfg.population_size),
-            shrink=cfg.elite_shrink,
-            overlap_fraction=cfg.overlap_fraction,
-        )
+        return cls(n_elite=math.ceil(cfg.overlap_fraction * cfg.population_size))
 
 
 def adaptive_elitism_replace(
@@ -361,9 +310,8 @@ def adaptive_elitism_replace(
     """Merge the best elites of the parents with the best offspring.
 
     When the offspring pool improves both the mean and the variance of the
-    parent fitness, the elite count first shrinks (halving by default, or
-    scaling by the overlap fraction), floored at one so the incumbent best
-    always survives.
+    parent fitness, the elite count first halves, floored at one so the
+    incumbent best always survives.
     """
     if len(parents) != len(offspring):
         raise ValueError("parent and offspring populations must have equal size")
@@ -372,10 +320,7 @@ def adaptive_elitism_replace(
     ps = parents.stats
     os = offspring.stats
     if os.mean > ps.mean and os.variance > ps.variance:
-        if state.shrink == "halve":
-            state.n_elite = max(1, state.n_elite // 2)
-        else:
-            state.n_elite = max(1, math.floor(state.overlap_fraction * state.n_elite))
+        state.n_elite = max(1, state.n_elite // 2)
     n = len(parents)
     k = min(state.n_elite, n)
     elite_idx = np.argsort(parents.fitness)[::-1][:k]

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .benchmarks import BenchmarkProblem, Orientation
+from .benchmarks import BenchmarkProblem
 from .encoding import Chromosome, EncodingSpec, decode, decode_batch, encode
 from .evolution import Engine, GAConfig, Population
 from .local_search import SQPConfig, SQPResult, sqp_run
@@ -115,10 +115,11 @@ class HybridResult:
 
 
 def fitness_function(
-    problem: BenchmarkProblem, spec: EncodingSpec, sign: float
+    problem: BenchmarkProblem, spec: EncodingSpec
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Engine fitness of an ``(m, L)`` bit matrix: ``sign`` times the objective
-    of the decoded rows, so that the engine always maximizes."""
+    """Engine fitness of an ``(m, L)`` bit matrix: ``problem.sign`` times the
+    objective of the decoded rows, so that the engine always maximizes."""
+    sign = problem.sign
 
     def fitness(bits: np.ndarray) -> np.ndarray:
         return sign * problem.batch(decode_batch(bits, spec))
@@ -202,9 +203,9 @@ def run_hybrid(
     spec = EncodingSpec.for_bounds(
         problem.bounds.lower, problem.bounds.upper, precision
     )
-    sign = 1.0 if problem.orientation is Orientation.MAXIMIZE else -1.0
+    sign = problem.sign
     rng = np.random.default_rng(rng_seed)
-    fitness = fitness_function(problem, spec, sign)
+    fitness = fitness_function(problem, spec)
     warnings: list[str] = []
     trace: list[PhaseTraceRow] = []
     price_rows: list = []
@@ -219,8 +220,7 @@ def run_hybrid(
     f_ec = sign * float(pop1.fitness.max())
 
     # phase 2: local refinement from the decoded incumbent
-    fn = problem.fn
-    objective = (lambda v: -fn(v)) if sign > 0 else fn
+    objective = problem.minimand
     sqp_cfg_local = (
         replace(sqp_cfg, stopping="delta") if sqp_cfg.stopping is None else sqp_cfg
     )
@@ -230,7 +230,7 @@ def run_hybrid(
     try:
         sqp_result = sqp_run(objective, x_ec, problem.bounds, sqp_cfg_local)
         candidate = sqp_result.x
-        f_candidate = -sqp_result.f if sign > 0 else sqp_result.f
+        f_candidate = -sign * sqp_result.f
         if sign * f_candidate >= sign * f_ec:
             x_sqp, f_sqp = candidate, f_candidate
         else:
@@ -239,7 +239,7 @@ def run_hybrid(
         sqp_evals = sqp_result.evaluations
         for it in sqp_result.trace:
             trace.append(
-                PhaseTraceRow("sqp", it.iteration, -it.f if sign > 0 else it.f,
+                PhaseTraceRow("sqp", it.iteration, -sign * it.f,
                               math.nan, ec_evals + it.evaluations)
             )
     except Exception as exc:  # AD domain errors, singular systems
@@ -265,7 +265,7 @@ def run_hybrid(
                 replace(sqp_cfg_local, stopping="absolute"),
             )
             sqp_evals += polish.evaluations
-            f_polish = -polish.f if sign > 0 else polish.f
+            f_polish = -sign * polish.f
             if sign * f_polish > sign * f_star:
                 x_star, f_star = polish.x, f_polish
         except Exception as exc:

@@ -33,6 +33,7 @@ __all__ = [
 
 REGULARIZATION_LADDER_CAP = 1e8  # multiples of lambda_min tried before fallback
 BOUNDARY_FRACTION = 0.995  # fraction-to-boundary factor tau
+BARRIER_SCHEDULE = tuple(10.0**-k for k in range(0, 9))  # barrier weights mu, in order
 
 
 class LineSearchError(RuntimeError):
@@ -227,32 +228,27 @@ def wolfe_line_search(
 
 
 def _fraction_to_boundary(
-    s: np.ndarray, p: np.ndarray, lb: np.ndarray, ub: np.ndarray, tau: float
+    s: np.ndarray, p: np.ndarray, lb: np.ndarray, ub: np.ndarray
 ) -> float:
-    """Largest step fraction along ``p`` keeping ``s`` strictly inside [lb, ub]."""
+    """Largest step fraction along ``p``, at most 1, that keeps ``s`` strictly
+    inside [lb, ub]: :data:`BOUNDARY_FRACTION` of the way to the nearest bound."""
     alpha = 1.0
     neg = p < 0
     pos = p > 0
     if np.any(neg):
-        alpha = min(alpha, tau * np.min((lb[neg] - s[neg]) / p[neg]))
+        alpha = min(alpha, BOUNDARY_FRACTION * np.min((lb[neg] - s[neg]) / p[neg]))
     if np.any(pos):
-        alpha = min(alpha, tau * np.min((ub[pos] - s[pos]) / p[pos]))
+        alpha = min(alpha, BOUNDARY_FRACTION * np.min((ub[pos] - s[pos]) / p[pos]))
     return alpha
 
 
-def ipm_qp_solve(
-    g: np.ndarray,
-    H: np.ndarray,
-    box: BoundBox,
-    mu_schedule: Sequence[float] | None = None,
-    tau: float = BOUNDARY_FRACTION,
-) -> np.ndarray:
+def ipm_qp_solve(g: np.ndarray, H: np.ndarray, box: BoundBox) -> np.ndarray:
     """Approximate minimizer of ``g^T s + 0.5 s^T H s`` over step bounds.
 
     ``box`` holds bounds for the step itself and must contain 0 strictly
     (i.e. the current point is strictly interior).  A log-barrier Newton
-    iteration is run for each barrier weight of the schedule, which by
-    default decays from 1 by factors of 10 down to 1e-8.  Centring for a
+    iteration is run for each barrier weight of :data:`BARRIER_SCHEDULE`,
+    which decays from 1 by factors of 10 down to 1e-8.  Centring for a
     weight ends when the residual is small, after 50 Newton steps, or as
     soon as the backtracked step no longer strictly lowers the barrier
     (an ill-conditioned ``H`` can leave the residual above tolerance in
@@ -267,15 +263,13 @@ def ipm_qp_solve(
     lb, ub = box.lower, box.upper
     if not (np.all(lb < 0.0) and np.all(ub > 0.0)):
         raise ValueError("step box must contain 0 strictly (interior start)")
-    if mu_schedule is None:
-        mu_schedule = [10.0**-k for k in range(0, 9)]
 
     def fallback() -> np.ndarray:
         try:
             d = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
             d = -g
-        return _fraction_to_boundary(np.zeros_like(d), d, lb, ub, tau) * d
+        return _fraction_to_boundary(np.zeros_like(d), d, lb, ub) * d
 
     def barrier(s: np.ndarray, mu: float) -> float:
         return g @ s + 0.5 * s @ H @ s - mu * (
@@ -284,7 +278,7 @@ def ipm_qp_solve(
 
     s = np.zeros_like(g)
     scale = 1.0 + float(np.max(np.abs(g)))
-    for mu in mu_schedule:
+    for mu in BARRIER_SCHEDULE:
         tol = max(1e-12 * scale, 1e-3 * mu)
         base = barrier(s, mu)
         for _ in range(50):
@@ -298,7 +292,7 @@ def ipm_qp_solve(
                 p = np.linalg.solve(W, -r)
             except np.linalg.LinAlgError:
                 return fallback()
-            alpha = min(1.0, _fraction_to_boundary(s, p, lb, ub, tau))
+            alpha = min(1.0, _fraction_to_boundary(s, p, lb, ub))
             while alpha > 1e-14:
                 trial = barrier(s + alpha * p, mu)
                 if trial <= base:
@@ -353,21 +347,14 @@ def sqp_run(
             break
 
         if box is not None:
+            step_box = BoundBox(box.lower - x, box.upper - x)
             H_pd, lam = regularize_hessian(hess, cfg.lambda_min)
-            if H_pd is None:
-                d = -grad
-                lam = math.inf
-            else:
-                step_box = BoundBox(box.lower - x, box.upper - x)
-                d = ipm_qp_solve(grad, H_pd, step_box)
-            if d @ grad >= 0.0:  # degenerate subproblem solution
-                d = -grad
-                lam = math.inf
-            if lam == math.inf:
-                step_box = BoundBox(box.lower - x, box.upper - x)
-                d = d * _fraction_to_boundary(
-                    np.zeros_like(d), d, step_box.lower, step_box.upper, BOUNDARY_FRACTION
+            d = None if H_pd is None else ipm_qp_solve(grad, H_pd, step_box)
+            if d is None or d @ grad >= 0.0:  # ladder exhausted, or step not downhill
+                frac = _fraction_to_boundary(
+                    np.zeros_like(grad), -grad, step_box.lower, step_box.upper
                 )
+                d, lam = -grad * frac, math.inf
         else:
             d, lam = newton_direction(grad, hess, cfg.lambda_min)
 

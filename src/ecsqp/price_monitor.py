@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,7 +150,6 @@ class ConvergenceState:
 
     threshold: float = 0.01
     smoothing_window: int = 3
-    widths: list[float] = field(default_factory=list)
     converged_at: int | None = None
     _streak: int = 0
 
@@ -164,10 +163,10 @@ class ConvergenceState:
 def update_convergence(
     state: ConvergenceState, width: float, generation: int
 ) -> ConvergenceState:
-    """Record one generation's width; set ``converged_at`` on first crossing."""
+    """Count one generation's width toward the debounce streak; set
+    ``converged_at`` on first crossing."""
     if width < 0.0:
         raise ValueError(f"width must be nonnegative, got {width}")
-    state.widths.append(width)
     if state.converged_at is not None:
         return state
     state._streak = state._streak + 1 if width <= state.threshold else 0

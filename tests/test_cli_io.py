@@ -76,9 +76,11 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
-        path.write_text("problem: ackley\ndimension: 2\nga: {popsize: 3}\n")
-        with pytest.raises(ConfigError, match="popsize"):
-            load_config(path)
+        for section, key in (("ga: {popsize: 3}", "popsize"),
+                             ("ga: {elite_shrink: halve}", "elite_shrink")):
+            path.write_text(f"problem: ackley\ndimension: 2\n{section}\n")
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -240,6 +242,11 @@ class TestCli:
         bad.write_text("problem: unknown-name\ndimension: 2\n")
         assert main(["run", "--config", str(bad), "--jobs", "1"]) == 2
         assert "ackley" in capsys.readouterr().err
+        # only the 1/l spelling binds the mutation rate to the string length
+        bad.write_text(BASE_CONFIG.replace("mutation_rate: 1/l", "mutation_rate: auto"))
+        assert main(["run", "--config", str(bad), "--mode", "ec", "--jobs", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "mutation_rate" in capsys.readouterr().err
 
     def test_price_trace_forces_ec_mode(self, config_file, tmp_path):
         out = tmp_path / "pt"

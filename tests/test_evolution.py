@@ -16,7 +16,6 @@ from ecsqp.evolution import (
     bit_flip_mutation,
     evolve_generation,
     roulette_select,
-    selection_diagnostics,
     single_bit_mutation,
     single_point_crossover,
     tournament_select,
@@ -66,11 +65,6 @@ class TestRouletteSelect:
         idx = roulette_select(pop, 100_000, rng)
         counts = np.bincount(idx, minlength=4)
         assert chi_square_statistic(counts, [25_000] * 4) < CHI2_CRIT_DF3_P01
-
-    def test_shift_policy_biases_toward_best(self, rng):
-        pop = make_pop([-3.0, 1.0])
-        idx = roulette_select(pop, 50_000, rng, nonpositive="shift")
-        assert np.mean(idx == 1) > 0.95  # shifted shares ~ (eps, 4)
 
     def test_nonfinite_total_raises(self, rng):
         pop = make_pop([1.0, 2.0])
@@ -227,29 +221,6 @@ class TestFitnessStats:
             FitnessStats.from_values(np.array([]))
 
 
-class TestSelectionDiagnostics:
-    def test_no_selection_no_signal(self):
-        s = FitnessStats(2.0, 1.0, 3.0, 1.0)
-        d = selection_diagnostics(s, s)
-        assert d.differential == 0.0 and d.intensity == 0.0
-
-    def test_hand_computed(self):
-        parents = FitnessStats(mean=2.0, variance=1.0, best=4.0, worst=0.0)
-        selected = FitnessStats(mean=3.0, variance=0.5, best=4.0, worst=2.0)
-        d = selection_diagnostics(parents, selected)
-        assert d.differential == 1.0 and d.intensity == 1.0
-
-    def test_response_across_equal_generations(self):
-        s = FitnessStats(2.0, 1.0, 3.0, 1.0)
-        d = selection_diagnostics(s, s, previous=s)
-        assert d.response == 0.0
-
-    def test_zero_variance_marks_intensity_undefined(self):
-        parents = FitnessStats(2.0, 0.0, 2.0, 2.0)
-        d = selection_diagnostics(parents, FitnessStats(3.0, 0.0, 3.0, 3.0))
-        assert np.isnan(d.intensity)
-
-
 class TestAdaptiveElitism:
     def test_elites_survive_worse_offspring(self):
         parents = make_pop(np.arange(10, 20, dtype=float))
@@ -267,12 +238,6 @@ class TestAdaptiveElitism:
             better = make_pop(np.array([2.0, 3.0, 4.0, 5.0]) + state.n_elite)
             adaptive_elitism_replace(parents, better, state)
             assert state.n_elite == expected
-
-    def test_overlap_fraction_shrink_rule(self):
-        state = EliteState(n_elite=5, shrink="overlap-fraction", overlap_fraction=0.4)
-        parents = make_pop(np.ones(4))
-        adaptive_elitism_replace(parents, make_pop([2.0, 3.0, 4.0, 5.0]), state)
-        assert state.n_elite == 2  # floor(0.4 * 5)
 
     def test_no_shrink_without_joint_improvement(self):
         state = EliteState(n_elite=4)

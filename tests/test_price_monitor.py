@@ -128,7 +128,6 @@ class TestUpdateConvergence:
         update_convergence(state, 0.001, 1)
         update_convergence(state, 99.0, 2)
         assert state.converged_at == 1
-        assert state.widths == [0.001, 99.0]
 
 
 class TestDecompositionIdentity:
