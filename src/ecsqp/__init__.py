@@ -5,7 +5,7 @@ off to a Newton local solver driven by forward-mode automatic differentiation,
 followed by a seeded evolutionary validation round.
 """
 
-from .autodiff import ADContext, ADDomainError, ADScalar, evaluate
+from .autodiff import ADDomainError, ADScalar, ADVector, evaluate
 from .benchmarks import BenchmarkProblem, Orientation, get_problem, list_problems
 from .encoding import (
     Chromosome,
@@ -24,9 +24,9 @@ from .price_monitor import ConvergenceState, OperatorContribution, decompose_gen
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADContext",
     "ADDomainError",
     "ADScalar",
+    "ADVector",
     "BenchmarkProblem",
     "BoundBox",
     "Chromosome",

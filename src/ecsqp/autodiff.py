@@ -1,33 +1,40 @@
-"""Vectorized forward-mode automatic differentiation with exact Hessians.
+"""Forward-mode automatic differentiation with exact Hessians.
 
-Every :class:`ADScalar` carries a triplet ``(value, gradient, Hessian)`` with
-respect to a fixed set of ``n`` independent variables.  Arithmetic on these
-objects propagates all three fields through the chain rule, so a single
-forward sweep of an expression yields the exact function value, gradient and
-Hessian at once.  Independent variables are seeded with the rows of the
-``n x n`` identity matrix; constants carry zero derivative fields.
+Every node carries a triplet ``(value, gradient, Hessian)`` with respect to a
+fixed set of ``n`` independent variables, and arithmetic on nodes propagates
+all three through the chain rule: one forward sweep of an expression yields
+the exact value, gradient and Hessian.  An :class:`ADScalar` is one scalar
+with a dense gradient and ``n x n`` Hessian.  An :class:`ADVector` is ``n``
+elementwise intermediates, element ``i`` depending on variable ``i`` only,
+so it keeps only the two diagonals and an elementwise map costs O(n)
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, on
+second-order forward mode and Hessian sparsity).  :func:`evaluate` seeds the
+variables as one vector; indexing or ``sum``/``mean`` turn it into scalars.
 
 Hessians stay bitwise symmetric by construction: every update is either a
 scalar multiple of a symmetric matrix or a paired outer product
 ``u v^T + v u^T``, both of which are index-symmetric in floating point.
 
 Nonsmooth points (``sqrt`` or ``abs`` evaluated at exactly zero) are made
-total by returning zero derivative fields and tagging the result with a
-``nonsmooth`` flag that propagates through downstream arithmetic.
+total by returning zero derivative fields (per element for a vector) and
+tagging the result with a ``nonsmooth`` flag that propagates through
+downstream arithmetic.  The elementary functions map plain numbers and numpy
+arrays elementwise with numpy, so one numpy-style objective serves both a
+sweep and a batch of points.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from numbers import Real
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "ADContext",
     "ADDomainError",
     "ADScalar",
+    "ADVector",
     "cos",
     "evaluate",
     "exp",
@@ -47,6 +54,13 @@ class ADDomainError(ValueError):
         self.value = value
 
 
+def _require(op: str, ok, value) -> None:
+    """Raise :class:`ADDomainError` at the first element of ``value`` where
+    ``ok`` fails."""
+    if not np.all(ok):
+        raise ADDomainError(op, float(np.ravel(value)[~np.ravel(ok)][0]))
+
+
 class ADScalar:
     """Value, gradient and Hessian of one scalar intermediate quantity.
 
@@ -55,6 +69,7 @@ class ADScalar:
     """
 
     __slots__ = ("value", "grad", "hess", "nonsmooth")
+    __array_ufunc__ = None  # numpy operands on the left defer to the node
 
     def __init__(self, value, grad, hess, nonsmooth: bool = False):
         self.value = float(value)
@@ -70,23 +85,23 @@ class ADScalar:
         return self.grad.shape[0]
 
     def __repr__(self) -> str:
-        return f"ADScalar(value={self.value}, n={self.n})"
+        return f"{type(self).__name__}(value={self.value}, n={self.n})"
 
     # -- helpers ----------------------------------------------------------
 
+    _outer = staticmethod(np.outer)
+
     def _coerce(self, other) -> "ADScalar | None":
         if isinstance(other, ADScalar):
-            if other.n != self.n:
-                raise ValueError(
-                    f"dimension mismatch: {self.n} vs {other.n} independent variables"
-                )
+            if type(other) is not type(self) or other.n != self.n:
+                raise ValueError(f"cannot mix {self!r} and {other!r}")
             return other
         return None
 
-    def _chain(self, value: float, d1: float, d2: float) -> "ADScalar":
+    def _chain(self, value, d1, d2) -> "ADScalar":
         """Apply a scalar map with derivatives ``d1``, ``d2`` at this node."""
-        hess = d1 * self.hess + d2 * np.outer(self.grad, self.grad)
-        return ADScalar(value, d1 * self.grad, hess, self.nonsmooth)
+        hess = d1 * self.hess + d2 * self._outer(self.grad, self.grad)
+        return type(self)(value, d1 * self.grad, hess, self.nonsmooth)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -95,36 +110,20 @@ class ADScalar:
         if b is None:
             if not isinstance(other, Real):
                 return NotImplemented
-            return ADScalar(self.value + other, self.grad, self.hess, self.nonsmooth)
-        return ADScalar(
-            self.value + b.value,
-            self.grad + b.grad,
-            self.hess + b.hess,
-            self.nonsmooth or b.nonsmooth,
-        )
+            return type(self)(self.value + other, self.grad, self.hess, self.nonsmooth)
+        return type(self)(self.value + b.value, self.grad + b.grad,
+                          self.hess + b.hess, self.nonsmooth or b.nonsmooth)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            if not isinstance(other, Real):
-                return NotImplemented
-            return ADScalar(self.value - other, self.grad, self.hess, self.nonsmooth)
-        return ADScalar(
-            self.value - b.value,
-            self.grad - b.grad,
-            self.hess - b.hess,
-            self.nonsmooth or b.nonsmooth,
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
-        if not isinstance(other, Real):
-            return NotImplemented
-        return ADScalar(other - self.value, -self.grad, -self.hess, self.nonsmooth)
+        return -self + other
 
     def __neg__(self):
-        return ADScalar(-self.value, -self.grad, -self.hess, self.nonsmooth)
+        return type(self)(-self.value, -self.grad, -self.hess, self.nonsmooth)
 
     def __mul__(self, other):
         b = self._coerce(other)
@@ -132,19 +131,15 @@ class ADScalar:
             if not isinstance(other, Real):
                 return NotImplemented
             c = float(other)
-            return ADScalar(self.value * c, self.grad * c, self.hess * c, self.nonsmooth)
+            return type(self)(self.value * c, self.grad * c, self.hess * c, self.nonsmooth)
         hess = (
             b.value * self.hess
             + self.value * b.hess
-            + np.outer(self.grad, b.grad)
-            + np.outer(b.grad, self.grad)
+            + self._outer(self.grad, b.grad)
+            + self._outer(b.grad, self.grad)
         )
-        return ADScalar(
-            self.value * b.value,
-            b.value * self.grad + self.value * b.grad,
-            hess,
-            self.nonsmooth or b.nonsmooth,
-        )
+        grad = b.value * self.grad + self.value * b.grad
+        return type(self)(self.value * b.value, grad, hess, self.nonsmooth or b.nonsmooth)
 
     __rmul__ = __mul__
 
@@ -155,25 +150,24 @@ class ADScalar:
                 return NotImplemented
             if other == 0:
                 raise ADDomainError("div", 0.0)
-            return self * (1.0 / float(other))
-        if b.value == 0.0:
-            raise ADDomainError("div", 0.0)
+            c = float(other)
+            return type(self)(self.value / c, self.grad / c, self.hess / c, self.nonsmooth)
+        _require("div", b.value != 0.0, b.value)
         v = self.value / b.value
         bv = b.value
         grad = (self.grad - v * b.grad) / bv
         hess = (
             self.hess / bv
-            - (np.outer(self.grad, b.grad) + np.outer(b.grad, self.grad)) / (bv * bv)
-            + (2.0 * v / (bv * bv)) * np.outer(b.grad, b.grad)
+            - (self._outer(self.grad, b.grad) + self._outer(b.grad, self.grad)) / (bv * bv)
+            + (2.0 * v / (bv * bv)) * self._outer(b.grad, b.grad)
             - (v / bv) * b.hess
         )
-        return ADScalar(v, grad, hess, self.nonsmooth or b.nonsmooth)
+        return type(self)(v, grad, hess, self.nonsmooth or b.nonsmooth)
 
     def __rtruediv__(self, other):
         if not isinstance(other, Real):
             return NotImplemented
-        if self.value == 0.0:
-            raise ADDomainError("div", 0.0)
+        _require("div", self.value != 0.0, self.value)
         c, v = float(other), self.value
         return self._chain(c / v, -c / (v * v), 2.0 * c / (v * v * v))
 
@@ -184,19 +178,58 @@ class ADScalar:
         if isinstance(p, int) or float(p).is_integer():
             k = int(p)
             if k == 0:
-                n = self.n
-                return ADScalar(1.0, np.zeros(n), np.zeros((n, n)), self.nonsmooth)
-            if v == 0.0 and k < 0:
-                raise ADDomainError("powi", 0.0)
+                return self * 0.0 + 1.0
+            if k < 0:
+                _require("powi", v != 0.0, v)
             d2 = 0.0 if k == 1 else k * (k - 1) * v ** (k - 2)
             return self._chain(v**k, k * v ** (k - 1), d2)
-        if v <= 0.0:
-            raise ADDomainError("powf", v)
+        _require("powf", v > 0.0, v)
         p = float(p)
         return self._chain(v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
 
-    def __abs__(self):
-        return fabs(self)
+
+class ADVector(ADScalar):
+    """Value, gradient diagonal and Hessian diagonal of ``n`` elementwise
+    intermediates: element ``i`` depends on variable ``i`` only.
+
+    The arithmetic is :class:`ADScalar`'s, with the outer product of two
+    such gradients reduced to its diagonal ``u * v``.  Indexing and
+    ``sum``/``mean`` leave the diagonal form and return an ADScalar.
+    """
+
+    __slots__ = ()
+
+    _outer = staticmethod(np.multiply)
+
+    def __init__(self, value, grad, hess, nonsmooth: bool = False):
+        self.value = np.asarray(value, dtype=float)
+        self.grad = np.asarray(grad, dtype=float)
+        self.hess = np.asarray(hess, dtype=float)
+        self.nonsmooth = nonsmooth
+        if self.value.ndim != 1 or not self.value.shape == self.grad.shape == self.hess.shape:
+            raise ValueError("value/gradient/Hessian diagonals must be 1-D of one length")
+
+    @property
+    def shape(self) -> tuple[int]:
+        return self.value.shape
+
+    def __getitem__(self, index) -> ADScalar:
+        """Element ``index`` as an ADScalar; for the seeded variables, the
+        variable with its identity-row gradient and zero Hessian."""
+        n, i = self.n, operator.index(index)  # numpy raises the IndexError
+        grad = np.zeros(n)
+        grad[i] = self.grad[i]
+        hess = np.zeros((n, n))
+        hess[i, i] = self.hess[i]
+        return ADScalar(self.value[i], grad, hess, self.nonsmooth)
+
+    def sum(self, axis: int = -1) -> ADScalar:
+        if axis not in (0, -1):
+            raise ValueError(f"an ADVector has one axis; got axis={axis!r}")
+        return ADScalar(np.sum(self.value), self.grad, np.diag(self.hess), self.nonsmooth)
+
+    def mean(self, axis: int = -1) -> ADScalar:
+        return self.sum(axis) / self.n
 
 
 def _unary(name: str, fns: tuple) -> Callable:
@@ -205,87 +238,72 @@ def _unary(name: str, fns: tuple) -> Callable:
     def op(x):
         if not isinstance(x, ADScalar):
             return value_fn(x)
-        if domain is not None and not domain(x.value):
-            raise ADDomainError(name, x.value)
         v = x.value
+        if domain is not None:
+            _require(name, domain(v), v)
         return x._chain(value_fn(v), d1_fn(v), d2_fn(v))
 
     op.__name__ = name
-    op.__doc__ = f"{name} of an ADScalar or plain number."
+    op.__doc__ = f"{name} of an AD node, elementwise over a plain number or array."
     return op
 
 
-sin = _unary("sin", (math.sin, math.cos, lambda v: -math.sin(v), None))
-cos = _unary("cos", (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v), None))
-exp = _unary("exp", (math.exp, math.exp, math.exp, None))
+sin = _unary("sin", (np.sin, np.cos, lambda v: -np.sin(v), None))
+cos = _unary("cos", (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), None))
+exp = _unary("exp", (np.exp, np.exp, np.exp, None))
 log = _unary(
     "log",
-    (math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), lambda v: v > 0.0),
+    (np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), lambda v: v > 0.0),
 )
+
+
+def _kinked(x: ADScalar, value, d1, d2, kink) -> ADScalar:
+    """``x._chain(value, d1, d2)`` with zero derivative fields where ``kink``
+    holds (all of an ADScalar, per element of an ADVector), flagged
+    ``nonsmooth``."""
+    out = x._chain(value, d1, d2)
+    if np.any(kink):
+        out.grad = np.where(kink, 0.0, out.grad)
+        out.hess = np.where(kink, 0.0, out.hess)
+        out.nonsmooth = True
+    return out
 
 
 def sqrt(x):
     """Square root; at exactly zero the result carries zero derivatives and
     a nonsmooth flag."""
     if not isinstance(x, ADScalar):
-        return math.sqrt(x)
+        return np.sqrt(x)
     v = x.value
-    if v < 0.0:
-        raise ADDomainError("sqrt", v)
-    if v == 0.0:
-        n = x.n
-        return ADScalar(0.0, np.zeros(n), np.zeros((n, n)), nonsmooth=True)
-    s = math.sqrt(v)
-    return x._chain(s, 0.5 / s, -0.25 / (v * s))
+    _require("sqrt", v >= 0.0, v)
+    s = np.sqrt(v)
+    kink = v == 0.0
+    d1 = 0.5 / np.where(kink, 1.0, s)
+    d2 = -0.25 / np.where(kink, 1.0, v * s)
+    return _kinked(x, s, d1, d2, kink)
 
 
 def fabs(x):
     """Absolute value; the kink at zero is smoothed to zero derivatives and
     flagged."""
     if not isinstance(x, ADScalar):
-        return abs(x)
+        return np.abs(x)
     v = x.value
-    if v > 0.0:
-        return x._chain(v, 1.0, 0.0)
-    if v < 0.0:
-        return x._chain(-v, -1.0, 0.0)
-    n = x.n
-    return ADScalar(0.0, np.zeros(n), np.zeros((n, n)), nonsmooth=True)
+    return _kinked(x, np.abs(v), np.sign(v), 0.0, v == 0.0)
 
 
-class ADContext:
-    """Factory for the independent variables of one differentiation sweep."""
+def evaluate(f: Callable[[ADVector], ADScalar], x0) -> tuple[float, np.ndarray, np.ndarray]:
+    """Single forward sweep of ``f`` at ``x0``: returns (value, gradient, Hessian).
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"need at least one variable, got n={n}")
-        self.n = n
-
-    def variable(self, index: int, value: float) -> ADScalar:
-        """Independent variable ``index`` seeded with the matching identity row."""
-        if not 0 <= index < self.n:
-            raise IndexError(f"variable index {index} out of range [0, {self.n})")
-        grad = np.zeros(self.n)
-        grad[index] = 1.0
-        return ADScalar(value, grad, np.zeros((self.n, self.n)))
-
-    def constant(self, value: float) -> ADScalar:
-        return ADScalar(value, np.zeros(self.n), np.zeros((self.n, self.n)))
-
-    def variables(self, x0) -> list[ADScalar]:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (self.n,):
-            raise ValueError(f"expected {self.n} values, got shape {x0.shape}")
-        return [self.variable(i, v) for i, v in enumerate(x0)]
-
-
-def evaluate(
-    f: Callable[[Sequence[ADScalar]], ADScalar], x0
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Single forward sweep of ``f`` at ``x0``: returns (value, gradient, Hessian)."""
+    ``f`` receives the independent variables as one :class:`ADVector`; it
+    may index it or reduce it with ``sum``/``mean`` and returns an ADScalar
+    or a plain number.
+    """
     x0 = np.asarray(x0, dtype=float)
-    ctx = ADContext(x0.shape[0])
-    out = f(ctx.variables(x0))
+    n = x0.shape[0]
+    out = f(ADVector(x0, np.ones(n), np.zeros(n)))
+    if isinstance(out, ADVector):
+        raise TypeError("the objective returned an ADVector; reduce it to a scalar")
     if not isinstance(out, ADScalar):
-        out = ctx.constant(float(out))
+        return float(out), np.zeros(n), np.zeros((n, n))
     return out.value, out.grad, out.hess

@@ -182,25 +182,19 @@ def load_config(path: str | Path) -> RunConfig:
         return _build_section(GAConfig, section, context=context), raw
 
     data = dict(data)
-    mode = data.get("mode", "hybrid")
     ga, mutation_raw = parse_ga(data.pop("ga", {}), "ga section")
     sqp = _build_section(SQPConfig, dict(data.pop("sqp", {})), context="sqp section")
     switch = _build_section(
         SwitchCriteria, dict(data.pop("switch", {})), context="switch section"
     )
-    validation_ga = validation_switch = None
-    val_raw = None
-    if mode == "hybrid":
-        val_ga_data = {**VALIDATION_GA_DEFAULTS, **data.pop("validation_ga", {})}
-        validation_ga, val_raw = parse_ga(val_ga_data, "validation_ga section")
-        validation_switch = _build_section(
-            SwitchCriteria,
-            {**VALIDATION_SWITCH_DEFAULTS, **data.pop("validation_switch", {})},
-            context="validation_switch section",
-        )
-    else:
-        data.pop("validation_ga", None)
-        data.pop("validation_switch", None)
+    # parsed in every mode: `run --mode hybrid` may override the file's mode
+    val_ga_data = {**VALIDATION_GA_DEFAULTS, **data.pop("validation_ga", {})}
+    validation_ga, val_raw = parse_ga(val_ga_data, "validation_ga section")
+    validation_switch = _build_section(
+        SwitchCriteria,
+        {**VALIDATION_SWITCH_DEFAULTS, **data.pop("validation_switch", {})},
+        context="validation_switch section",
+    )
     for required in ("problem", "dimension"):
         if required not in data:
             raise ConfigError(f"missing required key {required!r}")

@@ -22,10 +22,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .autodiff import ADDomainError
 from .benchmarks import BenchmarkProblem
 from .encoding import Chromosome, EncodingSpec, decode, decode_batch, encode
 from .evolution import Engine, GAConfig, Population
-from .local_search import SQPConfig, SQPResult, sqp_run
+from .local_search import LineSearchError, SQPConfig, SQPResult, sqp_run
 from .price_monitor import ConvergenceState, decompose_generation, sigma_width, update_convergence
 
 __all__ = [
@@ -39,6 +40,9 @@ __all__ = [
     "run_hybrid",
     "should_switch",
 ]
+
+#: failures a local phase degrades on: the incumbent is kept, a warning recorded
+_LOCAL_FAILURES = (ADDomainError, np.linalg.LinAlgError, LineSearchError)
 
 
 class SwitchReason(enum.Enum):
@@ -188,8 +192,9 @@ def run_hybrid(
     """Run the full exploration -> refinement -> validation pipeline.
 
     The encoding grid is derived from the problem bounds and ``precision``.
-    A failing local phase degrades gracefully: the evolutionary solution is
-    kept and a warning recorded.
+    A local phase that fails with an AD domain error, a singular system or a
+    failed line search degrades gracefully: the evolutionary solution is
+    kept and a warning recorded.  Any other exception raises.
 
     The validation round reuses the exploration settings unless
     ``validation_criteria``/``validation_ga`` override them; the two phases
@@ -242,7 +247,7 @@ def run_hybrid(
                 PhaseTraceRow("sqp", it.iteration, -sign * it.f,
                               math.nan, ec_evals + it.evaluations)
             )
-    except Exception as exc:  # AD domain errors, singular systems
+    except _LOCAL_FAILURES as exc:
         warnings.append(f"local phase failed ({exc}); kept x_ec")
 
     # phase 3: seeded validation round
@@ -268,7 +273,7 @@ def run_hybrid(
             f_polish = -sign * polish.f
             if sign * f_polish > sign * f_star:
                 x_star, f_star = polish.x, f_polish
-        except Exception as exc:
+        except _LOCAL_FAILURES as exc:
             warnings.append(f"final polish failed ({exc}); kept validation best")
     else:
         x_star, f_star = x_sqp, f_sqp

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import ADScalar, evaluate
+from .autodiff import ADScalar, ADVector, evaluate
 
 __all__ = [
     "BoundBox",
@@ -308,14 +308,14 @@ def ipm_qp_solve(g: np.ndarray, H: np.ndarray, box: BoundBox) -> np.ndarray:
 
 
 def sqp_run(
-    objective: Callable[[Sequence[ADScalar]], ADScalar],
+    objective: Callable[[ADVector], ADScalar],
     x0,
     box: BoundBox | None,
     cfg: SQPConfig | None = None,
 ) -> SQPResult:
     """Minimize an AD-capable objective with Newton/Wolfe line-search steps.
 
-    ``objective`` maps a sequence of ADScalar variables to an ADScalar; each
+    ``objective`` maps the variables, one ADVector, to an ADScalar; each
     point evaluation is one forward sweep yielding value, gradient and
     Hessian.  With ``box`` given, search directions come from the
     interior-point quadratic subproblem and all iterates stay strictly

@@ -6,35 +6,53 @@ import numpy as np
 import pytest
 
 from ecsqp import autodiff as ad
-from ecsqp.autodiff import ADContext, ADDomainError, ADScalar, evaluate
+from ecsqp.autodiff import ADDomainError, ADScalar, ADVector, evaluate
 from ecsqp.fdcheck import fd_gradient, fd_hessian, max_relative_error
 
 PI = math.pi
 
 
+def variables(x0):
+    """The independent variables at ``x0``, seeded as :func:`evaluate` does."""
+    x0 = np.asarray(x0, dtype=float)
+    return ADVector(x0, np.ones(x0.size), np.zeros(x0.size))
+
+
 class TestSeeding:
     def test_variable_carries_identity_row(self):
-        ctx = ADContext(2)
-        v = ctx.variable(0, PI)
+        x = variables([PI, 0.5])
+        v = x[0]
+        assert type(v) is ADScalar
         assert v.value == PI
         np.testing.assert_array_equal(v.grad, [1.0, 0.0])
         np.testing.assert_array_equal(v.hess, np.zeros((2, 2)))
-        np.testing.assert_array_equal(ctx.variable(1, 0.5).grad, [0.0, 1.0])
+        np.testing.assert_array_equal(x[1].grad, [0.0, 1.0])
 
     def test_one_dimensional_variable(self):
-        ctx = ADContext(1)
-        v = ctx.variable(0, 0.0)
+        v = variables([0.0])[0]
         assert (v.value, v.grad[0], v.hess[0, 0]) == (0.0, 1.0, 0.0)
-
-    def test_constant_is_all_zero_derivatives(self):
-        ctx = ADContext(2)
-        c = ctx.constant(4.0)
-        assert c.value == 4.0
-        assert not c.grad.any() and not c.hess.any()
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            ADContext(2).variable(2, 0.0)
+            variables([0.0, 0.0])[2]
+
+    def test_mixing_nodes_raises(self):
+        two, three = variables([1.0, 2.0]), variables([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            two + three
+        with pytest.raises(ValueError):
+            two * two[0]
+        with pytest.raises(ValueError):
+            two[0] - two
+
+    def test_numpy_scalar_on_the_left_defers(self):
+        v = variables([1.0, -2.0])
+        out = np.float64(2.0) * v
+        assert type(out) is ADVector
+        np.testing.assert_array_equal(out.value, [2.0, -4.0])
+        np.testing.assert_array_equal(out.grad, [2.0, 2.0])
+        with pytest.raises(TypeError):  # not an object array of nodes
+            np.ones(2) * v
 
 
 class TestArithmetic:
@@ -44,9 +62,13 @@ class TestArithmetic:
         np.testing.assert_array_equal(grad, [1.0, 1.0])
         assert not hess.any()
 
+    def test_constant_objective_has_zero_derivatives(self):
+        value, grad, hess = evaluate(lambda v: 4.0, [1.0, 2.0])
+        assert value == 4.0
+        assert not grad.any() and not hess.any() and hess.shape == (2, 2)
+
     def test_self_difference_vanishes(self):
-        ctx = ADContext(2)
-        a = ctx.variable(0, 3.7)
+        a = variables([3.7, 0.0])[0]
         z = a - a
         assert z.value == 0.0 and not z.grad.any() and not z.hess.any()
 
@@ -62,8 +84,7 @@ class TestArithmetic:
         assert (value, grad[0], hess[0, 0]) == (9.0, 6.0, 2.0)
 
     def test_multiply_by_constant_one_is_identity(self):
-        ctx = ADContext(2)
-        a = ctx.variable(0, 1.3)
+        a = variables([1.3, 0.0])[0]
         b = a * 1.0
         assert b.value == a.value
         np.testing.assert_array_equal(b.grad, a.grad)
@@ -115,14 +136,24 @@ class TestFunctions:
             evaluate(lambda v: ad.log(v[0]), [0.0])
 
     def test_sqrt_and_abs_flag_the_origin(self):
-        ctx = ADContext(1)
-        s = ad.sqrt(ctx.variable(0, 0.0))
+        s = ad.sqrt(variables([0.0])[0])
         assert s.value == 0.0 and s.nonsmooth
         assert not s.grad.any() and not s.hess.any()
-        a = ad.fabs(ctx.variable(0, 0.0))
+        a = ad.fabs(variables([0.0])[0])
         assert a.nonsmooth
-        smooth = ad.fabs(ctx.variable(0, -2.0))
+        smooth = ad.fabs(variables([-2.0])[0])
         assert smooth.value == 2.0 and smooth.grad[0] == -1.0 and not smooth.nonsmooth
+
+    def test_vector_kinks_are_per_element(self):
+        s = ad.sqrt(variables([0.0, 4.0]))
+        assert s.nonsmooth
+        np.testing.assert_array_equal(s.value, [0.0, 2.0])
+        np.testing.assert_array_equal(s.grad, [0.0, 0.25])
+        np.testing.assert_array_equal(s.hess, [0.0, -1.0 / 32.0])
+        a = ad.fabs(variables([0.0, -2.0]))
+        assert a.nonsmooth
+        np.testing.assert_array_equal(a.grad, [0.0, -1.0])
+        assert not ad.fabs(variables([1.0, -2.0])).nonsmooth
 
     def test_plain_number_dispatch(self):
         assert ad.sin(0.0) == 0.0
@@ -187,8 +218,8 @@ class TestInvariants:
         assert max_relative_error(grad, fd_g) < 1e-9
 
     def test_dimension_mismatch_raises_eagerly(self):
-        a = ADContext(2).variable(0, 1.0)
-        b = ADContext(3).variable(0, 1.0)
+        a = variables([1.0, 0.0])[0]
+        b = variables([1.0, 0.0, 0.0])[0]
         with pytest.raises(ValueError):
             a + b
 

@@ -19,6 +19,60 @@ from ecsqp.benchmarks import (
 )
 from ecsqp.fdcheck import fd_gradient, fd_hessian, max_relative_error
 
+TWO_PI = 2.0 * math.pi
+
+
+# Reference forms each objective had before it was written once: a numpy
+# batch form over (m, n) arrays, and a per-element form over a sequence of
+# AD scalars.
+
+
+def ackley_batch_ref(X):
+    sq = np.mean(X * X, axis=1)
+    cs = np.mean(np.cos(TWO_PI * X), axis=1)
+    return 20.0 + math.e - 20.0 * np.exp(-0.2 * np.sqrt(sq)) - np.exp(cs)
+
+
+def rastrigin_batch_ref(X):
+    return 10.0 * X.shape[1] + np.sum(X * X - 10.0 * np.cos(TWO_PI * X), axis=1)
+
+
+def schwefel_max_batch_ref(X):
+    return np.sum(X * np.sin(np.sqrt(np.abs(X))), axis=1)
+
+
+def schwefel_min_batch_ref(X):
+    return 418.9829 * X.shape[1] - schwefel_max_batch_ref(X)
+
+
+def ackley_scalar_ref(x):
+    n = len(x)
+    sq = sum(xi * xi for xi in x) / n
+    cs = sum(ad.cos(TWO_PI * xi) for xi in x) / n
+    return 20.0 + math.e - 20.0 * ad.exp(-0.2 * ad.sqrt(sq)) - ad.exp(cs)
+
+
+def rastrigin_scalar_ref(x):
+    return 10.0 * len(x) + sum(xi * xi - 10.0 * ad.cos(TWO_PI * xi) for xi in x)
+
+
+def schwefel_max_scalar_ref(x):
+    return sum(xi * ad.sin(ad.sqrt(ad.fabs(xi))) for xi in x)
+
+
+def schwefel_min_scalar_ref(x):
+    return 418.9829 * len(x) - schwefel_max_scalar_ref(x)
+
+
+REFERENCES = {
+    "ackley": (ackley, ackley_batch_ref, ackley_scalar_ref, (-15.0, 30.0)),
+    "rastrigin": (rastrigin, rastrigin_batch_ref, rastrigin_scalar_ref, (-5.12, 5.12)),
+    "schwefel-min": (schwefel_min, schwefel_min_batch_ref, schwefel_min_scalar_ref,
+                     (-500.0, 500.0)),
+    "schwefel-max": (schwefel_max, schwefel_max_batch_ref, schwefel_max_scalar_ref,
+                     (-500.0, 500.0)),
+}
+
 
 def schwefel_1d_argmax_oracle():
     """Grid scan of x*sin(sqrt(|x|)) refined by bisecting its derivative.
@@ -48,12 +102,11 @@ class TestAckley:
 
     def test_scalar_value_one_dim(self):
         expected = 20 + math.e - 20 * math.exp(-0.2) - math.exp(math.cos(2 * math.pi))
-        assert ackley([1.0]) == pytest.approx(expected, abs=1e-12)
+        assert ackley(np.array([1.0])) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(3.6254, abs=1e-4)
 
     def test_gradient_at_origin_is_flagged_zero(self):
-        ctx = ad.ADContext(2)
-        out = ackley(ctx.variables(np.zeros(2)))
+        out = ackley(ad.ADVector(np.zeros(2), np.ones(2), np.zeros(2)))
         assert out.nonsmooth
         assert not out.grad.any()
 
@@ -66,7 +119,7 @@ class TestAckley:
 class TestRastrigin:
     def test_values(self):
         assert rastrigin(np.zeros(3)) == 0.0
-        assert rastrigin([1.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
+        assert rastrigin(np.array([1.0, 1.0])) == pytest.approx(2.0, abs=1e-12)
 
     def test_curvature_at_origin(self):
         _, grad, hess = evaluate(rastrigin, np.zeros(2))
@@ -96,7 +149,7 @@ class TestSchwefel:
 
     def test_boundary_value_one_dim(self):
         expected = 418.9829 - 500.0 * math.sin(math.sqrt(500.0))
-        assert schwefel_min([500.0]) == pytest.approx(expected, abs=1e-12)
+        assert schwefel_min(np.array([500.0])) == pytest.approx(expected, abs=1e-12)
         # direct evaluation: sin(sqrt(500)) < 0, so the value exceeds the offset
         assert expected == pytest.approx(599.572, abs=1e-3)
 
@@ -109,9 +162,9 @@ class TestSchwefel:
 
     def test_max_form_values(self):
         assert schwefel_max(np.zeros(2)) == 0.0
-        peak = schwefel_max([420.9687, 420.9687])
+        peak = schwefel_max(np.array([420.9687, 420.9687]))
         assert 837.93 <= peak <= 837.97
-        assert schwefel_max([SCHWEFEL_ARGMAX_1D]) == pytest.approx(418.9829, abs=1e-4)
+        assert schwefel_max(np.array([SCHWEFEL_ARGMAX_1D])) == pytest.approx(418.9829, abs=1e-4)
 
 
 class TestRegistry:
@@ -147,7 +200,7 @@ class TestRegistry:
             p = get_problem(name, n)
             X = rng.uniform(p.bounds.lower, p.bounds.upper, size=(40, n))
             batch = p.batch(X)
-            pointwise = [float(p.fn(list(row))) for row in X]
+            pointwise = [float(p.fn(row)) for row in X]
             np.testing.assert_allclose(batch, pointwise, rtol=1e-12)
 
 
@@ -161,3 +214,61 @@ class TestDerivatives:
             _, grad, hess = evaluate(p.fn, x)
             assert max_relative_error(grad, fd_gradient(plain, x)) < 1e-6
             assert max_relative_error(hess, fd_hessian(plain, x)) < 1e-4
+
+
+class TestOneDefinition:
+    """One numpy-style definition per objective is both the batch and the AD
+    route; the reference forms above are the oracles."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_batch_is_bitwise_the_reference(self, name, n, rng):
+        fn, batch_ref, _, (lo, hi) = REFERENCES[name]
+        X = rng.uniform(lo, hi, size=(200, n))
+        assert np.array_equal(fn(X), batch_ref(X))
+        if name != "schwefel-max" or n == 2:
+            problem = get_problem("schwefel" if name == "schwefel-min" else name, n)
+            assert np.array_equal(problem.batch(X), batch_ref(X))
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_derivatives_match_the_per_element_form(self, name, n, rng):
+        fn, _, scalar_ref, (lo, hi) = REFERENCES[name]
+        for _ in range(10):
+            x = rng.uniform(lo, hi, size=n)
+            value, grad, hess = evaluate(fn, x)
+            _, grad_ref, hess_ref = evaluate(lambda v: scalar_ref(list(v)), x)
+            assert max_relative_error(grad, grad_ref) < 1e-12
+            assert max_relative_error(hess, hess_ref) < 1e-12
+            assert np.array_equal(hess, hess.T)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_ad_value_is_bitwise_the_batch_value(self, name, n, rng):
+        fn, _, _, (lo, hi) = REFERENCES[name]
+        X = rng.uniform(lo, hi, size=(200, n))
+        batch = fn(X)
+        for x, expected in zip(X, batch):
+            assert evaluate(fn, x)[0] == expected
+
+    @pytest.mark.parametrize("name", ["schwefel-min", "schwefel-max"])
+    def test_schwefel_kinks_zero_their_elements(self, name, rng):
+        fn, _, scalar_ref, (lo, hi) = REFERENCES[name]
+        x = rng.uniform(lo, hi, size=6)
+        x[[1, 4]] = 0.0
+        v = ad.ADVector(x, np.ones(6), np.zeros(6))
+        out = fn(v)
+        assert out.nonsmooth is True
+        assert out.value == fn(x[None, :])[0]
+        assert out.grad[1] == out.grad[4] == 0.0
+        assert not out.hess[[1, 4]].any() and not out.hess[:, [1, 4]].any()
+        _, grad_ref, hess_ref = evaluate(lambda u: scalar_ref(list(u)), x)
+        assert max_relative_error(out.grad, grad_ref) < 1e-12
+        assert max_relative_error(out.hess, hess_ref) < 1e-12
+        assert fn(ad.ADVector(x + 1.0, np.ones(6), np.zeros(6))).nonsmooth is False
+
+    def test_ackley_origin_is_a_kink(self):
+        out = ackley(ad.ADVector(np.zeros(3), np.ones(3), np.zeros(3)))
+        assert out.nonsmooth is True
+        assert out.value == ackley(np.zeros((1, 3)))[0]
+        assert not out.grad.any()

@@ -17,6 +17,7 @@ from ecsqp.cli_io import (
     main,
     run_batch,
 )
+from ecsqp.encoding import EncodingSpec
 from ecsqp.evolution import SelectionMethod
 from ecsqp.local_search import BoundBox
 
@@ -57,6 +58,20 @@ class TestLoadConfig:
         # hybrid mode gets the deep validation defaults
         assert cfg.validation_ga.population_size == 200
         assert cfg.validation_switch.max_generations == 800
+
+    def test_validation_sections_survive_a_mode_override(self, tmp_path):
+        # `ecsqp run --mode hybrid` replaces the file's own mode after loading
+        path = tmp_path / "ec.yaml"
+        path.write_text(BASE_CONFIG + "mode: ec\nvalidation_ga:\n  population_size: 40\n")
+        cfg = cli_io.replace(load_config(path), mode="hybrid")
+        problem = cfg.make_problem()
+        spec = EncodingSpec.for_bounds(
+            problem.bounds.lower, problem.bounds.upper, cfg.precision
+        )
+        ga, switch = cfg.resolved_validation(spec)
+        assert ga.population_size == 40
+        assert ga.mutation_rate == pytest.approx(1 / 34)
+        assert switch.max_generations == 800
 
     def test_mutation_rate_binding(self, config_file):
         cfg = load_config(config_file)

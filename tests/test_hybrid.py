@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from ecsqp import hybrid
+from ecsqp.autodiff import ADDomainError
 from ecsqp.benchmarks import BenchmarkProblem, Orientation, get_problem
 from ecsqp.encoding import Chromosome, EncodingSpec, decode, encode
 from ecsqp.evolution import GAConfig
@@ -94,6 +96,24 @@ class TestRunHybrid:
         assert result.f_sqp == pytest.approx(0.0, abs=1e-10)
         assert result.f_star == pytest.approx(0.0, abs=1e-10)
         np.testing.assert_allclose(result.x_star, target, atol=1e-5)
+
+    def test_local_phase_failures(self, monkeypatch):
+        problem, _ = grid_sphere_problem()
+
+        def failing(exc):
+            def sqp_run(*args, **kwargs):
+                raise exc
+            return sqp_run
+
+        monkeypatch.setattr(hybrid, "sqp_run", failing(TypeError("a bug")))
+        with pytest.raises(TypeError):
+            run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=3)
+        monkeypatch.setattr(hybrid, "sqp_run", failing(ADDomainError("sqrt", -1.0)))
+        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=3)
+        np.testing.assert_array_equal(result.x_sqp, result.x_ec)
+        assert result.f_sqp == result.f_ec
+        assert result.sqp_result is None and result.evaluations["sqp"] == 0
+        assert any(w.startswith("local phase failed (sqrt") for w in result.warnings)
 
     def test_phase_monotonicity_maximization(self):
         problem = get_problem("schwefel-max", 2)

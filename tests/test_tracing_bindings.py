@@ -8,10 +8,13 @@ benchmark run.  The file is loaded by path, as the benchmark loads it.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ecsqp.benchmarks
 import ecsqp.cli_io
 import ecsqp.evolution
+import ecsqp.local_search
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +54,25 @@ def test_ec_batch_records_the_evolution_spans(tracing, tmp_path):
                  "evolution.replace", "encoding.decode_batch", "benchmarks.batch",
                  "price_monitor.decompose"):
         assert counts.get(name, 0) > 0, name
+
+
+def test_sqp_run_records_the_nonsmooth_flag(tracing):
+    # perfbench reads ``nonsmooth`` from the reduced ADScalar that a
+    # registered objective returns; the first start sits on Schwefel's kink
+    problem = ecsqp.benchmarks.get_problem("schwefel", 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = tracer.traced_problem(problem)
+        evaluations = [
+            ecsqp.local_search.sqp_run(
+                traced.fn, np.array(x0), problem.bounds, ecsqp.local_search.SQPConfig()
+            ).evaluations
+            for x0 in ([0.0, 300.0], [100.0, 300.0])
+        ]
+    finally:
+        tracer.uninstall()
+    infos = [s.info for s in tracer.spans if s.name == "benchmarks.fn"]
+    assert len(infos) == sum(evaluations) == tracing.span_counts(tracer)["autodiff.sweep"]
+    assert all(type(info) is bool for info in infos)
+    assert infos[0] is True and infos[-1] is False
