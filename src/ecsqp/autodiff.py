@@ -4,16 +4,20 @@ Every node carries a triplet ``(value, gradient, Hessian)`` with respect to a
 fixed set of ``n`` independent variables, and arithmetic on nodes propagates
 all three through the chain rule: one forward sweep of an expression yields
 the exact value, gradient and Hessian.  An :class:`ADScalar` is one scalar
-with a dense gradient and ``n x n`` Hessian.  An :class:`ADVector` is ``n``
-elementwise intermediates, element ``i`` depending on variable ``i`` only,
-so it keeps only the two diagonals and an elementwise map costs O(n)
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, on
-second-order forward mode and Hessian sparsity).  :func:`evaluate` seeds the
-variables as one vector; indexing or ``sum``/``mean`` turn it into scalars.
+with a dense gradient and a :class:`Hessian`, ``diag(d) + U C U^T``: the
+chain rule only ever scales a Hessian, adds two, or adds the outer products
+of gradients, so each of those appends columns to ``U``.  An
+:class:`ADVector` is ``n`` elementwise intermediates, element ``i``
+depending on variable ``i`` only, so it keeps only the two diagonals and an
+elementwise map costs O(n) (Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., SIAM 2008, on second-order forward mode and Hessian sparsity).
+:func:`evaluate` seeds the variables as one vector; indexing or
+``sum``/``mean`` turn it into scalars.
 
-Hessians stay bitwise symmetric by construction: every update is either a
-scalar multiple of a symmetric matrix or a paired outer product
-``u v^T + v u^T``, both of which are index-symmetric in floating point.
+Hessians are symmetric by construction: every update is a scalar multiple of
+a symmetric matrix or a paired outer product ``u v^T + v u^T``, so ``C``
+stays symmetric, and the dense matrix is symmetrized bitwise when it is
+materialized.
 
 Nonsmooth points (``sqrt`` or ``abs`` evaluated at exactly zero) are made
 total by returning zero derivative fields (per element for a vector) and
@@ -35,6 +39,7 @@ __all__ = [
     "ADDomainError",
     "ADScalar",
     "ADVector",
+    "Hessian",
     "cos",
     "evaluate",
     "exp",
@@ -61,6 +66,122 @@ def _require(op: str, ok, value) -> None:
         raise ADDomainError(op, float(np.ravel(value)[~np.ravel(ok)][0]))
 
 
+class Hessian:
+    """Symmetric ``n x n`` matrix ``diag(d) + U C U^T``, ``U`` with ``k <= n``
+    columns and ``C`` symmetric.
+
+    A sum joins the low-rank parts side by side; once ``k`` would pass ``n``
+    the form folds into its ``k = n`` version, :meth:`from_dense` of the
+    matrix.  Instances are treated as immutable.  ``np.asarray`` gives the
+    dense matrix; ``H @ s`` costs O(nk).
+    """
+
+    __slots__ = ("d", "U", "C")
+
+    def __init__(self, d, U: np.ndarray | None = None, C: np.ndarray | None = None):
+        d = np.asarray(d, dtype=float)
+        n = d.shape[0]
+        if U is None:
+            U, C = np.zeros((n, 0)), np.zeros((0, 0))
+        if d.ndim != 1 or U.shape[0] != n or C.shape != (U.shape[1], U.shape[1]):
+            raise ValueError("need d of length n, U of n rows and a k x k C")
+        if U.shape[1] > n:
+            d, U, C = _split(_dense(d, U, C))
+        self.d, self.U, self.C = d, U, C
+
+    @classmethod
+    def from_dense(cls, H) -> "Hessian":
+        """The ``k = n`` form of a square matrix: ``d = diag(H)``, ``U = I``
+        and ``C`` the off-diagonal part."""
+        return cls(*_split(np.asarray(H, dtype=float)))
+
+    @property
+    def n(self) -> int:
+        return self.d.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.U.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def __repr__(self) -> str:
+        return f"Hessian(n={self.n}, k={self.k})"
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return _dense(self.d, self.U, self.C).astype(dtype or float, copy=False)
+
+    def __matmul__(self, s):
+        out = self.d * s
+        if self.k:
+            out = out + self.U @ (self.C @ (self.U.T @ s))
+        return out
+
+    def plus_diagonal(self, a) -> "Hessian":
+        """This matrix plus ``diag(a)`` (``a`` a number or an n-vector)."""
+        return Hessian(self.d + a, self.U, self.C)
+
+    def plus_low_rank(self, V: np.ndarray, B: np.ndarray) -> "Hessian":
+        """This matrix plus ``V B V^T``: the columns of ``V`` join ``U``."""
+        if not V.shape[1]:
+            return self
+        if not self.k:
+            return Hessian(self.d, V, B)
+        k, m = self.k, V.shape[1]
+        C = np.zeros((k + m, k + m))
+        C[:k, :k] = self.C
+        C[k:, k:] = B
+        return Hessian(self.d, np.hstack([self.U, V]), C)
+
+    def __add__(self, other):
+        if not isinstance(other, Hessian):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError(f"cannot add {self!r} and {other!r}")
+        return Hessian(self.d + other.d, self.U, self.C).plus_low_rank(other.U, other.C)
+
+    def __neg__(self):
+        return Hessian(-self.d, self.U, -self.C)
+
+    def __mul__(self, c):
+        try:
+            c = float(c)
+        except TypeError:
+            return NotImplemented
+        return Hessian(self.d * c, self.U, self.C * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        try:
+            c = float(c)
+        except TypeError:
+            return NotImplemented
+        return Hessian(self.d / c, self.U, self.C / c)
+
+
+def _dense(d: np.ndarray, U: np.ndarray, C: np.ndarray) -> np.ndarray:
+    M = (U @ C) @ U.T
+    M = 0.5 * (M + M.T)
+    M.flat[:: d.shape[0] + 1] += d
+    return M
+
+
+def _split(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = H.shape[0]
+    if H.shape != (n, n):
+        raise ValueError(f"need a square matrix, got shape {H.shape}")
+    d = np.diag(H).copy()
+    C = H.copy()
+    C.flat[:: n + 1] = 0.0
+    return d, np.eye(n), C
+
+
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
 class ADScalar:
     """Value, gradient and Hessian of one scalar intermediate quantity.
 
@@ -71,13 +192,12 @@ class ADScalar:
     __slots__ = ("value", "grad", "hess", "nonsmooth")
     __array_ufunc__ = None  # numpy operands on the left defer to the node
 
-    def __init__(self, value, grad, hess, nonsmooth: bool = False):
+    def __init__(self, value, grad, hess: Hessian, nonsmooth: bool = False):
         self.value = float(value)
         self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
+        self.hess = hess
         self.nonsmooth = nonsmooth
-        n = self.grad.shape[0]
-        if self.grad.ndim != 1 or self.hess.shape != (n, n):
+        if self.grad.ndim != 1 or not isinstance(hess, Hessian) or hess.n != self.n:
             raise ValueError("gradient/Hessian shapes inconsistent")
 
     @property
@@ -89,7 +209,15 @@ class ADScalar:
 
     # -- helpers ----------------------------------------------------------
 
-    _outer = staticmethod(np.outer)
+    @staticmethod
+    def _plus_outer(hess: Hessian, u: np.ndarray, c) -> Hessian:
+        """``hess + c u u^T``."""
+        return hess.plus_low_rank(u[:, None], np.array([[float(c)]]))
+
+    @staticmethod
+    def _plus_sym_outer(hess: Hessian, u: np.ndarray, v: np.ndarray) -> Hessian:
+        """``hess + u v^T + v u^T``."""
+        return hess.plus_low_rank(np.column_stack([u, v]), _SWAP)
 
     def _coerce(self, other) -> "ADScalar | None":
         if isinstance(other, ADScalar):
@@ -100,7 +228,7 @@ class ADScalar:
 
     def _chain(self, value, d1, d2) -> "ADScalar":
         """Apply a scalar map with derivatives ``d1``, ``d2`` at this node."""
-        hess = d1 * self.hess + d2 * self._outer(self.grad, self.grad)
+        hess = self._plus_outer(self.hess * d1, self.grad, d2)
         return type(self)(value, d1 * self.grad, hess, self.nonsmooth)
 
     # -- arithmetic -------------------------------------------------------
@@ -132,11 +260,8 @@ class ADScalar:
                 return NotImplemented
             c = float(other)
             return type(self)(self.value * c, self.grad * c, self.hess * c, self.nonsmooth)
-        hess = (
-            b.value * self.hess
-            + self.value * b.hess
-            + self._outer(self.grad, b.grad)
-            + self._outer(b.grad, self.grad)
+        hess = self._plus_sym_outer(
+            b.value * self.hess + self.value * b.hess, self.grad, b.grad
         )
         grad = b.value * self.grad + self.value * b.grad
         return type(self)(self.value * b.value, grad, hess, self.nonsmooth or b.nonsmooth)
@@ -153,15 +278,10 @@ class ADScalar:
             c = float(other)
             return type(self)(self.value / c, self.grad / c, self.hess / c, self.nonsmooth)
         _require("div", b.value != 0.0, b.value)
+        # from a = v b: Hv = (Ha - v Hb - gv gb^T - gb gv^T) / b
         v = self.value / b.value
-        bv = b.value
-        grad = (self.grad - v * b.grad) / bv
-        hess = (
-            self.hess / bv
-            - (self._outer(self.grad, b.grad) + self._outer(b.grad, self.grad)) / (bv * bv)
-            + (2.0 * v / (bv * bv)) * self._outer(b.grad, b.grad)
-            - (v / bv) * b.hess
-        )
+        grad = (self.grad - v * b.grad) / b.value
+        hess = self._plus_sym_outer(self.hess + (-v) * b.hess, -grad, b.grad) / b.value
         return type(self)(v, grad, hess, self.nonsmooth or b.nonsmooth)
 
     def __rtruediv__(self, other):
@@ -192,14 +312,21 @@ class ADVector(ADScalar):
     """Value, gradient diagonal and Hessian diagonal of ``n`` elementwise
     intermediates: element ``i`` depends on variable ``i`` only.
 
-    The arithmetic is :class:`ADScalar`'s, with the outer product of two
-    such gradients reduced to its diagonal ``u * v``.  Indexing and
-    ``sum``/``mean`` leave the diagonal form and return an ADScalar.
+    The arithmetic is :class:`ADScalar`'s, with the Hessian a plain array of
+    its diagonal and the outer product of two such gradients reduced to its
+    diagonal ``u * v``.  Indexing and ``sum``/``mean`` leave the diagonal
+    form and return an ADScalar with a ``k = 0`` :class:`Hessian`.
     """
 
     __slots__ = ()
 
-    _outer = staticmethod(np.multiply)
+    @staticmethod
+    def _plus_outer(hess: np.ndarray, u: np.ndarray, c) -> np.ndarray:
+        return hess + c * (u * u)
+
+    @staticmethod
+    def _plus_sym_outer(hess: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return hess + u * v + v * u
 
     def __init__(self, value, grad, hess, nonsmooth: bool = False):
         self.value = np.asarray(value, dtype=float)
@@ -219,14 +346,14 @@ class ADVector(ADScalar):
         n, i = self.n, operator.index(index)  # numpy raises the IndexError
         grad = np.zeros(n)
         grad[i] = self.grad[i]
-        hess = np.zeros((n, n))
-        hess[i, i] = self.hess[i]
-        return ADScalar(self.value[i], grad, hess, self.nonsmooth)
+        d = np.zeros(n)
+        d[i] = self.hess[i]
+        return ADScalar(self.value[i], grad, Hessian(d), self.nonsmooth)
 
     def sum(self, axis: int = -1) -> ADScalar:
         if axis not in (0, -1):
             raise ValueError(f"an ADVector has one axis; got axis={axis!r}")
-        return ADScalar(np.sum(self.value), self.grad, np.diag(self.hess), self.nonsmooth)
+        return ADScalar(np.sum(self.value), self.grad, Hessian(self.hess), self.nonsmooth)
 
     def mean(self, axis: int = -1) -> ADScalar:
         return self.sum(axis) / self.n
@@ -264,7 +391,10 @@ def _kinked(x: ADScalar, value, d1, d2, kink) -> ADScalar:
     out = x._chain(value, d1, d2)
     if np.any(kink):
         out.grad = np.where(kink, 0.0, out.grad)
-        out.hess = np.where(kink, 0.0, out.hess)
+        if isinstance(out, ADVector):
+            out.hess = np.where(kink, 0.0, out.hess)
+        else:
+            out.hess = Hessian(np.zeros(out.n))
         out.nonsmooth = True
     return out
 
@@ -292,12 +422,13 @@ def fabs(x):
     return _kinked(x, np.abs(v), np.sign(v), 0.0, v == 0.0)
 
 
-def evaluate(f: Callable[[ADVector], ADScalar], x0) -> tuple[float, np.ndarray, np.ndarray]:
+def evaluate(f: Callable[[ADVector], ADScalar], x0) -> tuple[float, np.ndarray, Hessian]:
     """Single forward sweep of ``f`` at ``x0``: returns (value, gradient, Hessian).
 
     ``f`` receives the independent variables as one :class:`ADVector`; it
     may index it or reduce it with ``sum``/``mean`` and returns an ADScalar
-    or a plain number.
+    or a plain number.  The Hessian is the structured :class:`Hessian`;
+    ``np.asarray`` of it is the dense ``n x n`` matrix.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
@@ -305,5 +436,5 @@ def evaluate(f: Callable[[ADVector], ADScalar], x0) -> tuple[float, np.ndarray, 
     if isinstance(out, ADVector):
         raise TypeError("the objective returned an ADVector; reduce it to a scalar")
     if not isinstance(out, ADScalar):
-        return float(out), np.zeros(n), np.zeros((n, n))
+        return float(out), np.zeros(n), Hessian(np.zeros(n))
     return out.value, out.grad, out.hess

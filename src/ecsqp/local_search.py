@@ -6,6 +6,12 @@ variable bounds by solving each quadratic subproblem with a log-barrier
 interior-point iteration.  Indefinite Hessians are repaired with an escalating
 Levenberg-style diagonal shift; if that fails the step falls back to steepest
 descent.
+
+Every linear system has the form ``W = diag(a) + U C U^T`` of the AD
+:class:`~ecsqp.autodiff.Hessian` plus a diagonal, and is solved by
+Sherman-Morrison-Woodbury through a ``k x k`` capacitance system in O(nk^2)
+(Nocedal & Wright, *Numerical Optimization*, 2nd ed., Springer 2006).  A
+dense matrix from a caller is the ``k = n`` case.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import ADScalar, ADVector, evaluate
+from .autodiff import ADScalar, ADVector, Hessian, evaluate
 
 __all__ = [
     "BoundBox",
@@ -110,7 +116,7 @@ class NewtonIterate:
     x: np.ndarray
     f: float
     grad: np.ndarray
-    hess: np.ndarray
+    hess: Hessian
     direction: np.ndarray
     alpha: float
     lambda_used: float
@@ -130,30 +136,86 @@ class SQPResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def regularize_hessian(
-    hess: np.ndarray, lambda_min: float
-) -> tuple[np.ndarray | None, float]:
-    """Smallest diagonal shift from {0, lambda_min, 10*lambda_min, ...} that
-    makes the matrix positive definite (Cholesky succeeds).
+def _structured(H) -> Hessian:
+    """``H`` as a :class:`Hessian`; a dense array becomes its ``k = n`` form."""
+    return H if isinstance(H, Hessian) else Hessian.from_dense(H)
 
+
+def _positive_split(W: Hessian) -> Hessian:
+    """``W`` split with a positive diagonal part.
+
+    A ``W`` whose diagonal part is not positive is re-split as its ``k = n``
+    form, whose diagonal part is ``diag(W)``.  That is positive whenever
+    ``W`` is positive definite; when it is not, ``W`` is not positive
+    definite and :class:`numpy.linalg.LinAlgError` is raised before the
+    dense matrix is formed.
+    """
+    if np.all(W.d > 0.0):
+        return W
+    if not np.all(W.d + ((W.U @ W.C) * W.U).sum(axis=1) > 0.0):
+        raise np.linalg.LinAlgError("diagonal not positive: matrix not positive definite")
+    return Hessian.from_dense(W)
+
+
+def _positive_definite(W: Hessian) -> bool:
+    """Whether ``W = A + U C U^T`` (``A`` diagonal) is positive definite.
+
+    With ``A^{-1/2} U = Q R`` (``R`` is ``k x k``), ``W`` is congruent to
+    ``I + Q R C R^T Q^T``, which is positive definite exactly when the
+    symmetric capacitance matrix ``I + R C R^T`` is (Cholesky succeeds).
+    """
+    try:
+        W = _positive_split(W)
+    except np.linalg.LinAlgError:
+        return False
+    if W.k:
+        R = np.linalg.qr(W.U / np.sqrt(W.d)[:, None], mode="r")
+        try:
+            np.linalg.cholesky(np.eye(W.k) + R @ W.C @ R.T)
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
+def _solve(W: Hessian, b: np.ndarray) -> np.ndarray:
+    """Solve ``W x = b`` for ``W = A + U C U^T`` by Sherman-Morrison-Woodbury.
+
+    With ``A`` the positive diagonal part from :func:`_positive_split`,
+    ``x = A^{-1} b - A^{-1} U y`` where ``y`` solves the ``k x k``
+    capacitance system ``(I + C U^T A^{-1} U) y = C U^T A^{-1} b``.  Raises
+    :class:`numpy.linalg.LinAlgError` when that system is singular or the
+    diagonal of ``W`` is not positive.
+    """
+    W = _positive_split(W)
+    x = b / W.d
+    if not W.k:
+        return x
+    AiU = W.U / W.d[:, None]
+    K = np.eye(W.k) + W.C @ (W.U.T @ AiU)
+    return x - AiU @ np.linalg.solve(K, W.C @ (W.U.T @ x))
+
+
+def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
+    """Smallest diagonal shift from {0, lambda_min, 10*lambda_min, ...} that
+    makes the matrix positive definite.
+
+    ``hess`` is a :class:`Hessian` or a dense array (its ``k = n`` form).
     Returns ``(shifted_matrix, lambda)`` or ``(None, inf)`` if the ladder cap
     is exceeded.
     """
-    n = hess.shape[0]
+    hess = _structured(hess)
     lam = 0.0
     while True:
-        candidate = hess if lam == 0.0 else hess + lam * np.eye(n)
-        try:
-            np.linalg.cholesky(candidate)
+        candidate = hess if lam == 0.0 else hess.plus_diagonal(lam)
+        if _positive_definite(candidate):
             return candidate, lam
-        except np.linalg.LinAlgError:
-            lam = lambda_min if lam == 0.0 else lam * 10.0
-            if lam > REGULARIZATION_LADDER_CAP * lambda_min:
-                return None, math.inf
+        lam = lambda_min if lam == 0.0 else lam * 10.0
+        if lam > REGULARIZATION_LADDER_CAP * lambda_min:
+            return None, math.inf
 
 
 def newton_direction(
-    grad: np.ndarray, hess: np.ndarray, lambda_min: float = 1e-6
+    grad: np.ndarray, hess, lambda_min: float = 1e-6
 ) -> tuple[np.ndarray, float]:
     """Descent direction solving ``(H + lambda I) d = -g``.
 
@@ -163,14 +225,11 @@ def newton_direction(
     ``lambda_used = inf``.
     """
     grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        raise ValueError("gradient/Hessian must be finite")
     if np.all(grad == 0.0):
         return np.zeros_like(grad), 0.0
     shifted, lam = regularize_hessian(hess, lambda_min)
     if shifted is not None:
-        d = np.linalg.solve(shifted, -grad)
+        d = _solve(shifted, -grad)
         if d @ grad < 0.0:
             return d, lam
     return -grad, math.inf
@@ -232,17 +291,11 @@ def _fraction_to_boundary(
 ) -> float:
     """Largest step fraction along ``p``, at most 1, that keeps ``s`` strictly
     inside [lb, ub]: :data:`BOUNDARY_FRACTION` of the way to the nearest bound."""
-    alpha = 1.0
-    neg = p < 0
-    pos = p > 0
-    if np.any(neg):
-        alpha = min(alpha, BOUNDARY_FRACTION * np.min((lb[neg] - s[neg]) / p[neg]))
-    if np.any(pos):
-        alpha = min(alpha, BOUNDARY_FRACTION * np.min((ub[pos] - s[pos]) / p[pos]))
-    return alpha
+    ratio = np.divide(np.where(p < 0, lb, ub) - s, p, out=np.full_like(p, np.inf), where=p != 0)
+    return min(1.0, BOUNDARY_FRACTION * float(ratio.min(initial=np.inf)))
 
 
-def ipm_qp_solve(g: np.ndarray, H: np.ndarray, box: BoundBox) -> np.ndarray:
+def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     """Approximate minimizer of ``g^T s + 0.5 s^T H s`` over step bounds.
 
     ``box`` holds bounds for the step itself and must contain 0 strictly
@@ -253,26 +306,30 @@ def ipm_qp_solve(g: np.ndarray, H: np.ndarray, box: BoundBox) -> np.ndarray:
     soon as the backtracked step no longer strictly lowers the barrier
     (an ill-conditioned ``H`` can leave the residual above tolerance in
     floating point); the iteration then moves on to the next weight.
-    The returned step is strictly feasible.  If a Newton system is singular
-    or backtracking finds no acceptable step, the unconstrained Newton step
-    ``-H^{-1} g`` (steepest descent ``-g`` when ``H`` is singular), scaled
-    back to the boundary fraction, is returned instead.
+    The returned step is strictly feasible.  ``H`` is a :class:`Hessian` or
+    a dense array (its ``k = n`` form), and each Newton system
+    ``H + diag(...)`` is solved by Woodbury.  If a Newton system cannot be
+    solved (it is singular, or its diagonal is not positive, which no
+    positive definite system's is) or backtracking finds no acceptable step,
+    the unconstrained Newton step ``-H^{-1} g`` (steepest descent ``-g`` when
+    that cannot be solved either), scaled back to the boundary fraction, is
+    returned instead.
     """
     g = np.asarray(g, dtype=float)
-    H = np.asarray(H, dtype=float)
+    H = _structured(H)
     lb, ub = box.lower, box.upper
     if not (np.all(lb < 0.0) and np.all(ub > 0.0)):
         raise ValueError("step box must contain 0 strictly (interior start)")
 
     def fallback() -> np.ndarray:
         try:
-            d = np.linalg.solve(H, -g)
+            d = _solve(H, -g)
         except np.linalg.LinAlgError:
             d = -g
         return _fraction_to_boundary(np.zeros_like(d), d, lb, ub) * d
 
     def barrier(s: np.ndarray, mu: float) -> float:
-        return g @ s + 0.5 * s @ H @ s - mu * (
+        return g @ s + 0.5 * (s @ (H @ s)) - mu * (
             np.log(s - lb).sum() + np.log(ub - s).sum()
         )
 
@@ -287,9 +344,9 @@ def ipm_qp_solve(g: np.ndarray, H: np.ndarray, box: BoundBox) -> np.ndarray:
             r = g + H @ s - mu * inv_lo + mu * inv_hi
             if np.max(np.abs(r)) <= tol:
                 break
-            W = H + np.diag(mu * inv_lo**2 + mu * inv_hi**2)
+            W = H.plus_diagonal(mu * inv_lo**2 + mu * inv_hi**2)
             try:
-                p = np.linalg.solve(W, -r)
+                p = _solve(W, -r)
             except np.linalg.LinAlgError:
                 return fallback()
             alpha = min(1.0, _fraction_to_boundary(s, p, lb, ub))
@@ -320,6 +377,9 @@ def sqp_run(
     Hessian.  With ``box`` given, search directions come from the
     interior-point quadratic subproblem and all iterates stay strictly
     feasible; without it, plain regularized Newton directions are used.
+    A value, gradient or Hessian that is not finite at the start point or an
+    accepted iterate raises :class:`ValueError`; a trial point of the line
+    search with a NaN value is only rejected.
     """
     cfg = cfg or SQPConfig()
     stopping = cfg.stopping or "absolute"
@@ -329,7 +389,7 @@ def sqp_run(
 
     evals = 0
 
-    def sweep(point: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def sweep(point: np.ndarray) -> tuple[float, np.ndarray, Hessian]:
         nonlocal evals
         evals += 1
         return evaluate(objective, point)
@@ -341,6 +401,8 @@ def sqp_run(
     prev_dnorm: float | None = None
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
+        if not all(np.all(np.isfinite(a)) for a in (f, grad, hess.d, hess.U, hess.C)):
+            raise ValueError("objective value, gradient or Hessian not finite")
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= cfg.grad_tol:
             stop_reason = "grad_tol"
@@ -372,7 +434,7 @@ def sqp_run(
             break
         prev_gnorm, prev_dnorm = gnorm, dnorm
 
-        cache: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
+        cache: dict[float, tuple[float, np.ndarray, Hessian]] = {}
 
         def merit(alpha: float):
             if alpha not in cache:

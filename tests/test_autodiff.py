@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ecsqp import autodiff as ad
-from ecsqp.autodiff import ADDomainError, ADScalar, ADVector, evaluate
+from ecsqp.autodiff import ADDomainError, ADScalar, ADVector, Hessian, evaluate
+from ecsqp.benchmarks import ackley, rastrigin, schwefel_max, schwefel_min
 from ecsqp.fdcheck import fd_gradient, fd_hessian, max_relative_error
 
 PI = math.pi
@@ -30,7 +31,7 @@ class TestSeeding:
 
     def test_one_dimensional_variable(self):
         v = variables([0.0])[0]
-        assert (v.value, v.grad[0], v.hess[0, 0]) == (0.0, 1.0, 0.0)
+        assert (v.value, v.grad[0], np.asarray(v.hess)[0, 0]) == (0.0, 1.0, 0.0)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -60,17 +61,17 @@ class TestArithmetic:
         value, grad, hess = evaluate(lambda v: v[0] + v[1], [1.0, 2.0])
         assert value == 3.0
         np.testing.assert_array_equal(grad, [1.0, 1.0])
-        assert not hess.any()
+        assert not np.asarray(hess).any()
 
     def test_constant_objective_has_zero_derivatives(self):
         value, grad, hess = evaluate(lambda v: 4.0, [1.0, 2.0])
         assert value == 4.0
-        assert not grad.any() and not hess.any() and hess.shape == (2, 2)
+        assert not grad.any() and not np.asarray(hess).any() and hess.shape == (2, 2)
 
     def test_self_difference_vanishes(self):
         a = variables([3.7, 0.0])[0]
         z = a - a
-        assert z.value == 0.0 and not z.grad.any() and not z.hess.any()
+        assert z.value == 0.0 and not z.grad.any() and not np.asarray(z.hess).any()
 
     def test_product_worked_values(self):
         # x1*x2 at (pi, pi/2)
@@ -81,7 +82,7 @@ class TestArithmetic:
 
     def test_square_matches_analytic(self):
         value, grad, hess = evaluate(lambda v: v[0] * v[0], [3.0])
-        assert (value, grad[0], hess[0, 0]) == (9.0, 6.0, 2.0)
+        assert (value, grad[0], np.asarray(hess)[0, 0]) == (9.0, 6.0, 2.0)
 
     def test_multiply_by_constant_one_is_identity(self):
         a = variables([1.3, 0.0])[0]
@@ -93,7 +94,7 @@ class TestArithmetic:
         value, grad, hess = evaluate(lambda v: 1.0 / v[0], [2.0])
         assert value == 0.5
         assert grad[0] == pytest.approx(-0.25)
-        assert hess[0, 0] == pytest.approx(0.25)
+        assert np.asarray(hess)[0, 0] == pytest.approx(0.25)
 
     def test_division_matches_product_rule_route(self, rng):
         for _ in range(50):
@@ -106,7 +107,7 @@ class TestArithmetic:
 
     def test_integer_powers(self):
         value, grad, hess = evaluate(lambda v: v[0] ** 3, [2.0])
-        assert (value, grad[0], hess[0, 0]) == (8.0, 12.0, 12.0)
+        assert (value, grad[0], np.asarray(hess)[0, 0]) == (8.0, 12.0, 12.0)
         value, grad, hess = evaluate(lambda v: v[0] ** -2, [2.0])
         assert value == 0.25
         assert grad[0] == pytest.approx(-0.25)
@@ -125,11 +126,11 @@ class TestFunctions:
         value, grad, hess = evaluate(lambda v: ad.sin(v[0]), [PI])
         assert value == pytest.approx(0.0, abs=1e-12)
         assert grad[0] == -1.0
-        assert hess[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert np.asarray(hess)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_exp_at_zero(self):
         value, grad, hess = evaluate(lambda v: ad.exp(v[0]), [0.0])
-        assert (value, grad[0], hess[0, 0]) == (1.0, 1.0, 1.0)
+        assert (value, grad[0], np.asarray(hess)[0, 0]) == (1.0, 1.0, 1.0)
 
     def test_log_domain(self):
         with pytest.raises(ADDomainError):
@@ -138,7 +139,7 @@ class TestFunctions:
     def test_sqrt_and_abs_flag_the_origin(self):
         s = ad.sqrt(variables([0.0])[0])
         assert s.value == 0.0 and s.nonsmooth
-        assert not s.grad.any() and not s.hess.any()
+        assert not s.grad.any() and not np.asarray(s.hess).any()
         a = ad.fabs(variables([0.0])[0])
         assert a.nonsmooth
         smooth = ad.fabs(variables([-2.0])[0])
@@ -205,7 +206,7 @@ class TestInvariants:
         f = lambda v: ad.exp(v[0] * v[1]) / (v[2] + 2.0) + ad.sin(v[0]) * v[2] ** 3
         for _ in range(50):
             x = rng.uniform(-1.0, 1.0, size=3)
-            _, _, hess = evaluate(f, x)
+            hess = np.asarray(evaluate(f, x)[2])
             assert np.array_equal(hess, hess.T)
 
     def test_constants_stay_flat_through_expressions(self):
@@ -231,3 +232,182 @@ class TestInvariants:
             _, grad, hess = evaluate(f_ad, x)
             assert max_relative_error(grad, fd_gradient(f_plain, x)) < 1e-8
             assert max_relative_error(hess, fd_hessian(f_plain, x)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# structured Hessians against the dense forward arithmetic
+# ---------------------------------------------------------------------------
+
+
+class DenseNode:
+    """Forward-mode AD with a dense ``n x n`` Hessian built from ``np.outer``:
+    the arithmetic ``ADScalar`` had before its Hessian was structured, kept
+    as the oracle for :class:`Hessian`."""
+
+    def __init__(self, value, grad, hess):
+        self.value, self.grad, self.hess = float(value), grad, hess
+
+    def chain(self, value, d1, d2):
+        hess = d1 * self.hess + d2 * np.outer(self.grad, self.grad)
+        return DenseNode(value, d1 * self.grad, hess)
+
+    def __add__(self, other):
+        if isinstance(other, DenseNode):
+            return DenseNode(self.value + other.value, self.grad + other.grad,
+                             self.hess + other.hess)
+        return DenseNode(self.value + other, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseNode(-self.value, -self.grad, -self.hess)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, DenseNode):
+            return DenseNode(self.value * other, self.grad * other, self.hess * other)
+        hess = (
+            other.value * self.hess
+            + self.value * other.hess
+            + np.outer(self.grad, other.grad)
+            + np.outer(other.grad, self.grad)
+        )
+        grad = other.value * self.grad + self.value * other.grad
+        return DenseNode(self.value * other.value, grad, hess)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return DenseNode(self.value / c, self.grad / c, self.hess / c)
+
+
+class Dense:
+    """Elementary functions of :class:`DenseNode` (smooth points only)."""
+
+    sin = staticmethod(lambda x: x.chain(math.sin(x.value), math.cos(x.value), -math.sin(x.value)))
+    cos = staticmethod(lambda x: x.chain(math.cos(x.value), -math.sin(x.value), -math.cos(x.value)))
+    exp = staticmethod(lambda x: x.chain(math.exp(x.value), math.exp(x.value), math.exp(x.value)))
+    sqrt = staticmethod(lambda x: x.chain(math.sqrt(x.value), 0.5 / math.sqrt(x.value),
+                                          -0.25 / (x.value * math.sqrt(x.value))))
+    fabs = staticmethod(lambda x: x.chain(abs(x.value), math.copysign(1.0, x.value), 0.0))
+
+    @staticmethod
+    def variables(x0):
+        n = len(x0)
+        return [DenseNode(xi, np.eye(n)[i], np.zeros((n, n))) for i, xi in enumerate(x0)]
+
+
+def ackley_per_element(x, m):
+    n = len(x)
+    sq = sum(xi * xi for xi in x) / n
+    cs = sum(m.cos(2.0 * PI * xi) for xi in x) / n
+    return 20.0 + math.e - 20.0 * m.exp(-0.2 * m.sqrt(sq)) - m.exp(cs)
+
+
+def rastrigin_per_element(x, m):
+    return 10.0 * len(x) + sum(xi * xi - 10.0 * m.cos(2.0 * PI * xi) for xi in x)
+
+
+def schwefel_max_per_element(x, m):
+    return sum(xi * m.sin(m.sqrt(m.fabs(xi))) for xi in x)
+
+
+def schwefel_min_per_element(x, m):
+    return 418.9829 * len(x) - schwefel_max_per_element(x, m)
+
+
+OBJECTIVES = {
+    "ackley": (ackley, ackley_per_element, 30.0),
+    "rastrigin": (rastrigin, rastrigin_per_element, 5.12),
+    "schwefel-min": (schwefel_min, schwefel_min_per_element, 500.0),
+    "schwefel-max": (schwefel_max, schwefel_max_per_element, 500.0),
+}
+
+
+def product_loop(v, m, n):
+    """Sum of neighbour products and a sine: k grows by 2 per product."""
+    acc = m.sin(v[0])
+    for i in range(1, n):
+        acc = acc + v[i - 1] * v[i] * 0.5
+    return acc
+
+
+def assert_matches_dense(f, x, reference):
+    value, grad, hess = evaluate(f, x)
+    expected = reference(Dense.variables(x), Dense)
+    assert isinstance(hess, Hessian) and hess.k <= hess.n
+    assert value == pytest.approx(expected.value, rel=1e-12, abs=1e-12)
+    assert max_relative_error(grad, expected.grad) < 1e-12
+    assert max_relative_error(np.asarray(hess), expected.hess) < 1e-12
+    return hess
+
+
+class TestStructuredHessian:
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_objectives_match_dense_arithmetic(self, name, n, rng):
+        fn, per_element, half_width = OBJECTIVES[name]
+        for _ in range(3 if n == 100 else 10):
+            x = rng.uniform(-half_width, half_width, size=n)
+            hess = assert_matches_dense(fn, x, per_element)
+            # sums of elementwise terms are diagonal; Ackley adds 3 columns
+            assert hess.k == (min(3, n) if name == "ackley" else 0)
+
+    def test_indexing_objective_folds(self, rng):
+        f = lambda v, m=ad: v[0] * v[1] + m.sin(v[0])
+        for _ in range(10):
+            x = rng.uniform(-2.0, 2.0, size=2)
+            hess = assert_matches_dense(f, x, lambda v, m: v[0] * v[1] + m.sin(v[0]))
+            assert hess.k == 2  # 2 product columns + 1 chain column > n folded
+            np.testing.assert_array_equal(hess.U, np.eye(2))
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_product_loop_folds(self, n, rng):
+        for _ in range(5):
+            x = rng.uniform(-2.0, 2.0, size=n)
+            hess = assert_matches_dense(lambda v: product_loop(v, ad, n), x,
+                                        lambda v, m: product_loop(v, m, n))
+            assert hess.k == n
+
+    def test_columns_per_operation(self):
+        x = variables([0.3, -1.2, 2.0])
+        total = (x * x).sum()
+        assert total.hess.k == 0
+        assert ad.exp(total).hess.k == 1
+        assert (x[0] * x[1]).hess.k == 2
+        assert (ad.exp(total) + ad.sin(x[2])).hess.k == 2
+        assert (x.mean() / x[1]).hess.k == 2
+
+    def test_matvec_and_dense_round_trip(self, rng):
+        n = 7
+        H = Hessian(rng.normal(size=n), rng.normal(size=(n, 3)), np.diag([1.0, -2.0, 0.5]))
+        dense = np.asarray(H)
+        assert np.array_equal(dense, dense.T)
+        s = rng.normal(size=n)
+        np.testing.assert_allclose(H @ s, dense @ s, rtol=1e-12, atol=1e-12)
+        again = Hessian.from_dense(dense)
+        assert again.k == n
+        np.testing.assert_array_equal(again.d, np.diag(dense))
+        np.testing.assert_array_equal(np.asarray(again), dense)
+
+    def test_scaling_and_shift(self, rng):
+        n = 4
+        H = Hessian(rng.normal(size=n), rng.normal(size=(n, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        dense = np.asarray(H)
+        np.testing.assert_allclose(np.asarray(-2.5 * H), -2.5 * dense, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(np.asarray(H / 4.0), dense / 4.0, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(np.asarray(H.plus_diagonal(3.0)), dense + 3.0 * np.eye(n),
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_inconsistent_shapes_raise(self):
+        with pytest.raises(ValueError):
+            Hessian(np.zeros(3), np.zeros((3, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            Hessian(np.zeros(3)) + Hessian(np.zeros(2))
+        with pytest.raises(ValueError):
+            Hessian.from_dense(np.zeros((2, 3)))

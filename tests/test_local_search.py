@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from ecsqp import autodiff as ad
+from ecsqp.autodiff import Hessian
 from ecsqp.benchmarks import get_problem
 from ecsqp.fdcheck import fd_gradient
 from ecsqp.local_search import (
+    BOUNDARY_FRACTION,
     BoundBox,
     LineSearchError,
     SQPConfig,
+    _fraction_to_boundary,
+    _solve,
     ipm_qp_solve,
     newton_direction,
     regularize_hessian,
@@ -174,7 +178,129 @@ class TestIpmQpSolve:
         assert box.contains_strict(s)
 
 
+def random_structured(rng, n, k, negative_diagonal=False):
+    """A positive definite ``diag(d) + U C U^T`` with a negative semidefinite
+    low-rank part, or (``negative_diagonal``) the ``k = n`` split of a
+    positive definite matrix whose diagonal part has negative entries."""
+    if negative_diagonal:
+        A = random_spd(rng, n)
+        d = np.diag(A) - np.where(np.arange(n) % 2 == 0, 2.0 * np.diag(A), 0.0)
+        return Hessian(d, np.eye(n), A - np.diag(d))
+    U = rng.normal(size=(n, k))
+    C = -np.diag(rng.uniform(0.0, 1.0, k)) / (1.0 + np.sum(U * U, axis=0))
+    return Hessian(rng.uniform(1.0, 3.0, n), U, C)
+
+
+class TestWoodburySolve:
+    @pytest.mark.parametrize("k", [0, 1, 3, 8])
+    def test_matches_dense_solve(self, k, rng):
+        for _ in range(20):
+            W = random_structured(rng, 8, k)
+            b = rng.normal(size=8)
+            np.testing.assert_allclose(_solve(W, b), np.linalg.solve(np.asarray(W), b),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_k_equals_n_from_a_dense_matrix(self, rng):
+        for _ in range(20):
+            A = random_spd(rng, 6)
+            b = rng.normal(size=6)
+            np.testing.assert_allclose(_solve(Hessian.from_dense(A), b), np.linalg.solve(A, b),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_negative_diagonal_part_is_re_split(self, rng):
+        for _ in range(20):
+            W = random_structured(rng, 6, 6, negative_diagonal=True)
+            assert np.any(W.d < 0.0)
+            b = rng.normal(size=6)
+            np.testing.assert_allclose(_solve(W, b), np.linalg.solve(np.asarray(W), b),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_nonpositive_diagonal_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(Hessian(np.array([1.0, -1.0])), np.ones(2))
+
+    def test_positive_definiteness_matches_the_spectrum(self, rng):
+        decided = 0
+        for _ in range(300):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+            k = min(k, n)
+            B = rng.normal(size=(k, k))
+            W = Hessian(rng.uniform(-0.5, 2.0, n), rng.normal(size=(n, k)), B + B.T)
+            lowest = np.linalg.eigvalsh(np.asarray(W))[0]
+            if abs(lowest) < 1e-8:
+                continue
+            decided += 1
+            assert (regularize_hessian(W, 1e-6)[1] == 0.0) == (lowest > 0.0)
+        assert decided > 250
+
+    def test_ipm_step_same_for_structured_and_dense(self, rng):
+        problem = get_problem("ackley", 10)
+        for _ in range(10):
+            x = rng.uniform(-3.0, 3.0, size=10)
+            _, g, H = ad.evaluate(problem.fn, x)
+            H_pd, _ = regularize_hessian(H, 1e-6)
+            assert H_pd.k == 3
+            box = BoundBox(problem.bounds.lower - x, problem.bounds.upper - x)
+            structured = ipm_qp_solve(g, H_pd, box)
+            dense = ipm_qp_solve(g, np.asarray(H_pd), box)
+            # both stop on the same residual tolerance, not on the same bits
+            scale = np.max(np.abs(dense))
+            np.testing.assert_allclose(structured, dense, rtol=0.0, atol=1e-7 * scale)
+            model = lambda s: g @ s + 0.5 * (s @ (H_pd @ s))
+            assert model(structured) == pytest.approx(model(dense), rel=1e-10)
+
+
+def fraction_to_boundary_two_masks(s, p, lb, ub):
+    """The fraction-to-boundary rule as two masked passes (the oracle)."""
+    alpha = 1.0
+    neg = p < 0
+    pos = p > 0
+    if np.any(neg):
+        alpha = min(alpha, BOUNDARY_FRACTION * np.min((lb[neg] - s[neg]) / p[neg]))
+    if np.any(pos):
+        alpha = min(alpha, BOUNDARY_FRACTION * np.min((ub[pos] - s[pos]) / p[pos]))
+    return alpha
+
+
+def test_fraction_to_boundary_is_bitwise_the_two_mask_form(rng):
+    n = 100
+    for trial in range(5000):
+        lb = -rng.uniform(0.1, 2.0, n)
+        ub = rng.uniform(0.1, 2.0, n)
+        s = rng.uniform(0.9 * lb, 0.9 * ub)
+        p = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        p[rng.random(n) < 0.2] = 0.0
+        if trial % 50 == 0:
+            p[:] = 0.0
+        assert _fraction_to_boundary(s, p, lb, ub) == fraction_to_boundary_two_masks(s, p, lb, ub)
+
+
 class TestSqpRun:
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_nonfinite_start_raises_at_first_sweep(self, bounded):
+        sweeps = 0
+
+        def f(v):
+            nonlocal sweeps
+            sweeps += 1
+            return (v * v).sum() * math.nan
+
+        box = BoundBox(np.full(2, -5.0), np.full(2, 5.0)) if bounded else None
+        with pytest.raises(ValueError, match="not finite"):
+            sqp_run(f, [1.0, 2.0], box, SQPConfig())
+        assert sweeps == 1
+
+    def test_nan_trial_point_is_backtracked(self):
+        # the unit Newton step of sum(x^2) lands on 0, where f is NaN
+        def f(v):
+            out = (v * v).sum()
+            return out * math.nan if np.all(np.abs(v.value) < 1e-3) else out
+
+        res = sqp_run(f, [1.0, -2.0], None, SQPConfig(max_iter=3))
+        assert [it.alpha for it in res.trace] == [0.5, 0.5, 0.5]
+        assert res.evaluations == 1 + 2 * 3
+        np.testing.assert_allclose(res.x, [0.125, -0.25])
+
     def test_convex_quadratic_single_full_step(self, rng):
         Q = random_spd(rng, 2)
         b = rng.normal(size=2)
