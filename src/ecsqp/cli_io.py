@@ -433,6 +433,9 @@ def _write_summary(path: Path, cfg: RunConfig, good: list[dict], failed: list[di
         f"min={best.min():.9g} max={best.max():.9g}",
         f"objective evaluations per run: mean={evals.mean():.1f} max={evals.max()}",
     ]
+    if cfg.mode == "ec":  # generations count from 1, so None is the only falsy value
+        lines.append("converged_at per run: " + " ".join(
+            f"{r['index']}:{r['converged_at'] or 'none'}" for r in good))
     for o in failed:
         lines.append(f"run {o['index']} failed: {o['error']}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,11 +1,11 @@
 """Generational evolutionary engine with per-operator lineage instrumentation.
 
 A generation runs selection -> pairwise single-point crossover -> mutation ->
-evaluation -> adaptive-elitist replacement.  Alongside the new population,
-every step emits a :class:`LineageRecord` capturing, for each of the N
-offspring slots, which parent it descends from and its fitness after each
-operator stage; the record feeds the fitness-change decomposition in
-:mod:`ecsqp.price_monitor`.
+evaluation (one fitness call per generation) -> adaptive-elitist replacement.
+Alongside the new population, every step emits a :class:`LineageRecord`
+capturing, for each of the N offspring slots, which parent it descends from
+and its fitness after each operator stage; the record feeds the
+fitness-change decomposition in :mod:`ecsqp.price_monitor`.
 
 The engine maximizes internally.  Minimization problems are wrapped by
 negating the objective at the boundary.
@@ -104,7 +104,7 @@ class Population:
             raise ValueError("bits must be (N, L) with one fitness per row")
         if bits.shape[0] == 0:
             raise ValueError("population may not be empty")
-        if not np.all(np.isfinite(fitness)):
+        if not np.isfinite(fitness).all():
             raise ValueError("all members must carry finite fitness")
         self.bits = bits
         self.fitness = fitness
@@ -135,11 +135,14 @@ class FitnessStats:
     @classmethod
     def from_values(cls, values: np.ndarray) -> "FitnessStats":
         values = np.asarray(values, dtype=float)
-        if values.size == 0:
+        n = values.size
+        if n == 0:
             raise ValueError("cannot summarize an empty fitness vector")
+        mean = np.add.reduce(values) / n  # ndarray.mean's sum, without its overhead
+        d = values - mean
         return cls(
-            mean=float(values.mean()),
-            variance=float(values.var()),  # population form, divide by N
+            mean=float(mean),
+            variance=float(np.add.reduce(d * d) / n),  # population form, as ndarray.var
             best=float(values.max()),
             worst=float(values.min()),
         )
@@ -240,26 +243,24 @@ def _select(pop: Population, cfg: GAConfig, rng) -> np.ndarray:
 
 def single_point_crossover(
     bits: np.ndarray, rate: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise single-point crossover of an ``(m, L)`` matrix, m even.
 
     Rows ``2i`` and ``2i+1`` form pair i.  Each pair crosses with probability
     ``rate``; a crossing pair swaps its suffixes after a locus drawn
     uniformly from {1, ..., L-1}.  All pair coins are drawn before all loci.
-    Returns the children and, per row, whether its pair crossed.
+    The swap XORs the pair's differing suffix bits into both rows.  Returns
+    the children and, per row, whether its pair crossed and whether it changed.
     """
     pairs = bits.shape[0] // 2
     length = bits.shape[1]
     coins = rng.random(pairs) < rate
     loci = rng.integers(1, length, size=pairs)
-    child = bits.copy()
-    if coins.any():
-        swap = (np.arange(length)[None, :] >= loci[:, None]) & coins[:, None]
-        a = bits[0::2]
-        b = bits[1::2]
-        child[0::2] = np.where(swap, b, a)
-        child[1::2] = np.where(swap, a, b)
-    return child, np.repeat(coins, 2)
+    pair = bits.reshape(pairs, 2, length)
+    suffix = (np.arange(length) >= loci[:, None]) & coins[:, None]
+    diff = (pair[:, 0] ^ pair[:, 1]) & suffix
+    child = (pair ^ diff[:, None, :]).reshape(bits.shape)
+    return child, np.repeat(coins, 2), np.repeat(diff.any(axis=1), 2)
 
 
 def bit_flip_mutation(
@@ -412,30 +413,31 @@ def evolve_generation(
     """Advance one generation and capture its lineage.
 
     ``fitness_fn`` maps an ``(m, L)`` bit matrix to ``m`` fitness values
-    (maximization).  Intermediate chromosomes left untouched by an operator
-    inherit their fitness without re-evaluation, so the per-stage fitness in
-    the lineage costs at most two evaluations per slot.
+    (maximization).  Chromosomes left untouched by an operator inherit their
+    fitness, and the rows that crossover or mutation changed are scored
+    together: one fitness call per generation (none when no row changed) and
+    at most two evaluations per slot.
     """
     slots = _select(pop, cfg, rng)
     sel_bits = pop.bits[slots]
     f_sel = pop.fitness[slots]
 
-    child, crossed = single_point_crossover(sel_bits, cfg.crossover_rate, rng)
-    f_xo = f_sel.copy()
-    changed = (child != sel_bits).any(axis=1)
-    if changed.any():
-        f_xo[changed] = fitness_fn(child[changed])
-
+    child, crossed, changed = single_point_crossover(sel_bits, cfg.crossover_rate, rng)
     mutate = bit_flip_mutation if cfg.mutation_scheme == "per-bit" else single_bit_mutation
     mutated, touched = mutate(child, cfg.mutation_rate, rng)
+
+    rows = np.concatenate((child[changed], mutated[touched]))
+    values = fitness_fn(rows) if rows.shape[0] else np.empty(0)
+    n_xo = np.count_nonzero(changed)
+    f_xo = f_sel.copy()
+    f_xo[changed] = values[:n_xo]
     f_mut = f_xo.copy()
-    if touched.any():
-        f_mut[touched] = fitness_fn(mutated[touched])
+    f_mut[touched] = values[n_xo:]
 
     offspring = Population(mutated, f_mut)
     nxt = adaptive_elitism_replace(pop, offspring, elite)
     lineage = LineageRecord(
-        parent_fitness=pop.fitness.copy(),
+        parent_fitness=pop.fitness,
         slot_parent=slots,
         pair_crossed=crossed,
         fitness_after_selection=f_sel,

@@ -56,6 +56,16 @@ def selection_term(z, q) -> float:
     return cov / z_bar
 
 
+def _stage_moments(deltas: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of one stage's per-child deltas."""
+    if deltas.size < 1:
+        raise ValueError("stage carries no children")
+    n = deltas.shape[0]
+    mean = deltas.sum() / n
+    second = (deltas * deltas).sum() / n
+    return float(mean), math.sqrt(max(second - mean * mean, 0.0))
+
+
 def operator_term(lineage: LineageRecord, stage: Stage) -> float:
     """Mean-fitness change attributed to one operator stage.
 
@@ -65,8 +75,7 @@ def operator_term(lineage: LineageRecord, stage: Stage) -> float:
     slots carry its children.  The selection stage is exactly zero: selected
     copies keep their parent's fitness.
     """
-    deltas = lineage.stage_deltas(stage.value)
-    return float(deltas.sum() / deltas.shape[0])
+    return _stage_moments(lineage.stage_deltas(stage.value))[0]
 
 
 def operator_term_sigma(lineage: LineageRecord, stage: Stage) -> float:
@@ -76,12 +85,7 @@ def operator_term_sigma(lineage: LineageRecord, stage: Stage) -> float:
     with the same ``1/(N z_bar)`` weighting as the stage mean, i.e.
     ``Var = E[dq^2] - E[dq]^2`` over all children of all parents.
     """
-    deltas = lineage.stage_deltas(stage.value)
-    if deltas.size < 1:
-        raise ValueError("stage carries no children")
-    mean = deltas.sum() / deltas.shape[0]
-    second = (deltas * deltas).sum() / deltas.shape[0]
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return _stage_moments(lineage.stage_deltas(stage.value))[1]
 
 
 def sigma_width(sigma: float) -> float:
@@ -116,13 +120,12 @@ def decompose_generation(
     (offspring pool mean minus parent mean) to relative tolerance 1e-9.
     """
     sel = selection_term(lineage.offspring_counts(), lineage.parent_fitness)
-    xo = operator_term(lineage, Stage.CROSSOVER)
-    mut = operator_term(lineage, Stage.MUTATION)
-    total = float(
-        lineage.fitness_after_mutation.mean() - lineage.parent_fitness.mean()
-    )
+    xo, xo_sigma = _stage_moments(lineage.stage_deltas(Stage.CROSSOVER.value))
+    mut, mut_sigma = _stage_moments(lineage.stage_deltas(Stage.MUTATION.value))
+    parent_mean = float(lineage.parent_fitness.mean())
+    total = float(lineage.fitness_after_mutation.mean() - parent_mean)
     parts = sel + xo + mut
-    scale = max(abs(total), abs(parts), abs(float(lineage.parent_fitness.mean())), 1.0)
+    scale = max(abs(total), abs(parts), abs(parent_mean), 1.0)
     if abs(total - parts) > DECOMPOSITION_RTOL * scale:
         raise ValueError(
             f"decomposition identity violated: terms sum to {parts}, "
@@ -133,8 +136,8 @@ def decompose_generation(
         selection_term=sel,
         crossover_term=xo,
         mutation_term=mut,
-        crossover_sigma=operator_term_sigma(lineage, Stage.CROSSOVER),
-        mutation_sigma=operator_term_sigma(lineage, Stage.MUTATION),
+        crossover_sigma=xo_sigma,
+        mutation_sigma=mut_sigma,
         total_delta_q=total,
     )
 

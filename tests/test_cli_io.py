@@ -136,12 +136,35 @@ class TestRunBatch:
         cfg = load_config(config_file)
         cfg = cli_io.replace(cfg, mode="ec", output=str(tmp_path / "out"))
         run_batch(cfg, cfg.output, jobs=1)
+        # the pin predates summary.txt's converged_at line, which is
+        # checked on its own
+        converged = b"converged_at per run: 0:none 1:none\n"
         digest = hashlib.sha256()
         for path in sorted((tmp_path / "out").iterdir()):
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            data = path.read_bytes()
+            if path.name == "summary.txt":
+                assert data.count(converged) == 1
+                data = data.replace(converged, b"")
+            digest.update(path.name.encode() + b"\0" + data)
         assert digest.hexdigest() == (
             "7d1a6a7c9308dccb3100644af6670084b26820019375361f81ed66737af7c416"
         )
+
+    def test_summary_records_converged_at(self, config_file, tmp_path):
+        cfg = load_config(config_file)
+        cfg = cli_io.replace(cfg, mode="ec", repetitions=3)
+        for threshold in (0.01, 1e9):  # never fires; fires once the window fills
+            out = tmp_path / str(threshold)
+            c = cli_io.replace(cfg, switch=cli_io.replace(cfg.switch, sigma_threshold=threshold))
+            result = run_batch(c, str(out), jobs=1)
+            converged = [r["converged_at"] for r in result["runs"]]
+            expected = [None] * 3 if threshold < 1 else [c.switch.smoothing_window] * 3
+            assert converged == expected
+            lines = (out / "summary.txt").read_text().splitlines()
+            recorded = [line for line in lines if line.startswith("converged_at per run: ")]
+            assert recorded == ["converged_at per run: " + " ".join(
+                f"{i}:{'none' if g is None else g}" for i, g in enumerate(converged)
+            )]
 
     def test_aggregate_matches_independent_recomputation(self, config_file, tmp_path):
         cfg = load_config(config_file)

@@ -151,7 +151,7 @@ class FixedLoci:
 class TestCrossover:
     def test_worked_example(self):
         parents = rows("1010110", "0101101")
-        children, crossed = single_point_crossover(parents, 1.0, FixedLoci(3))
+        children, crossed, _ = single_point_crossover(parents, 1.0, FixedLoci(3))
         assert text(children[0]) == "1011101"
         assert text(children[1]) == "0100110"
         assert crossed.tolist() == [True, True]
@@ -159,19 +159,70 @@ class TestCrossover:
     def test_identical_parents_unchanged(self):
         parents = rows("1101", "1101")
         for locus in range(1, 4):
-            children, _ = single_point_crossover(parents, 1.0, FixedLoci(locus))
+            children, _, _ = single_point_crossover(parents, 1.0, FixedLoci(locus))
             np.testing.assert_array_equal(children, parents)
 
     def test_last_locus_swaps_single_bit(self):
-        children, _ = single_point_crossover(rows("0000", "1111"), 1.0, FixedLoci(3))
+        children, _, _ = single_point_crossover(rows("0000", "1111"), 1.0, FixedLoci(3))
         assert text(children[0]) == "0001"
         assert text(children[1]) == "1110"
 
     def test_random_locus_in_range(self, rng):
         parents = np.tile(rows("0" * 10, "1" * 10), (200, 1))
-        children, _ = single_point_crossover(parents, 1.0, rng)
+        children, _, _ = single_point_crossover(parents, 1.0, rng)
         prefix_len = np.argmax(children[0::2], axis=1)  # first 1 marks the locus
         assert np.all((1 <= prefix_len) & (prefix_len <= 9))
+
+
+def where_crossover(bits, rate, rng):
+    """The ``np.where`` suffix swap the XOR crossover replaced, kept as its
+    oracle: same draws, children, crossed flags and change detection."""
+    pairs = bits.shape[0] // 2
+    length = bits.shape[1]
+    coins = rng.random(pairs) < rate
+    loci = rng.integers(1, length, size=pairs)
+    child = bits.copy()
+    if coins.any():
+        swap = (np.arange(length)[None, :] >= loci[:, None]) & coins[:, None]
+        a = bits[0::2]
+        b = bits[1::2]
+        child[0::2] = np.where(swap, b, a)
+        child[1::2] = np.where(swap, a, b)
+    return child, np.repeat(coins, 2), (child != bits).any(axis=1)
+
+
+class TestCrossoverOracle:
+    @pytest.mark.parametrize("rate", [1.0, 0.6])
+    @pytest.mark.parametrize("length", [2, 170])
+    @pytest.mark.parametrize("m", [2, 8, 200])
+    def test_bitwise_equal_to_where_swap(self, rate, length, m):
+        for seed in range(5):
+            bits = np.random.default_rng(seed).integers(0, 2, (m, length), np.uint8)
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = single_point_crossover(bits, rate, new_rng)
+            want = where_crossover(bits, rate, old_rng)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+            # the same draws were consumed
+            assert new_rng.random() == old_rng.random()
+
+    @pytest.mark.parametrize("length", [2, 170])
+    def test_identical_parents_match_oracle(self, length):
+        row = np.random.default_rng(3).integers(0, 2, length, np.uint8)
+        bits = np.tile(row, (20, 1))
+        got = single_point_crossover(bits, 1.0, np.random.default_rng(4))
+        want = where_crossover(bits, 1.0, np.random.default_rng(4))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(got[0], bits)
+        assert got[1].all() and not got[2].any()
+
+    def test_children_do_not_alias_parents(self):
+        bits = np.zeros((4, 6), np.uint8)
+        child, _, _ = single_point_crossover(bits, 0.0, np.random.default_rng(0))
+        child[0, 0] = 1
+        assert bits[0, 0] == 0
 
 
 class TestMutation:
@@ -219,6 +270,17 @@ class TestFitnessStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             FitnessStats.from_values(np.array([]))
+
+    def test_bitwise_equal_to_ndarray_moments(self):
+        rng = np.random.default_rng(12)
+        samples = [rng.normal(size=n) * 10.0 ** rng.integers(-3, 6) + rng.normal()
+                   for n in (1, 2, 3, 7, 50, 100, 129, 200, 1000)]
+        samples.append(-np.abs(rng.normal(size=200)) * 1e3 - 837.0)
+        for v in samples:
+            s = FitnessStats.from_values(v)
+            assert s.mean == float(v.mean())
+            assert s.variance == float(v.var())
+            assert (s.best, s.worst) == (float(v.max()), float(v.min()))
 
 
 class TestAdaptiveElitism:
@@ -301,6 +363,59 @@ class TestEvolveGeneration:
             assert calls == 2
             assert result.stats == FitnessStats.from_values(result.population.fitness)
             pop = result.population
+
+    @staticmethod
+    def counting(fitness):
+        calls = []
+
+        def fn(bits):
+            calls.append(bits.shape[0])
+            return fitness(bits)
+
+        return fn, calls
+
+    def test_fitness_called_once_per_generation(self, rng):
+        for scheme in ("per-bit", "per-chromosome"):
+            fn, calls = self.counting(bit_objective(rng.normal(size=12)))
+            cfg = GAConfig(population_size=10, rng_seed=6, mutation_rate=0.5,
+                           overlap_fraction=0.2, mutation_scheme=scheme)
+            eng = Engine(cfg, 12, fn)
+            pop = eng.random_population()
+            for _ in range(10):
+                calls.clear()
+                before = eng.evaluations
+                pop, lineage, _ = eng.step(pop)
+                assert len(calls) == 1
+                xo = np.count_nonzero(lineage.stage_deltas("crossover") != 0)
+                assert calls[0] == eng.evaluations - before >= xo
+
+    def test_no_variation_makes_no_fitness_call(self, rng):
+        fn, calls = self.counting(bit_objective(rng.normal(size=8)))
+        cfg = GAConfig(population_size=6, crossover_rate=0.0, mutation_rate=0.0,
+                       overlap_fraction=0.34, rng_seed=3)
+        eng = Engine(cfg, 8, fn)
+        pop = eng.random_population()
+        calls.clear()
+        for _ in range(5):
+            pop, _, _ = eng.step(pop)
+        assert calls == []
+
+    def test_split_scores_match_separate_calls(self, rng):
+        # each stage's fitness equals the objective of the slot's chromosome
+        w = rng.normal(size=16)
+        fit = bit_objective(w)
+        cfg = GAConfig(population_size=12, crossover_rate=0.6, mutation_rate=0.5,
+                       overlap_fraction=0.25, rng_seed=21)
+        pop = Engine(cfg, 16, fit).random_population()
+        step_rng = np.random.default_rng(5)
+        result = evolve_generation(pop, cfg, fit, step_rng, EliteState.initial(cfg))
+        replay = np.random.default_rng(5)
+        slots = binary_tournament_cycle(pop, replay)
+        child, _, _ = single_point_crossover(pop.bits[slots], 0.6, replay)
+        mutated, _ = single_bit_mutation(child, 0.5, replay)
+        lineage = result.lineage
+        np.testing.assert_allclose(lineage.fitness_after_crossover, fit(child), rtol=1e-12)
+        np.testing.assert_allclose(lineage.fitness_after_mutation, fit(mutated), rtol=1e-12)
 
     def test_selection_stage_copies_fitness(self, rng):
         w = rng.normal(size=10)

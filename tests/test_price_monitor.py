@@ -162,6 +162,25 @@ class TestDecompositionIdentity:
                         rows += 1
         assert rows >= 80
 
+    def test_terms_and_sigmas_equal_operator_helpers(self):
+        rng = np.random.default_rng(31)
+        for scheme, pc in (("per-bit", 0.6), ("per-chromosome", 1.0)):
+            w = rng.normal(size=12)
+            cfg = GAConfig(population_size=20, crossover_rate=pc, mutation_rate=0.2,
+                           overlap_fraction=0.1, rng_seed=4, mutation_scheme=scheme)
+            eng = Engine(cfg, 12, lambda b: b @ w + 2.0)
+            pop = eng.random_population()
+            for gen in range(1, 11):
+                pop, lineage, _ = eng.step(pop)
+                c = decompose_generation(lineage, gen)
+                assert c.crossover_term == operator_term(lineage, Stage.CROSSOVER)
+                assert c.mutation_term == operator_term(lineage, Stage.MUTATION)
+                assert c.crossover_sigma == operator_term_sigma(lineage, Stage.CROSSOVER)
+                assert c.mutation_sigma == operator_term_sigma(lineage, Stage.MUTATION)
+                assert c.total_delta_q == float(
+                    lineage.fitness_after_mutation.mean() - lineage.parent_fitness.mean()
+                )
+
     def test_identity_violation_raises(self):
         lin = lineage_from([0, 1], [4.0, 2.0])
         lin.fitness_after_mutation = np.array([9.0, 9.0])
