@@ -4,16 +4,17 @@
     python3 tools/bench_pairs.py --workload hybrid-protocol --pairs 10 \\
         --seed 4242 --seconds 30 --out BENCH_<short-sha>.json
 
-The change is ``HEAD`` of this repository and must have no uncommitted edits
-to tracked files; the parent is ``HEAD^`` unless ``--parent`` names another
-revision.  Both are checked out into temporary shared clones (removed at the
-end), so the measured code is exactly the committed code.  Pair i runs the
-parent first when i is odd and the change first when i is even, each untraced
-(``--trace 0``).
+The change is ``HEAD`` of this repository, whose ``src/`` and ``perfbench/``
+must have no uncommitted edits, and the parent is ``HEAD^``.  Both are
+checked out into temporary shared clones (removed at the end), so the
+measured code is exactly the committed code.
+Pair i runs the parent first when i is odd and the change first when i is
+even, each untraced (``--trace 0``).
 
 The result is merged into ``--out`` (created if missing) in the schema of
-``BENCH_*.json``: ``workloads.<name>.{change,parent}`` holds the first pair's
-two runs (metadata, notes, digest and the JSON result line), and, when
+``BENCH_*.json`` (an existing file must hold the same two commits):
+``workloads.<name>.{change,parent}`` holds the first pair's two runs
+(metadata, notes, digest and the JSON result line), and, when
 ``--pairs`` is above one, ``<name>_claim_pairs`` holds every pair's gated
 end-to-end metrics with their quartiles (inclusive method; the middle one is
 the median) and the number of pairs the change won, by the ``better``
@@ -100,17 +101,20 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--parent", default="HEAD^")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    if subprocess.run(["git", "diff", "--quiet", "HEAD", "--"], cwd=ROOT).returncode:
-        ap.error("tracked files differ from HEAD; commit the change first")
+    if subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "perfbench"],
+                      cwd=ROOT).returncode:
+        ap.error("src/ or perfbench/ differs from HEAD; commit the change first")
     change_sha = git("rev-parse", "HEAD")
-    parent_sha = git("rev-parse", args.parent)
+    parent_sha = git("rev-parse", "HEAD^")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if doc and (doc["change"], doc["parent"]) != (change_sha, parent_sha):
+        ap.error(f"{args.out} holds other commits")
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
@@ -127,7 +131,6 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update({
         "what": "untraced perfbench results, the change beside its parent, "
                 "same session and host",
