@@ -102,7 +102,6 @@ class RunConfig:
     mode: str = "hybrid"
     mutation_rate_raw: str | float | None = None
     validation_mutation_rate_raw: str | float | None = None
-    x0: list | None = None
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -165,6 +164,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config root must be a mapping")
 
     def parse_ga(section: dict, context: str):
+        if "rng_seed" in section:
+            raise ConfigError(
+                f"rng_seed is not accepted in the {context}: run i is seeded "
+                "with seed + i from the top-level seed"
+            )
         section = dict(section)
         section.setdefault("population_size", 100)
         raw = section.pop("mutation_rate", None)
@@ -293,13 +297,9 @@ def _run_hybrid(cfg: RunConfig, index: int) -> dict:
 
 def _run_sqp(cfg: RunConfig, index: int) -> dict:
     problem = cfg.make_problem()
-    rng = np.random.default_rng(cfg.run_seed(index))
-    if cfg.x0 is not None:
-        x0 = np.asarray(cfg.x0, dtype=float)
-    else:
-        box = problem.bounds
-        x0 = rng.uniform(box.lower, box.upper)
-    result = sqp_run(problem.minimand, x0, problem.bounds, cfg.sqp)
+    box = problem.bounds
+    x0 = np.random.default_rng(cfg.run_seed(index)).uniform(box.lower, box.upper)
+    result = sqp_run(problem.minimand, x0, box, cfg.sqp)
     rows = [
         (it.iteration, -problem.sign * it.f, it.grad_norm,
          it.step_norm, it.alpha, it.lambda_used)

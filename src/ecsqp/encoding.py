@@ -8,7 +8,7 @@ chromosome concatenates the fields of all variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,37 +62,28 @@ def min_population_size(string_length: int, confidence: float) -> int:
 class VariableSpec:
     """Range, precision and bit budget of one encoded variable.
 
-    ``bit_length`` may be omitted, in which case it is derived from the
-    precision requirement via :func:`compute_bit_length`.
+    ``bit_length`` is derived from the precision requirement via
+    :func:`compute_bit_length`.
     """
 
     lower: float
     upper: float
     precision: float
-    bit_length: int = 0
+    bit_length: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if not self.precision > 0:
-            raise ValueError(f"precision must be positive, got {self.precision}")
-        if self.bit_length == 0:
-            object.__setattr__(
-                self,
-                "bit_length",
-                compute_bit_length(self.lower, self.upper, self.precision),
-            )
-        ratio = (self.upper - self.lower) / self.precision
-        l = self.bit_length
+        l = compute_bit_length(self.lower, self.upper, self.precision)
         if l > MAX_BIT_LENGTH:
             raise ValueError(
                 f"bit_length {l} exceeds {MAX_BIT_LENGTH}, the widest field "
                 "decoded exactly in float64"
             )
-        if ratio > 2**l or (l > 1 and ratio < 2 ** (l - 1)):
+        ratio = (self.upper - self.lower) / self.precision
+        if ratio > 2**l:  # math.log2 can round an inexact ratio down
             raise ValueError(
                 f"bit_length {l} inconsistent with range/precision (ratio {ratio})"
             )
+        object.__setattr__(self, "bit_length", l)
 
     @property
     def grid_step(self) -> float:
@@ -233,6 +224,6 @@ def encode(x, spec: EncodingSpec) -> Chromosome:
         t = (xi - var.lower) / (var.upper - var.lower) * denom
         code = int(math.ceil(t - 0.5))  # round half down
         code = min(max(code, 0), denom)
-        field = (code >> np.arange(var.bit_length - 1, -1, -1)) & 1
-        fields.append(field.astype(np.uint8))
+        digits = (code >> np.arange(var.bit_length - 1, -1, -1)) & 1
+        fields.append(digits.astype(np.uint8))
     return Chromosome(np.concatenate(fields))

@@ -59,7 +59,6 @@ class SwitchCriteria:
     stall_window: int = 20
     stall_epsilon: float = 0.001
     max_generations: int = 100
-    smoothing_window: int = 3
 
     def __post_init__(self) -> None:
         if self.sigma_threshold <= 0 or self.stall_epsilon < 0:
@@ -137,11 +136,9 @@ def evolve(engine: Engine, pop: Population, crit: SwitchCriteria) -> Iterator[tu
     Yields ``(generation, population, contribution, stats, state)`` for
     generations 1, 2, ...: the new population, its operator decomposition
     and fitness summary, and the crossover-envelope convergence state built
-    from ``crit.sigma_threshold`` and ``crit.smoothing_window``.
+    from ``crit.sigma_threshold``.
     """
-    state = ConvergenceState(
-        threshold=crit.sigma_threshold, smoothing_window=crit.smoothing_window
-    )
+    state = ConvergenceState(threshold=crit.sigma_threshold)
     for generation in count(1):
         pop, lineage, stats = engine.step(pop)
         contribution = decompose_generation(lineage, generation)

@@ -37,7 +37,12 @@ __all__ = [
     "wolfe_line_search",
 ]
 
+WOLFE_C1 = 1e-4  # sufficient-decrease constant
+WOLFE_C2 = 0.9  # curvature constant
+LAMBDA_MIN = 1e-6  # first nonzero Hessian shift of the regularization ladder
 REGULARIZATION_LADDER_CAP = 1e8  # multiples of lambda_min tried before fallback
+DELTA_TOL = 1e-3  # gradient and direction norm change that counts as a stall
+MAX_LINE_SEARCH_EVALS = 50  # objective sweeps per line search
 BOUNDARY_FRACTION = 0.995  # fraction-to-boundary factor tau
 BARRIER_SCHEDULE = tuple(10.0**-k for k in range(0, 9))  # barrier weights mu, in order
 
@@ -79,29 +84,23 @@ class BoundBox:
 
 @dataclass(frozen=True)
 class SQPConfig:
-    """Solver tolerances and line-search constants.
+    """Solver tolerances and termination regime.
 
     ``stopping`` selects the termination regime: ``"absolute"`` stops on the
     gradient/step tolerances alone, ``"delta"`` additionally stops once the
-    gradient and direction norms stall between iterations.  ``None`` means
-    "absolute" standalone but "delta" when driven by the hybrid pipeline.
+    gradient and direction norms change by at most :data:`DELTA_TOL` between
+    iterations.  ``None`` means "absolute" standalone but "delta" when driven
+    by the hybrid pipeline.
     """
 
     grad_tol: float = 1e-6
     step_tol: float = 1e-6
     max_iter: int = 200
-    c1: float = 1e-4
-    c2: float = 0.9
-    lambda_min: float = 1e-6
     stopping: str | None = None
-    delta_tol: float = 0.001
-    max_line_search_evals: int = 50
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if self.grad_tol <= 0 or self.step_tol <= 0 or self.lambda_min <= 0:
-            raise ValueError("tolerances and lambda_min must be positive")
+        if self.grad_tol <= 0 or self.step_tol <= 0:
+            raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.stopping not in (None, "absolute", "delta"):
@@ -116,7 +115,6 @@ class NewtonIterate:
     x: np.ndarray
     f: float
     grad: np.ndarray
-    hess: Hessian
     direction: np.ndarray
     alpha: float
     lambda_used: float
@@ -215,7 +213,7 @@ def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
 
 
 def newton_direction(
-    grad: np.ndarray, hess, lambda_min: float = 1e-6
+    grad: np.ndarray, hess, lambda_min: float = LAMBDA_MIN
 ) -> tuple[np.ndarray, float]:
     """Descent direction solving ``(H + lambda I) d = -g``.
 
@@ -238,9 +236,9 @@ def newton_direction(
 def wolfe_line_search(
     phi: Callable[[float], float],
     dphi: Callable[[float], float],
-    c1: float = 1e-4,
-    c2: float = 0.9,
-    max_evals: int = 50,
+    c1: float = WOLFE_C1,
+    c2: float = WOLFE_C2,
+    max_evals: int = MAX_LINE_SEARCH_EVALS,
 ) -> float:
     """Step length in (0, 1] satisfying the sufficient-decrease and curvature
     conditions.
@@ -410,7 +408,7 @@ def sqp_run(
 
         if box is not None:
             step_box = BoundBox(box.lower - x, box.upper - x)
-            H_pd, lam = regularize_hessian(hess, cfg.lambda_min)
+            H_pd, lam = regularize_hessian(hess, LAMBDA_MIN)
             d = None if H_pd is None else ipm_qp_solve(grad, H_pd, step_box)
             if d is None or d @ grad >= 0.0:  # ladder exhausted, or step not downhill
                 frac = _fraction_to_boundary(
@@ -418,7 +416,7 @@ def sqp_run(
                 )
                 d, lam = -grad * frac, math.inf
         else:
-            d, lam = newton_direction(grad, hess, cfg.lambda_min)
+            d, lam = newton_direction(grad, hess)
 
         dnorm = float(np.linalg.norm(d))
         if dnorm <= cfg.step_tol:
@@ -427,8 +425,8 @@ def sqp_run(
         if (
             stopping == "delta"
             and prev_gnorm is not None
-            and abs(gnorm - prev_gnorm) <= cfg.delta_tol
-            and abs(dnorm - prev_dnorm) <= cfg.delta_tol
+            and abs(gnorm - prev_gnorm) <= DELTA_TOL
+            and abs(dnorm - prev_dnorm) <= DELTA_TOL
         ):
             stop_reason = "delta_stall"
             break
@@ -445,9 +443,7 @@ def sqp_run(
         phi = lambda a: phi0 if a == 0.0 else merit(a)[0]
         dphi = lambda a: slope0 if a == 0.0 else float(merit(a)[1] @ d)
         try:
-            alpha = wolfe_line_search(
-                phi, dphi, cfg.c1, cfg.c2, cfg.max_line_search_evals
-            )
+            alpha = wolfe_line_search(phi, dphi)
         except LineSearchError:
             warnings.append(f"line search failed at iteration {k}")
             stop_reason = "line_search_failure"
@@ -455,8 +451,8 @@ def sqp_run(
 
         f_new, grad_new, hess_new = merit(alpha)
         wolfe_ok = (
-            f_new <= phi0 + cfg.c1 * alpha * slope0
-            and float(grad_new @ d) >= cfg.c2 * slope0
+            f_new <= phi0 + WOLFE_C1 * alpha * slope0
+            and float(grad_new @ d) >= WOLFE_C2 * slope0
         )
         x = x + alpha * d
         f, grad, hess = f_new, grad_new, hess_new
@@ -466,7 +462,6 @@ def sqp_run(
                 x=x.copy(),
                 f=f,
                 grad=grad,
-                hess=hess,
                 direction=d,
                 alpha=alpha,
                 lambda_used=lam,

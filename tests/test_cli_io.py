@@ -20,6 +20,7 @@ from ecsqp.cli_io import (
 from ecsqp.encoding import EncodingSpec
 from ecsqp.evolution import SelectionMethod
 from ecsqp.local_search import BoundBox
+from ecsqp.price_monitor import ConvergenceState
 
 
 BASE_CONFIG = """
@@ -150,6 +151,23 @@ class TestRunBatch:
             "7d1a6a7c9308dccb3100644af6670084b26820019375361f81ed66737af7c416"
         )
 
+    @pytest.mark.parametrize("mode, expected", [
+        ("sqp", "33faed48067fe0783f5e20840274202395f091147cfcef883e47c45122681bd9"),
+        ("hybrid", "d80006f75ce6029b63cb4e50d400ff735903ca2b2e6b2a1007071718555e5054"),
+    ])
+    def test_seeded_mode_output_pinned(self, tmp_path, mode, expected):
+        # SHA-256 of a seeded `run --mode` batch's whole output directory
+        path = tmp_path / "run.yaml"
+        path.write_text(BASE_CONFIG + "validation_ga:\n  population_size: 30\n"
+                        "validation_switch:\n  max_generations: 10\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--mode", mode,
+                     "--out", str(out), "--jobs", "1"]) == 0
+        digest = hashlib.sha256()
+        for p in sorted(out.iterdir()):
+            digest.update(p.name.encode() + b"\0" + p.read_bytes())
+        assert digest.hexdigest() == expected
+
     def test_summary_records_converged_at(self, config_file, tmp_path):
         cfg = load_config(config_file)
         cfg = cli_io.replace(cfg, mode="ec", repetitions=3)
@@ -158,7 +176,7 @@ class TestRunBatch:
             c = cli_io.replace(cfg, switch=cli_io.replace(cfg.switch, sigma_threshold=threshold))
             result = run_batch(c, str(out), jobs=1)
             converged = [r["converged_at"] for r in result["runs"]]
-            expected = [None] * 3 if threshold < 1 else [c.switch.smoothing_window] * 3
+            expected = [None] * 3 if threshold < 1 else [ConvergenceState().smoothing_window] * 3
             assert converged == expected
             lines = (out / "summary.txt").read_text().splitlines()
             recorded = [line for line in lines if line.startswith("converged_at per run: ")]
@@ -285,6 +303,43 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--mode", "ec", "--jobs", "1",
                      "--out", str(tmp_path / "o")]) == 2
         assert "mutation_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        ("sqp", "c1"), ("sqp", "c2"), ("sqp", "lambda_min"), ("sqp", "delta_tol"),
+        ("sqp", "max_line_search_evals"), ("switch", "smoothing_window"), (None, "x0"),
+    ])
+    def test_removed_keys_exit_two(self, tmp_path, capsys, section, key):
+        bad = tmp_path / "bad.yaml"
+        entry = f"{key}: 1" if section is None else f"{section}: {{{key}: 1}}"
+        bad.write_text(f"problem: ackley\ndimension: 2\n{entry}\n")
+        assert main(["run", "--config", str(bad), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key in err
+
+    @pytest.mark.parametrize("section", ["ga", "validation_ga"])
+    def test_rng_seed_in_a_ga_section_exit_two(self, tmp_path, capsys, section):
+        # runs are seeded seed + i; a per-section seed would be ignored
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"problem: ackley\ndimension: 2\n{section}: {{rng_seed: 3}}\n")
+        assert main(["run", "--config", str(bad), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "rng_seed" in err and "seed + i" in err
+
+    def test_ec_mode_ignores_hybrid_only_switch_keys(self, tmp_path):
+        # stall_window, stall_epsilon and max_generations end the hybrid
+        # exploration phase only; an ec run stops at ga.max_generations
+        switch = "switch:\n  max_generations: 15\n"
+        digests = []
+        for text in (BASE_CONFIG, BASE_CONFIG.replace(switch, (
+            "switch:\n  max_generations: 3\n  stall_window: 2\n  stall_epsilon: 1.0e+6\n"
+        ))):
+            path = tmp_path / "run.yaml"
+            path.write_text(text)
+            out = tmp_path / f"out{len(digests)}"
+            assert main(["run", "--config", str(path), "--mode", "ec",
+                         "--out", str(out), "--jobs", "1"]) == 0
+            digests.append([(p.name, p.read_bytes()) for p in sorted(out.iterdir())])
+        assert digests[0] == digests[1]
 
     def test_price_trace_forces_ec_mode(self, config_file, tmp_path):
         out = tmp_path / "pt"

@@ -163,7 +163,7 @@ class TestEncode:
             assert encode(decode(c, spec), spec) == c
 
     def test_midpoint_ties_round_down(self):
-        spec = EncodingSpec(variables=(VariableSpec(0.0, 3.0, 1.0, bit_length=2),))
+        spec = EncodingSpec(variables=(VariableSpec(0.0, 3.0, 1.0),))
         # grid {0, 1, 2, 3}; 1.5 sits exactly between codes 1 and 2
         assert encode([1.5], spec) == bits("01")
 
@@ -189,16 +189,15 @@ class TestSpecs:
         assert spec.total_length == 10 + 17
         assert spec.dimension == 2
 
-    def test_variable_spec_validates_bit_length(self):
-        with pytest.raises(ValueError):
-            VariableSpec(0.0, 1.0, 0.01, bit_length=3)  # needs 7
+    def test_bit_length_is_derived_only(self):
+        assert VariableSpec(0.0, 1.0, 0.01).bit_length == 7
+        with pytest.raises(TypeError):
+            VariableSpec(0.0, 1.0, 0.01, bit_length=3)
 
     def test_fields_wider_than_53_bits_rejected(self):
         assert VariableSpec(0.0, 1.0, 2.0**-53).bit_length == 53
         with pytest.raises(ValueError, match="exceeds 53"):
             VariableSpec(0.0, 1.0, 2.0**-54)  # derived width 54
-        with pytest.raises(ValueError, match="exceeds 53"):
-            VariableSpec(0.0, 1.0, 2.0**-63, bit_length=63)
 
     def test_chromosome_rejects_non_binary(self):
         with pytest.raises(ValueError):

@@ -402,10 +402,6 @@ class TestConvergenceRate:
 
 
 class TestConfig:
-    def test_wolfe_constants_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            SQPConfig(c1=0.5, c2=0.1)
-
     def test_bound_box_validation(self):
         with pytest.raises(ValueError):
             BoundBox(np.array([1.0]), np.array([1.0]))
