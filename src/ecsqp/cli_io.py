@@ -74,6 +74,24 @@ class ConfigError(ValueError):
     """Unusable run configuration."""
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping repeating a key."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list: an unhashable key is left for the base class to reject
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # merged keys may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark,
+                )
+            seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 #: validation-round defaults for hybrid mode: a larger per-bit population with
 #: a patient stall detector digs the incumbent's basin out to grid precision.
 VALIDATION_GA_DEFAULTS = dict(
@@ -155,7 +173,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run-configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

@@ -2,8 +2,10 @@
 
 The solver takes full Newton steps computed from automatic-differentiation
 Hessians, certifies step lengths with the Wolfe conditions, and handles
-variable bounds by solving each quadratic subproblem with a log-barrier
-interior-point iteration.  Indefinite Hessians are repaired with an escalating
+variable bounds by solving each quadratic subproblem with a Mehrotra
+primal-dual interior-point method (Mehrotra 1992) from the log-barrier
+central point of weight 1 to that of weight 1e-8 (a singular system gives a
+cut-back Newton step).  Indefinite Hessians are repaired with an escalating
 Levenberg-style diagonal shift; if that fails the step falls back to steepest
 descent.
 
@@ -44,7 +46,7 @@ REGULARIZATION_LADDER_CAP = 1e8  # multiples of lambda_min tried before fallback
 DELTA_TOL = 1e-3  # gradient and direction norm change that counts as a stall
 MAX_LINE_SEARCH_EVALS = 50  # objective sweeps per line search
 BOUNDARY_FRACTION = 0.995  # fraction-to-boundary factor tau
-BARRIER_SCHEDULE = tuple(10.0**-k for k in range(0, 9))  # barrier weights mu, in order
+CENTRAL_PATH_END = 1e-8  # complementarity t_i z_i of the point the IPM returns
 
 
 class LineSearchError(RuntimeError):
@@ -296,22 +298,19 @@ def _fraction_to_boundary(
 def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     """Approximate minimizer of ``g^T s + 0.5 s^T H s`` over step bounds.
 
-    ``box`` holds bounds for the step itself and must contain 0 strictly
-    (i.e. the current point is strictly interior).  A log-barrier Newton
-    iteration is run for each barrier weight of :data:`BARRIER_SCHEDULE`,
-    which decays from 1 by factors of 10 down to 1e-8.  Centring for a
-    weight ends when the residual is small, after 50 Newton steps, or as
-    soon as the backtracked step no longer strictly lowers the barrier
-    (an ill-conditioned ``H`` can leave the residual above tolerance in
-    floating point); the iteration then moves on to the next weight.
-    The returned step is strictly feasible.  ``H`` is a :class:`Hessian` or
-    a dense array (its ``k = n`` form), and each Newton system
-    ``H + diag(...)`` is solved by Woodbury.  If a Newton system cannot be
-    solved (it is singular, or its diagonal is not positive, which no
-    positive definite system's is) or backtracking finds no acceptable step,
-    the unconstrained Newton step ``-H^{-1} g`` (steepest descent ``-g`` when
-    that cannot be solved either), scaled back to the boundary fraction, is
-    returned instead.
+    ``box`` bounds the step itself and must contain 0 strictly.  Mehrotra's
+    predictor-corrector primal-dual method (Nocedal & Wright, 2nd ed.,
+    Section 16.6) moves the slacks ``t = [s - lb, ub - s]`` and multipliers
+    ``z`` from ``s = 0, z = 1/t`` (the log-barrier central point of weight 1)
+    to the central point ``t * z = CENTRAL_PATH_END``, below which it never
+    centres, so an active bound keeps a slack of about ``CENTRAL_PATH_END /
+    z_i``.  It stops there once the dual residual is below ``1e-12`` of the
+    gradient scale or no longer falls (as with an ill-conditioned ``H``).
+    Both solves of an iteration use ``H + diag(z/t)`` (Woodbury; ``H`` is a
+    :class:`Hessian` or a dense array), and each step goes
+    :data:`BOUNDARY_FRACTION` of the way to the nearest zero of ``t`` or
+    ``z``.  A system that cannot be solved (singular, or a diagonal that is
+    not positive) gives ``-H^{-1} g`` (or ``-g``) cut back to that fraction.
     """
     g = np.asarray(g, dtype=float)
     H = _structured(H)
@@ -326,39 +325,39 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
             d = -g
         return _fraction_to_boundary(np.zeros_like(d), d, lb, ub) * d
 
-    def barrier(s: np.ndarray, mu: float) -> float:
-        return g @ s + 0.5 * (s @ (H @ s)) - mu * (
-            np.log(s - lb).sum() + np.log(ub - s).sum()
-        )
+    n, s = g.shape[0], np.zeros_like(g)
+    t = np.concatenate([-lb, ub])  # slacks s - lb, ub - s
+    z = 1.0 / t
+    tol, last = 1e-12 * (1.0 + float(np.max(np.abs(g)))), math.inf
+    for _ in range(100):
+        r = g + H @ s - z[:n] + z[n:]  # dual residual
+        rnorm = float(np.max(np.abs(r)))
+        centred = np.max(np.abs(t * z - CENTRAL_PATH_END)) <= 1e-3 * CENTRAL_PATH_END
+        if centred and (rnorm <= tol or rnorm >= last):
+            break
+        last = rnorm
+        W = H.plus_diagonal(z[:n] / t[:n] + z[n:] / t[n:])
 
-    s = np.zeros_like(g)
-    scale = 1.0 + float(np.max(np.abs(g)))
-    for mu in BARRIER_SCHEDULE:
-        tol = max(1e-12 * scale, 1e-3 * mu)
-        base = barrier(s, mu)
-        for _ in range(50):
-            inv_lo = 1.0 / (s - lb)
-            inv_hi = 1.0 / (ub - s)
-            r = g + H @ s - mu * inv_lo + mu * inv_hi
-            if np.max(np.abs(r)) <= tol:
-                break
-            W = H.plus_diagonal(mu * inv_lo**2 + mu * inv_hi**2)
-            try:
-                p = _solve(W, -r)
-            except np.linalg.LinAlgError:
-                return fallback()
-            alpha = min(1.0, _fraction_to_boundary(s, p, lb, ub))
-            while alpha > 1e-14:
-                trial = barrier(s + alpha * p, mu)
-                if trial <= base:
-                    break
-                alpha *= 0.5
-            else:
-                return fallback()
-            s = s + alpha * p
-            if trial >= base:  # no strict decrease: centring has stalled
-                break
-            base = trial
+        def newton(c: np.ndarray):  # the step moving t * z by c to first order, its length
+            ds = _solve(W, c[:n] / t[:n] - c[n:] / t[n:] - r)
+            dt = np.concatenate([ds, -ds])
+            dz = (c - z * dt) / t
+            tz, dtz = np.concatenate([t, z]), np.concatenate([dt, dz])
+            return ds, dt, dz, _fraction_to_boundary(tz, dtz, 0.0, np.inf)
+
+        try:
+            _, dt, dz, alpha = newton(-t * z)  # affine-scaling predictor
+            mu = float(t @ z) / t.size
+            target = mu * (float((t + alpha * dt) @ (z + alpha * dz)) / t.size / mu) ** 3
+            c = max(target, CENTRAL_PATH_END) - t * z
+            if target > CENTRAL_PATH_END:  # on the floor the corrector is plain centring
+                c -= dt * dz
+            ds, dt, dz, alpha = newton(c)
+        except np.linalg.LinAlgError:
+            return fallback()
+        s = s + alpha * ds
+        z = z + alpha * dz
+        t = np.concatenate([s - lb, ub - s])
     return s
 
 

@@ -152,7 +152,9 @@ class TestRunBatch:
         )
 
     @pytest.mark.parametrize("mode, expected", [
-        ("sqp", "33faed48067fe0783f5e20840274202395f091147cfcef883e47c45122681bd9"),
+        # re-pinned for the primal-dual IPM: trace fields moved in the 8th-9th
+        # significant digit, summary sd 0 -> 1.14e-13 (old 33faed48...)
+        ("sqp", "b2b8da217ab9d2c55cfda828b4ece7e65329e9be2c4628d645af4e5d787ca22a"),
         ("hybrid", "d80006f75ce6029b63cb4e50d400ff735903ca2b2e6b2a1007071718555e5054"),
     ])
     def test_seeded_mode_output_pinned(self, tmp_path, mode, expected):
@@ -315,6 +317,16 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--jobs", "1"]) == 2
         err = capsys.readouterr().err
         assert "unknown key" in err and key in err
+
+    def test_repeated_key_exit_two(self, tmp_path, capsys):
+        # a repeated key once loaded silently, keeping the last value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: ackley\ndimension: 2\n"
+                       "switch:\n  max_generations: 15\n  max_generations: 3\n")
+        with pytest.raises(ConfigError, match="duplicate key 'max_generations'"):
+            load_config(bad)
+        assert main(["run", "--config", str(bad), "--jobs", "1"]) == 2
+        assert "duplicate key 'max_generations'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["ga", "validation_ga"])
     def test_rng_seed_in_a_ga_section_exit_two(self, tmp_path, capsys, section):

@@ -1,5 +1,6 @@
-"""Newton directions, Wolfe steps, barrier subproblems, full solver runs."""
+"""Newton directions, Wolfe steps, box-QP subproblems, full solver runs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from ecsqp.benchmarks import get_problem
 from ecsqp.fdcheck import fd_gradient
 from ecsqp.local_search import (
     BOUNDARY_FRACTION,
+    LAMBDA_MIN,
     BoundBox,
     LineSearchError,
     SQPConfig,
@@ -176,6 +178,60 @@ class TestIpmQpSolve:
         s = ipm_qp_solve(g, H, box)
         np.testing.assert_array_equal(s, -0.995 * g)  # -g cut to the boundary fraction
         assert box.contains_strict(s)
+
+    def test_step_next_to_a_bound_does_not_round_onto_it(self):
+        # Schwefel n=10 with x_1 six nanometres inside its lower bound: a step
+        # that drives s_1 - lb_1 towards 0 makes x_1 + s_1 round onto -500
+        problem = get_problem("schwefel", 10)
+        lower, upper = problem.bounds.lower, problem.bounds.upper
+        x = np.full(10, 420.9687463)
+        x[0] = -499.99999999403667
+        _, g, H = ad.evaluate(problem.fn, x)
+        H, _ = regularize_hessian(H, LAMBDA_MIN)
+        s = ipm_qp_solve(g, H, BoundBox(lower - x, upper - x))
+        assert np.all(x + s > lower) and np.all(x + s < upper)
+
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_matches_active_set_enumeration(self, rng, structured):
+        active = free = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 6))
+            if structured:
+                H = random_structured(rng, n, int(rng.integers(0, n + 1)))
+            else:
+                H = random_spd(rng, n, spread=0.5)
+            g = rng.normal(size=n) * 5.0
+            lb, ub = -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+            best = box_qp_by_enumeration(g, np.asarray(H), lb, ub)
+            s = ipm_qp_solve(g, H, BoundBox(lb, ub))
+            assert np.all(s > lb) and np.all(s < ub)
+            model = lambda v: g @ v + 0.5 * (v @ (np.asarray(H) @ v))
+            assert model(s) == pytest.approx(model(best), rel=1e-7)
+            at_bound = (best == lb) | (best == ub)
+            active += int(at_bound.sum())
+            free += int((~at_bound).sum())
+        assert active > 50 and free > 50
+
+
+def box_qp_by_enumeration(g, H, lb, ub):
+    """Exact minimizer of ``g^T s + 0.5 s^T H s`` over ``[lb, ub]`` for a
+    positive definite ``H``: every variable at its lower bound, its upper
+    bound or free, keeping the best point whose free part is feasible."""
+    n = len(g)
+    best, best_value = None, np.inf
+    for pattern in itertools.product((0, 1, 2), repeat=n):
+        pattern = np.array(pattern)
+        s = np.where(pattern == 0, lb, ub)
+        free = pattern == 2
+        if free.any():
+            rhs = -g[free] - H[np.ix_(free, ~free)] @ s[~free]
+            s[free] = np.linalg.solve(H[np.ix_(free, free)], rhs)
+            if np.any(s[free] < lb[free]) or np.any(s[free] > ub[free]):
+                continue
+        value = g @ s + 0.5 * (s @ H @ s)
+        if value < best_value:
+            best, best_value = s, value
+    return best
 
 
 def random_structured(rng, n, k, negative_diagonal=False):
