@@ -152,8 +152,6 @@ class TestRunBatch:
         )
 
     @pytest.mark.parametrize("mode, expected", [
-        # re-pinned for the primal-dual IPM: trace fields moved in the 8th-9th
-        # significant digit, summary sd 0 -> 1.14e-13 (old 33faed48...)
         ("sqp", "b2b8da217ab9d2c55cfda828b4ece7e65329e9be2c4628d645af4e5d787ca22a"),
         ("hybrid", "d80006f75ce6029b63cb4e50d400ff735903ca2b2e6b2a1007071718555e5054"),
     ])
@@ -319,7 +317,7 @@ class TestCli:
         assert "unknown key" in err and key in err
 
     def test_repeated_key_exit_two(self, tmp_path, capsys):
-        # a repeated key once loaded silently, keeping the last value
+        # yaml.safe_load keeps the last of two values without a word
         bad = tmp_path / "bad.yaml"
         bad.write_text("problem: ackley\ndimension: 2\n"
                        "switch:\n  max_generations: 15\n  max_generations: 3\n")

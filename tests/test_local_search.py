@@ -180,8 +180,8 @@ class TestIpmQpSolve:
         assert box.contains_strict(s)
 
     def test_step_next_to_a_bound_does_not_round_onto_it(self):
-        # Schwefel n=10 with x_1 six nanometres inside its lower bound: a step
-        # that drives s_1 - lb_1 towards 0 makes x_1 + s_1 round onto -500
+        # Schwefel n=10 with x_1 6e-9 inside its lower bound: a step that
+        # leaves s_1 - lb_1 near 1e-20 makes x_1 + s_1 round onto -500
         problem = get_problem("schwefel", 10)
         lower, upper = problem.bounds.lower, problem.bounds.upper
         x = np.full(10, 420.9687463)
