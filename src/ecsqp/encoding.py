@@ -117,7 +117,7 @@ class EncodingSpec:
             )
         )
 
-    @property
+    @cached_property
     def total_length(self) -> int:
         return sum(v.bit_length for v in self.variables)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -93,8 +93,9 @@ class GAConfig:
 class Population:
     """Fixed-size evaluated population, stored as bit and fitness arrays.
 
-    The fitness summary :attr:`stats` is computed once, on first use; the
-    arrays are not to be modified after that.
+    The arrays are immutable by contract: the fitness summary :attr:`stats`
+    is computed once, on first use, and the engine, the replacement and the
+    decomposition all read that cached summary.
     """
 
     def __init__(self, bits: np.ndarray, fitness: np.ndarray):
@@ -109,6 +110,13 @@ class Population:
         self.bits = bits
         self.fitness = fitness
 
+    @classmethod
+    def _checked(cls, bits: np.ndarray, fitness: np.ndarray) -> "Population":
+        """Population of arrays already typed, shaped and checked finite."""
+        pop = cls.__new__(cls)
+        pop.bits, pop.fitness = bits, fitness
+        return pop
+
     def __len__(self) -> int:
         return self.bits.shape[0]
 
@@ -116,11 +124,8 @@ class Population:
     def stats(self) -> "FitnessStats":
         return FitnessStats.from_values(self.fitness)
 
-    def best_index(self) -> int:
-        return int(np.argmax(self.fitness))
-
     def best_chromosome(self) -> Chromosome:
-        return Chromosome(self.bits[self.best_index()].copy())
+        return Chromosome(self.bits[np.argmax(self.fitness)].copy())
 
 
 @dataclass(frozen=True)
@@ -223,22 +228,24 @@ def binary_tournament_cycle(
         perm = rng.permutation(n)
         a, b = perm[0::2], perm[1::2]
         coin = rng.random(n // 2) < 0.5
-        pick_a = (f[a] > f[b]) | ((f[a] == f[b]) & coin)
-        winners[out : out + n // 2] = np.where(pick_a, a, b)
+        fa, fb = f[a], f[b]
+        winners[out : out + n // 2] = np.where((fa > fb) | ((fa == fb) & coin), a, b)
         out += n // 2
     return winners
-
-
-def _select(pop: Population, cfg: GAConfig, rng) -> np.ndarray:
-    """N selection slots by the configured method (N is even by GAConfig)."""
-    if cfg.selection is SelectionMethod.ROULETTE_WHEEL:
-        return roulette_select(pop, len(pop), rng)
-    return binary_tournament_cycle(pop, rng)
 
 
 # ---------------------------------------------------------------------------
 # variation operators
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _suffix_masks(length: int) -> np.ndarray:
+    """Read-only ``(L+1, L)`` uint8 table: row l marks the loci >= l, and
+    row L, all zero, is the mask of a pair that does not cross."""
+    masks = (np.arange(length) >= np.arange(length + 1)[:, None]).view(np.uint8)
+    masks.flags.writeable = False
+    return masks
 
 
 def single_point_crossover(
@@ -252,15 +259,14 @@ def single_point_crossover(
     The swap XORs the pair's differing suffix bits into both rows.  Returns
     the children and, per row, whether its pair crossed and whether it changed.
     """
-    pairs = bits.shape[0] // 2
-    length = bits.shape[1]
+    pairs, length = bits.shape[0] // 2, bits.shape[1]
     coins = rng.random(pairs) < rate
     loci = rng.integers(1, length, size=pairs)
     pair = bits.reshape(pairs, 2, length)
-    suffix = (np.arange(length) >= loci[:, None]) & coins[:, None]
-    diff = (pair[:, 0] ^ pair[:, 1]) & suffix
+    diff = pair[:, 0] ^ pair[:, 1]
+    diff &= _suffix_masks(length)[np.where(coins, loci, length)]
     child = (pair ^ diff[:, None, :]).reshape(bits.shape)
-    return child, np.repeat(coins, 2), np.repeat(diff.any(axis=1), 2)
+    return child, coins.repeat(2), diff.any(axis=1).repeat(2)
 
 
 def bit_flip_mutation(
@@ -268,7 +274,7 @@ def bit_flip_mutation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flip every bit of an ``(m, L)`` matrix independently with probability
     ``rate``.  Returns the mutants and, per row, whether any bit flipped."""
-    flips = (rng.random(bits.shape) < rate).astype(np.uint8)
+    flips = (rng.random(bits.shape) < rate).view(np.uint8)
     return bits ^ flips, flips.any(axis=1)
 
 
@@ -312,7 +318,8 @@ def adaptive_elitism_replace(
 
     When the offspring pool improves both the mean and the variance of the
     parent fitness, the elite count first halves, floored at one so the
-    incumbent best always survives.
+    incumbent best always survives.  The merged rows are not rescanned: both
+    populations' fitness was checked finite where it entered.
     """
     if len(parents) != len(offspring):
         raise ValueError("parent and offspring populations must have equal size")
@@ -324,11 +331,11 @@ def adaptive_elitism_replace(
         state.n_elite = max(1, state.n_elite // 2)
     n = len(parents)
     k = min(state.n_elite, n)
-    elite_idx = np.argsort(parents.fitness)[::-1][:k]
-    off_idx = np.argsort(offspring.fitness)[::-1][: n - k]
+    elite_idx = parents.fitness.argsort()[::-1][:k]
+    off_idx = offspring.fitness.argsort()[::-1][: n - k]
     bits = np.concatenate((parents.bits[elite_idx], offspring.bits[off_idx]))
     fit = np.concatenate((parents.fitness[elite_idx], offspring.fitness[off_idx]))
-    return Population(bits, fit)
+    return Population._checked(bits, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +343,7 @@ def adaptive_elitism_replace(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class LineageRecord:
     """Per-slot parentage and per-stage fitness of one generation's offspring.
 
@@ -343,43 +351,36 @@ class LineageRecord:
     won selection slot j, the fitness of that copy (identical to the parent's,
     selection adds no new solutions), and the fitness of the chromosome
     occupying the slot after crossover and after mutation.  ``pair_crossed``
-    marks whether the slot's pair actually exchanged material.
+    marks whether the slot's pair actually exchanged material.  The engine
+    also hands over the parents' and the offspring pool's cached summaries.
     """
 
-    def __init__(
-        self,
-        parent_fitness: np.ndarray,
-        slot_parent: np.ndarray,
-        pair_crossed: np.ndarray,
-        fitness_after_selection: np.ndarray,
-        fitness_after_crossover: np.ndarray,
-        fitness_after_mutation: np.ndarray,
-    ):
-        self.parent_fitness = np.asarray(parent_fitness, dtype=float)
-        self.slot_parent = np.asarray(slot_parent, dtype=np.int64)
-        self.pair_crossed = np.asarray(pair_crossed, dtype=bool)
-        self.fitness_after_selection = np.asarray(fitness_after_selection, dtype=float)
-        self.fitness_after_crossover = np.asarray(fitness_after_crossover, dtype=float)
-        self.fitness_after_mutation = np.asarray(fitness_after_mutation, dtype=float)
-        m = self.slot_parent.shape[0]
-        for arr in (
-            self.pair_crossed,
-            self.fitness_after_selection,
-            self.fitness_after_crossover,
-            self.fitness_after_mutation,
-        ):
-            if arr.shape != (m,):
+    parent_fitness: np.ndarray
+    slot_parent: np.ndarray
+    pair_crossed: np.ndarray
+    fitness_after_selection: np.ndarray
+    fitness_after_crossover: np.ndarray
+    fitness_after_mutation: np.ndarray
+    parent_stats: FitnessStats | None = None
+    offspring_stats: FitnessStats | None = None
+
+    def __post_init__(self) -> None:
+        m = self.slot_parent.shape
+        for a in (self.pair_crossed, self.fitness_after_selection,
+                  self.fitness_after_crossover, self.fitness_after_mutation):
+            if a.shape != m:
                 raise ValueError("lineage arrays must share the slot count")
+
+    def moments(self) -> tuple[FitnessStats, FitnessStats]:
+        """Fitness summaries of the parents and of the offspring pool, from
+        the arrays for a record built without them."""
+        parents = self.parent_stats or FitnessStats.from_values(self.parent_fitness)
+        pool = self.offspring_stats or FitnessStats.from_values(self.fitness_after_mutation)
+        return parents, pool
 
     @property
     def population_size(self) -> int:
         return self.parent_fitness.shape[0]
-
-    def offspring_counts(self) -> np.ndarray:
-        """Selection slots won by each parent (the z-vector over parents)."""
-        return np.bincount(self.slot_parent, minlength=self.population_size).astype(
-            np.int64
-        )
 
     def stage_deltas(self, stage: str) -> np.ndarray:
         """Per-slot fitness change across one operator stage."""
@@ -416,9 +417,13 @@ def evolve_generation(
     (maximization).  Chromosomes left untouched by an operator inherit their
     fitness, and the rows that crossover or mutation changed are scored
     together: one fitness call per generation (none when no row changed) and
-    at most two evaluations per slot.
+    at most two evaluations per slot.  Only those new values are checked
+    finite; inherited ones were checked when they entered.
     """
-    slots = _select(pop, cfg, rng)
+    if cfg.selection is SelectionMethod.ROULETTE_WHEEL:
+        slots = roulette_select(pop, len(pop), rng)
+    else:
+        slots = binary_tournament_cycle(pop, rng)
     sel_bits = pop.bits[slots]
     f_sel = pop.fitness[slots]
 
@@ -428,21 +433,18 @@ def evolve_generation(
 
     rows = np.concatenate((child[changed], mutated[touched]))
     values = fitness_fn(rows) if rows.shape[0] else np.empty(0)
+    if not np.isfinite(values).all():
+        raise ValueError("all members must carry finite fitness")
     n_xo = np.count_nonzero(changed)
     f_xo = f_sel.copy()
     f_xo[changed] = values[:n_xo]
     f_mut = f_xo.copy()
     f_mut[touched] = values[n_xo:]
 
-    offspring = Population(mutated, f_mut)
+    offspring = Population._checked(mutated, f_mut)
     nxt = adaptive_elitism_replace(pop, offspring, elite)
     lineage = LineageRecord(
-        parent_fitness=pop.fitness,
-        slot_parent=slots,
-        pair_crossed=crossed,
-        fitness_after_selection=f_sel,
-        fitness_after_crossover=f_xo,
-        fitness_after_mutation=f_mut,
+        pop.fitness, slots, crossed, f_sel, f_xo, f_mut, pop.stats, offspring.stats
     )
     return GenerationResult(nxt, lineage, nxt.stats)
 
@@ -474,8 +476,7 @@ class Engine:
         return values
 
     def random_population(self) -> Population:
-        bits = random_bits(self.chromosome_length, self.cfg.population_size, self.rng)
-        return Population(bits, self._evaluate(bits))
+        return self.seeded_population([])
 
     def seeded_population(self, seeds: list[np.ndarray]) -> Population:
         """Random population topped up with explicit seed chromosomes."""

@@ -158,10 +158,10 @@ def _switching_phase(
 ) -> tuple[Population, SwitchReason]:
     """Evolve until :func:`should_switch` fires; returns the final population,
     whose best member elitism keeps the best seen, and the reason."""
-    best_history = [float(pop.fitness.max())]
+    best_history = [pop.stats.best]
     trace.append(
-        PhaseTraceRow(name, 0, sign * best_history[0],
-                      sign * float(pop.fitness.mean()), eval_base + engine.evaluations)
+        PhaseTraceRow(name, 0, sign * pop.stats.best, sign * pop.stats.mean,
+                      eval_base + engine.evaluations)
     )
     for generation, pop, contribution, stats, state in evolve(engine, pop, crit):
         best_history.append(stats.best)

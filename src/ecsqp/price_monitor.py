@@ -44,15 +44,17 @@ def selection_term(z, q) -> float:
     """Cov(z, q) / z_bar with the population (1/N) covariance.
 
     ``z`` holds per-parent offspring counts, ``q`` the parent fitnesses.
+    Each mean is ``np.add.reduce(x) / n``, bitwise equal to ``ndarray.mean``.
     """
     z = np.asarray(z, dtype=float)
     q = np.asarray(q, dtype=float)
     if z.shape != q.shape or z.ndim != 1 or z.size == 0:
         raise ValueError("z and q must be equal-length nonempty vectors")
-    z_bar = z.mean()
+    n = z.size
+    z_bar = np.add.reduce(z) / n
     if z_bar <= 0.0:
         raise ValueError("mean offspring count must be positive")
-    cov = float(np.mean((z - z_bar) * (q - q.mean())))
+    cov = float(np.add.reduce((z - z_bar) * (q - np.add.reduce(q) / n)) / n)
     return cov / z_bar
 
 
@@ -61,8 +63,8 @@ def _stage_moments(deltas: np.ndarray) -> tuple[float, float]:
     if deltas.size < 1:
         raise ValueError("stage carries no children")
     n = deltas.shape[0]
-    mean = deltas.sum() / n
-    second = (deltas * deltas).sum() / n
+    mean = np.add.reduce(deltas) / n
+    second = np.add.reduce(deltas * deltas) / n
     return float(mean), math.sqrt(max(second - mean * mean, 0.0))
 
 
@@ -116,16 +118,19 @@ def decompose_generation(
 ) -> OperatorContribution:
     """Build the three-term decomposition for one generation's lineage.
 
-    Raises if the terms fail to reconstruct the actual mean-fitness change
-    (offspring pool mean minus parent mean) to relative tolerance 1e-9.
+    The parent and offspring-pool means are read from the lineage's cached
+    fitness summaries.  Raises if the terms fail to reconstruct the actual
+    mean-fitness change (offspring pool mean minus parent mean) to relative
+    tolerance 1e-9.
     """
-    sel = selection_term(lineage.offspring_counts(), lineage.parent_fitness)
+    parents, offspring = lineage.moments()
+    counts = np.bincount(lineage.slot_parent, minlength=lineage.population_size)
+    sel = selection_term(counts, lineage.parent_fitness)
     xo, xo_sigma = _stage_moments(lineage.stage_deltas(Stage.CROSSOVER.value))
     mut, mut_sigma = _stage_moments(lineage.stage_deltas(Stage.MUTATION.value))
-    parent_mean = float(lineage.parent_fitness.mean())
-    total = float(lineage.fitness_after_mutation.mean() - parent_mean)
+    total = offspring.mean - parents.mean
     parts = sel + xo + mut
-    scale = max(abs(total), abs(parts), abs(parent_mean), 1.0)
+    scale = max(abs(total), abs(parts), abs(parents.mean), 1.0)
     if abs(total - parts) > DECOMPOSITION_RTOL * scale:
         raise ValueError(
             f"decomposition identity violated: terms sum to {parts}, "

@@ -315,6 +315,83 @@ class TestAdaptiveElitism:
         assert merged.fitness.max() == 9.0
 
 
+def reference_replace(parents, offspring, state):
+    """Adaptive elitist replacement as it was with the merged rows rescanned."""
+    ps = FitnessStats.from_values(parents.fitness)
+    os = FitnessStats.from_values(offspring.fitness)
+    if os.mean > ps.mean and os.variance > ps.variance:
+        state.n_elite = max(1, state.n_elite // 2)
+    n = len(parents)
+    k = min(state.n_elite, n)
+    elite_idx = np.argsort(parents.fitness)[::-1][:k]
+    off_idx = np.argsort(offspring.fitness)[::-1][: n - k]
+    bits = np.concatenate((parents.bits[elite_idx], offspring.bits[off_idx]))
+    fit = np.concatenate((parents.fitness[elite_idx], offspring.fitness[off_idx]))
+    return Population(bits, fit)
+
+
+class TestReplacementOracle:
+    def test_equal_to_reference_on_tied_fitness(self):
+        # integer fitness from a small range ties heavily; distinct bits make
+        # the order among tied rows visible
+        rng = np.random.default_rng(23)
+        for m in range(2, 201):
+            parents = make_pop(rng.integers(0, 4, m), length=12, seed=m)
+            offspring = make_pop(rng.integers(0, 5, m), length=12, seed=1000 + m)
+            for n_elite in range(1, m + 1):
+                state, ref_state = EliteState(n_elite), EliteState(n_elite)
+                got = adaptive_elitism_replace(parents, offspring, state)
+                want = reference_replace(parents, offspring, ref_state)
+                assert state.n_elite == ref_state.n_elite
+                np.testing.assert_array_equal(got.bits, want.bits)
+                np.testing.assert_array_equal(got.fitness, want.fitness)
+                assert got.bits.dtype == want.bits.dtype
+                assert got.fitness.dtype == want.fitness.dtype
+
+
+class TestFiniteness:
+    @staticmethod
+    def poisoned(bad):
+        # scores every row, then, once armed, puts ``bad`` in the first row
+        fit = bit_objective(np.linspace(-1.0, 1.0, 12))
+        armed = []
+
+        def fn(bits):
+            values = fit(bits)
+            if armed:
+                values[0] = bad
+            return values
+
+        return fn, armed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stage", ["crossover", "mutation"])
+    def test_step_raises_on_a_nonfinite_new_row(self, bad, stage):
+        # with crossover only every scored row is a crossover-changed one;
+        # with mutation only every scored row is a mutation-touched one
+        rates = (1.0, 0.0) if stage == "crossover" else (0.0, 1.0)
+        fn, armed = self.poisoned(bad)
+        cfg = GAConfig(population_size=10, crossover_rate=rates[0],
+                       mutation_rate=rates[1], overlap_fraction=0.2, rng_seed=4)
+        eng = Engine(cfg, 12, fn)
+        pop = eng.random_population()
+        armed.append(True)
+        with pytest.raises(ValueError, match="finite"):
+            eng.step(pop)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_population_rejects_nonfinite_fitness(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Population(np.zeros((3, 4), dtype=np.uint8), [bad, 1.0, 2.0])
+
+    def test_initial_population_rejects_nonfinite_fitness(self):
+        fn, armed = self.poisoned(np.nan)
+        armed.append(True)
+        cfg = GAConfig(population_size=10, overlap_fraction=0.2, rng_seed=4)
+        with pytest.raises(ValueError, match="finite"):
+            Engine(cfg, 12, fn).random_population()
+
+
 class TestEvolveGeneration:
     def test_no_variation_yields_parent_multiset(self, rng):
         w = rng.normal(size=8)

@@ -1,5 +1,7 @@
 """Fitness-change decomposition and envelope-based convergence detection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from conftest import brute_force_decomposition
 from ecsqp.encoding import EncodingSpec, decode_batch
 from ecsqp.benchmarks import get_problem
 from ecsqp.evolution import Engine, GAConfig, LineageRecord, SelectionMethod
+from ecsqp.hybrid import fitness_function
 from ecsqp.price_monitor import (
+    DECOMPOSITION_RTOL,
     ConvergenceState,
+    OperatorContribution,
     Stage,
     decompose_generation,
     operator_term,
@@ -259,3 +264,85 @@ class TestSchwefelConvergenceSignal:
             update_convergence(mut_state, sigma_width(c.mutation_sigma), gen)
         assert xo_state.converged_at is not None and xo_state.converged_at < 100
         assert mut_state.converged_at is None
+
+
+# The decomposition as it was before it read the engine's cached fitness
+# summaries: every mean recomputed from the lineage arrays with ndarray.mean.
+
+
+def reference_selection_term(z, q) -> float:
+    z = np.asarray(z, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if z.shape != q.shape or z.ndim != 1 or z.size == 0:
+        raise ValueError("z and q must be equal-length nonempty vectors")
+    z_bar = z.mean()
+    if z_bar <= 0.0:
+        raise ValueError("mean offspring count must be positive")
+    cov = float(np.mean((z - z_bar) * (q - q.mean())))
+    return cov / z_bar
+
+
+def reference_stage_moments(deltas):
+    if deltas.size < 1:
+        raise ValueError("stage carries no children")
+    n = deltas.shape[0]
+    mean = deltas.sum() / n
+    second = (deltas * deltas).sum() / n
+    return float(mean), math.sqrt(max(second - mean * mean, 0.0))
+
+
+def reference_decompose_generation(lineage, generation):
+    counts = np.bincount(lineage.slot_parent, minlength=lineage.population_size)
+    sel = reference_selection_term(counts.astype(np.int64), lineage.parent_fitness)
+    xo, xo_sigma = reference_stage_moments(lineage.stage_deltas(Stage.CROSSOVER.value))
+    mut, mut_sigma = reference_stage_moments(lineage.stage_deltas(Stage.MUTATION.value))
+    parent_mean = float(lineage.parent_fitness.mean())
+    total = float(lineage.fitness_after_mutation.mean() - parent_mean)
+    parts = sel + xo + mut
+    scale = max(abs(total), abs(parts), abs(parent_mean), 1.0)
+    if abs(total - parts) > DECOMPOSITION_RTOL * scale:
+        raise ValueError("decomposition identity violated")
+    return OperatorContribution(generation, sel, xo, mut, xo_sigma, mut_sigma, total)
+
+
+class TestDecompositionOracle:
+    """The decomposition from cached moments equals the reference bitwise."""
+
+    @pytest.mark.parametrize("selection", list(SelectionMethod))
+    @pytest.mark.parametrize("scheme", ["per-bit", "per-chromosome"])
+    @pytest.mark.parametrize("problem,n,length", [("schwefel-max", 2, 34),
+                                                  ("rastrigin", 10, 100)])
+    def test_equal_to_reference_over_seeded_runs(self, selection, scheme, problem, n,
+                                                 length):
+        prob = get_problem(problem, n)
+        spec = EncodingSpec.for_bounds(prob.bounds.lower, prob.bounds.upper, 0.01)
+        assert spec.total_length == length
+        cfg = GAConfig(population_size=40, crossover_rate=0.7,
+                       mutation_rate=2.0 / length, selection=selection,
+                       overlap_fraction=0.1, rng_seed=17, mutation_scheme=scheme)
+        eng = Engine(cfg, length, fitness_function(prob, spec))
+        pop = eng.random_population()
+        for gen in range(1, 121):
+            pop, lineage, _ = eng.step(pop)
+            assert lineage.parent_stats is not None
+            assert lineage.offspring_stats is not None
+            c = decompose_generation(lineage, gen)
+            ref = reference_decompose_generation(lineage, gen)
+            assert c == ref
+            for name in ("selection_term", "crossover_term", "mutation_term",
+                         "crossover_sigma", "mutation_sigma", "total_delta_q"):
+                assert type(getattr(c, name)) is type(getattr(ref, name)), name
+
+    def test_selection_term_equal_to_reference(self):
+        rng = np.random.default_rng(8)
+        for m in (1, 2, 5, 50, 200):
+            z = rng.integers(0, 4, m)
+            z[0] += 1
+            q = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4) - 837.0
+            assert selection_term(z, q) == reference_selection_term(z, q)
+
+    def test_hand_built_lineage_computes_its_own_moments(self):
+        lin = lineage_from([0, 0, 2, 1], [4.0, 2.0, 9.0],
+                           f_xo=[5.0, 3.5, 8.0, 2.0], f_mut=[5.0, 1.0, 8.5, 2.0])
+        assert lin.parent_stats is None and lin.offspring_stats is None
+        assert decompose_generation(lin, 3) == reference_decompose_generation(lin, 3)

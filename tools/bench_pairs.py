@@ -18,7 +18,12 @@ The result is merged into ``--out`` (created if missing) in the schema of
 ``--pairs`` is above one, ``<name>_claim_pairs`` holds every pair's gated
 end-to-end metrics with their quartiles (inclusive method; the middle one is
 the median) and the number of pairs the change won, by the ``better``
-direction in ``BENCHMARK.json``.  Only the standard library is used.
+direction in ``BENCHMARK.json``, and how many pairs had identical digests.
+
+After the pairs, one traced pass per side (``--trace 1``, the parent
+first) gives ``<name>_layers``: every per-layer metric of ``BENCHMARK.json``
+on both sides with the change/parent ratio, and each side's ``failed``
+count and zero-span guard lines.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -48,13 +53,16 @@ def checkout(rev: str, into: Path) -> Path:
     return path
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in ``tree``, parsed into the record schema."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One perfbench run in ``tree``, parsed into the record schema.  A traced
+    run that trips a zero-span guard exits 1 but still prints its result; its
+    guard lines are kept under ``guards``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode not in ((0, 1) if trace else (0,)) or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
     record = {"meta": None, "notes": [], "digest_sha256": None,
               "result": json.loads(lines[-1])}
@@ -67,6 +75,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             record["digest_sha256"] = line.split()[-1]
         elif line.startswith("# ") and not line.startswith(("# metric ", "# digest ")):
             record["notes"].append(line[2:])
+    if trace:
+        record["guards"] = [line[2:] for line in proc.stderr.splitlines()
+                            if line.startswith("# GUARD")]
     return record
 
 
@@ -95,6 +106,17 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     return out
 
 
+def layers(parent: dict, change: dict, names: list[str]) -> dict:
+    """Per-layer metrics of one traced pass per side, with the change/parent ratio."""
+    out = {}
+    for name in names:
+        p = parent["result"]["metrics"][name]
+        c = change["result"]["metrics"][name]["value"]
+        out[name] = {"unit": p["unit"], "parent": p["value"], "change": c,
+                     "ratio": c / p["value"] if p["value"] else None}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -112,6 +134,7 @@ def main(argv=None) -> int:
     parent_sha = git("rev-parse", "HEAD^")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    per_layer = [m["name"] for m in spec["per_layer"]]
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     if doc and (doc["change"], doc["parent"]) != (change_sha, parent_sha):
         ap.error(f"{args.out} holds other commits")
@@ -128,11 +151,13 @@ def main(argv=None) -> int:
                 rps = runs[side]["result"]["metrics"]["runs_per_s"]["value"]
                 print(f"pair {i} {side}: runs_per_s {rps:.4g}", file=sys.stderr)
             pairs.append((runs["parent"], runs["change"]))
+        traced = {side: run_once(trees[side], args.workload, args.seed, args.seconds, 1)
+                  for side in ("parent", "change")}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     doc.update({
-        "what": "untraced perfbench results, the change beside its parent, "
+        "what": "perfbench results, the change beside its parent, "
                 "same session and host",
         "change": change_sha,
         "parent": parent_sha,
@@ -142,14 +167,24 @@ def main(argv=None) -> int:
     doc.setdefault("workloads", {})[args.workload] = {
         "change": pairs[0][1], "parent": pairs[0][0],
     }
+    key = args.workload.replace("-", "_")
+    command = (f"python3 perfbench/run.py --workload {args.workload} "
+               f"--seed {args.seed} --seconds {args.seconds:g} --trace")
     if args.pairs > 1:
-        doc[f"{args.workload.replace('-', '_')}_claim_pairs"] = {
-            "command": f"python3 perfbench/run.py --workload {args.workload} "
-                       f"--seed {args.seed} --seconds {args.seconds:g} --trace 0",
+        doc[f"{key}_claim_pairs"] = {
+            "command": f"{command} 0",
             "order": "pair i runs the parent first when i is odd, "
                      "the change first when i is even",
             **summarize(pairs, better),
+            "digest_identical_pairs": sum(p["digest_sha256"] == c["digest_sha256"]
+                                          for p, c in pairs),
         }
+    doc[f"{key}_layers"] = {
+        "command": f"{command} 1",
+        "failed": {side: run["result"]["failed"] for side, run in traced.items()},
+        "guards": {side: run["guards"] for side, run in traced.items()},
+        **layers(traced["parent"], traced["change"], per_layer),
+    }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
