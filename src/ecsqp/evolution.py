@@ -351,8 +351,9 @@ class LineageRecord:
     won selection slot j, the fitness of that copy (identical to the parent's,
     selection adds no new solutions), and the fitness of the chromosome
     occupying the slot after crossover and after mutation.  ``pair_crossed``
-    marks whether the slot's pair actually exchanged material.  The engine
-    also hands over the parents' and the offspring pool's cached summaries.
+    marks whether the slot's pair actually exchanged material.  The fields
+    are numpy arrays, taken as given; the engine also hands over the
+    parents' and the offspring pool's cached summaries.
     """
 
     parent_fitness: np.ndarray

@@ -160,8 +160,8 @@ def _switching_phase(
     whose best member elitism keeps the best seen, and the reason."""
     best_history = [pop.stats.best]
     trace.append(
-        PhaseTraceRow(name, 0, sign * pop.stats.best, sign * pop.stats.mean,
-                      eval_base + engine.evaluations)
+        PhaseTraceRow(name, 0, sign * best_history[0],
+                      sign * pop.stats.mean, eval_base + engine.evaluations)
     )
     for generation, pop, contribution, stats, state in evolve(engine, pop, crit):
         best_history.append(stats.best)
