@@ -177,22 +177,34 @@ def _positive_definite(W: Hessian) -> bool:
     return True
 
 
-def _solve(W: Hessian, b: np.ndarray) -> np.ndarray:
-    """Solve ``W x = b`` for ``W = A + U C U^T`` by Sherman-Morrison-Woodbury.
+def _factor(W: Hessian) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver of ``W x = b`` for ``W = A + U C U^T`` by Sherman-Morrison-Woodbury.
 
     With ``A`` the positive diagonal part from :func:`_positive_split`,
     ``x = A^{-1} b - A^{-1} U y`` where ``y`` solves the ``k x k``
-    capacitance system ``(I + C U^T A^{-1} U) y = C U^T A^{-1} b``.  Raises
-    :class:`numpy.linalg.LinAlgError` when that system is singular or the
-    diagonal of ``W`` is not positive.
+    capacitance system ``(I + C U^T A^{-1} U) y = C U^T A^{-1} b``.  The
+    split, ``A^{-1} U`` and the capacitance matrix are built once, here, and
+    shared by every right-hand side.  Raises
+    :class:`numpy.linalg.LinAlgError` here when the diagonal of ``W`` is not
+    positive, and from the returned solver when the capacitance system is
+    singular.
     """
     W = _positive_split(W)
-    x = b / W.d
     if not W.k:
-        return x
+        return lambda b: b / W.d
     AiU = W.U / W.d[:, None]
     K = np.eye(W.k) + W.C @ (W.U.T @ AiU)
-    return x - AiU @ np.linalg.solve(K, W.C @ (W.U.T @ x))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = b / W.d
+        return x - AiU @ np.linalg.solve(K, W.C @ (W.U.T @ x))
+
+    return solve
+
+
+def _solve(W: Hessian, b: np.ndarray) -> np.ndarray:
+    """Solve ``W x = b`` once, through :func:`_factor`."""
+    return _factor(W)(b)
 
 
 def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
@@ -201,17 +213,23 @@ def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
 
     ``hess`` is a :class:`Hessian` or a dense array (its ``k = n`` form).
     Returns ``(shifted_matrix, lambda)`` or ``(None, inf)`` if the ladder cap
-    is exceeded.
+    is exceeded.  A diagonal ``hess`` (``k = 0``) is decided on one number:
+    rounding is monotone, so ``d + lambda`` is positive exactly when
+    ``min(d) + lambda`` is.
     """
     hess = _structured(hess)
+    if hess.k:
+        positive_definite = lambda lam: _positive_definite(
+            hess if lam == 0.0 else hess.plus_diagonal(lam))
+    else:
+        lowest = float(hess.d.min(initial=np.inf))
+        positive_definite = lambda lam: lowest + lam > 0.0
     lam = 0.0
-    while True:
-        candidate = hess if lam == 0.0 else hess.plus_diagonal(lam)
-        if _positive_definite(candidate):
-            return candidate, lam
+    while not positive_definite(lam):
         lam = lambda_min if lam == 0.0 else lam * 10.0
         if lam > REGULARIZATION_LADDER_CAP * lambda_min:
             return None, math.inf
+    return (hess if lam == 0.0 else hess.plus_diagonal(lam)), lam
 
 
 def newton_direction(
@@ -295,6 +313,14 @@ def _fraction_to_boundary(
     return min(1.0, BOUNDARY_FRACTION * float(ratio.min(initial=np.inf)))
 
 
+def _step_to_zero(v: np.ndarray, dv: np.ndarray) -> float:
+    """Step at which ``v + step * dv`` (``v > 0``) first reaches zero; ``inf``
+    when no entry decreases.  The same bits as the lower-bound ratio
+    ``(0 - v) / dv`` of :func:`_fraction_to_boundary`."""
+    falling = dv < 0
+    return -float((v[falling] / dv[falling]).max(initial=-np.inf))
+
+
 def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     """Approximate minimizer of ``g^T s + 0.5 s^T H s`` over step bounds.
 
@@ -306,8 +332,11 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     centres, so an active bound keeps a slack of about ``CENTRAL_PATH_END /
     z_i``.  It stops there once the dual residual is below ``1e-12`` of the
     gradient scale or no longer falls (as with an ill-conditioned ``H``).
-    Both solves of an iteration use ``H + diag(z/t)`` (Woodbury; ``H`` is a
-    :class:`Hessian` or a dense array), and each step goes
+    Each iteration factors ``H + diag(z/t)`` once (Woodbury; ``H`` is a
+    :class:`Hessian` or a dense array) for its predictor and corrector
+    solves; once a predictor's target is on the ``CENTRAL_PATH_END`` floor,
+    the later iterations skip the predictor and take the plain centring
+    step.  Each step goes
     :data:`BOUNDARY_FRACTION` of the way to the nearest zero of ``t`` or
     ``z``.  A system that cannot be solved (singular, or a diagonal that is
     not positive) gives ``-H^{-1} g`` (or ``-g``) cut back to that fraction.
@@ -329,30 +358,34 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     t = np.concatenate([-lb, ub])  # slacks s - lb, ub - s
     z = 1.0 / t
     tol, last = 1e-12 * (1.0 + float(np.max(np.abs(g)))), math.inf
+    floored = False  # a predictor's target has reached CENTRAL_PATH_END
     for _ in range(100):
         r = g + H @ s - z[:n] + z[n:]  # dual residual
         rnorm = float(np.max(np.abs(r)))
-        centred = np.max(np.abs(t * z - CENTRAL_PATH_END)) <= 1e-3 * CENTRAL_PATH_END
+        tz = t * z
+        centred = np.max(np.abs(tz - CENTRAL_PATH_END)) <= 1e-3 * CENTRAL_PATH_END
         if centred and (rnorm <= tol or rnorm >= last):
             break
         last = rnorm
-        W = H.plus_diagonal(z[:n] / t[:n] + z[n:] / t[n:])
 
         def newton(c: np.ndarray):  # the step moving t * z by c to first order, its length
-            ds = _solve(W, c[:n] / t[:n] - c[n:] / t[n:] - r)
+            ds = solve(c[:n] / t[:n] - c[n:] / t[n:] - r)
             dt = np.concatenate([ds, -ds])
             dz = (c - z * dt) / t
-            tz, dtz = np.concatenate([t, z]), np.concatenate([dt, dz])
-            return ds, dt, dz, _fraction_to_boundary(tz, dtz, 0.0, np.inf)
+            nearest = min(_step_to_zero(t, dt), _step_to_zero(z, dz))
+            return ds, dt, dz, min(1.0, BOUNDARY_FRACTION * nearest)
 
         try:
-            _, dt, dz, alpha = newton(-t * z)  # affine-scaling predictor
-            mu = float(t @ z) / t.size
-            target = mu * (float((t + alpha * dt) @ (z + alpha * dz)) / t.size / mu) ** 3
-            c = max(target, CENTRAL_PATH_END) - t * z
-            if target > CENTRAL_PATH_END:  # on the floor the corrector is plain centring
-                c -= dt * dz
-            ds, dt, dz, alpha = newton(c)
+            solve = _factor(H.plus_diagonal(z[:n] / t[:n] + z[n:] / t[n:]))
+            if not floored:
+                _, dt, dz, alpha = newton(-tz)  # affine-scaling predictor
+                mu = float(t @ z) / t.size
+                target = mu * (float((t + alpha * dt) @ (z + alpha * dz)) / t.size / mu) ** 3
+                floored = target <= CENTRAL_PATH_END
+            if floored:  # the corrector is plain centring on the floor
+                ds, dt, dz, alpha = newton(CENTRAL_PATH_END - tz)
+            else:
+                ds, dt, dz, alpha = newton(target - tz - dt * dz)
         except np.linalg.LinAlgError:
             return fallback()
         s = s + alpha * ds

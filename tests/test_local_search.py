@@ -7,17 +7,23 @@ import numpy as np
 import pytest
 
 from ecsqp import autodiff as ad
+from ecsqp import local_search
 from ecsqp.autodiff import Hessian
 from ecsqp.benchmarks import get_problem
 from ecsqp.fdcheck import fd_gradient
 from ecsqp.local_search import (
     BOUNDARY_FRACTION,
+    CENTRAL_PATH_END,
     LAMBDA_MIN,
+    REGULARIZATION_LADDER_CAP,
     BoundBox,
     LineSearchError,
     SQPConfig,
+    _factor,
     _fraction_to_boundary,
+    _positive_definite,
     _solve,
+    _step_to_zero,
     ipm_qp_solve,
     newton_direction,
     regularize_hessian,
@@ -329,6 +335,228 @@ def test_fraction_to_boundary_is_bitwise_the_two_mask_form(rng):
         if trial % 50 == 0:
             p[:] = 0.0
         assert _fraction_to_boundary(s, p, lb, ub) == fraction_to_boundary_two_masks(s, p, lb, ub)
+
+
+def test_step_to_zero_is_bitwise_the_concatenated_rule(rng):
+    # the IPM's step length over [t, z] taken half by half, against one
+    # _fraction_to_boundary pass over their concatenation
+    for trial in range(2000):
+        m = int(rng.integers(1, 200))
+        t, z = rng.uniform(1e-9, 3.0, m), rng.uniform(1e-9, 3.0, m)
+        dt, dz = (rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3) for _ in range(2))
+        dt[rng.random(m) < 0.2] = 0.0
+        if trial % 50 == 0:
+            dt[:] = np.abs(dt)
+            dz[:] = np.abs(dz)
+        nearest = min(_step_to_zero(t, dt), _step_to_zero(z, dz))
+        joined = _fraction_to_boundary(np.concatenate([t, z]), np.concatenate([dt, dz]),
+                                       0.0, np.inf)
+        assert min(1.0, BOUNDARY_FRACTION * nearest) == joined
+
+
+def ipm_two_solves(g, H, box, targets=None):
+    """The primal-dual IPM with a predictor and a corrector Woodbury solve of
+    its own in every iteration, on or off the centring floor (the oracle).
+    Each predictor's centring target is appended to ``targets``."""
+    g = np.asarray(g, dtype=float)
+    H = H if isinstance(H, Hessian) else Hessian.from_dense(H)
+    lb, ub = box.lower, box.upper
+
+    def fallback():
+        try:
+            d = _solve(H, -g)
+        except np.linalg.LinAlgError:
+            d = -g
+        return _fraction_to_boundary(np.zeros_like(d), d, lb, ub) * d
+
+    n, s = g.shape[0], np.zeros_like(g)
+    t = np.concatenate([-lb, ub])
+    z = 1.0 / t
+    tol, last = 1e-12 * (1.0 + float(np.max(np.abs(g)))), math.inf
+    for _ in range(100):
+        r = g + H @ s - z[:n] + z[n:]
+        rnorm = float(np.max(np.abs(r)))
+        centred = np.max(np.abs(t * z - CENTRAL_PATH_END)) <= 1e-3 * CENTRAL_PATH_END
+        if centred and (rnorm <= tol or rnorm >= last):
+            break
+        last = rnorm
+        W = H.plus_diagonal(z[:n] / t[:n] + z[n:] / t[n:])
+
+        def newton(c):
+            ds = _solve(W, c[:n] / t[:n] - c[n:] / t[n:] - r)
+            dt = np.concatenate([ds, -ds])
+            dz = (c - z * dt) / t
+            tz, dtz = np.concatenate([t, z]), np.concatenate([dt, dz])
+            return ds, dt, dz, _fraction_to_boundary(tz, dtz, 0.0, np.inf)
+
+        try:
+            _, dt, dz, alpha = newton(-t * z)
+            mu = float(t @ z) / t.size
+            target = mu * (float((t + alpha * dt) @ (z + alpha * dz)) / t.size / mu) ** 3
+            if targets is not None:
+                targets.append(target)
+            c = max(target, CENTRAL_PATH_END) - t * z
+            if target > CENTRAL_PATH_END:
+                c -= dt * dz
+            ds, dt, dz, alpha = newton(c)
+        except np.linalg.LinAlgError:
+            return fallback()
+        s = s + alpha * ds
+        z = z + alpha * dz
+        t = np.concatenate([s - lb, ub - s])
+    return s
+
+
+def captured_subproblems(monkeypatch, name, starts):
+    """The (g, H, box) of every IPM call of bounded sqp_run runs at n=100."""
+    problem = get_problem(name, 100)
+    seen = []
+    solver = local_search.ipm_qp_solve
+
+    def record(g, H, box):
+        seen.append((g, H, box))
+        return solver(g, H, box)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(local_search, "ipm_qp_solve", record)
+        for seed in starts:
+            x0 = np.random.default_rng(seed).uniform(problem.bounds.lower, problem.bounds.upper)
+            sqp_run(problem.fn, x0, problem.bounds, SQPConfig())
+    return seen
+
+
+def counted_solves(monkeypatch, solver, *args):
+    """``solver(*args)`` and the number of ``np.linalg.solve`` calls it made."""
+    solve = np.linalg.solve
+    calls = 0
+
+    def counting_solve(*a):
+        nonlocal calls
+        calls += 1
+        return solve(*a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", counting_solve)
+        out = solver(*args)
+    return out, calls
+
+
+class TestFactorOnce:
+    def test_matches_the_two_solve_oracle_with_fewer_solves(self, rng, monkeypatch):
+        cases = []
+        for n, k in itertools.product((2, 10, 40, 100), (0, 1, 2, 3)):
+            for _ in range(3):
+                lb, ub = -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+                cases.append((rng.normal(size=n) * 5.0, random_structured(rng, n, min(k, n)),
+                              BoundBox(lb, ub)))
+        captured = (captured_subproblems(monkeypatch, "ackley", (3, 4))
+                    + captured_subproblems(monkeypatch, "rastrigin", (3, 4)))
+        assert {H.k for _, H, _ in captured} == {0, 3}
+        new_total = old_total = lifted = 0
+        for g, H, box in cases + captured:
+            targets = []
+            new, new_solves = counted_solves(monkeypatch, ipm_qp_solve, g, H, box)
+            old, old_solves = counted_solves(monkeypatch, ipm_two_solves, g, H, box, targets)
+            on_floor = [target <= CENTRAL_PATH_END for target in targets]
+            first = on_floor.index(True) if True in on_floor else len(targets)
+            if all(on_floor[first:]):
+                np.testing.assert_array_equal(new, old)
+            else:
+                # the oracle's target left the floor again, so the two paths end
+                # at different points of the same centred neighbourhood
+                lifted += 1
+                model = lambda v: g @ v + 0.5 * (v @ (H @ v))
+                assert model(new) == pytest.approx(model(old), rel=1e-10)
+                assert np.max(np.abs(new - old)) <= 1e-6 * np.max(np.abs(old))
+            assert box.contains_strict(new)
+            assert new_solves <= old_solves
+            assert (new_solves == 0) == (H.k == 0)
+            new_total += new_solves
+            old_total += old_solves
+        assert new_total < old_total
+        assert 0 < lifted < len(captured) // 4
+
+    def test_singular_capacitance_raises_from_the_solver_and_falls_back(self, monkeypatch):
+        # at s = 0 the IPM matrix is diag(3, 3) - 3 e1 e1^T: its capacitance
+        # 1 - 3 * (1/3) is exactly 0, so the factor builds but cannot solve;
+        # H itself is diag(-2, 1) and gives the Newton step (0.5, -1)
+        H = Hessian(np.array([1.0, 1.0]), np.array([[1.0], [0.0]]), np.array([[-3.0]]))
+        g = np.array([1.0, 1.0])
+        box = BoundBox(np.full(2, -1.0), np.full(2, 1.0))
+        solve = _factor(H.plus_diagonal(2.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(g)
+        s = ipm_qp_solve(g, H, box)
+        np.testing.assert_array_equal(s, BOUNDARY_FRACTION * np.array([0.5, -1.0]))
+        np.testing.assert_array_equal(s, ipm_two_solves(g, H, box))
+
+    def test_split_not_positive_raises_while_factoring_and_falls_back(self):
+        # diag(H + 2 I) = (-0.5, 3): no positive split, for H or its IPM matrix,
+        # so the step is steepest descent cut back to the boundary fraction
+        H = Hessian(np.array([-3.0, 1.0]), np.array([[1.0], [0.0]]), np.array([[0.5]]))
+        g = np.array([1.0, 1.0])
+        box = BoundBox(np.full(2, -1.0), np.full(2, 1.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            _factor(H.plus_diagonal(2.0))
+        s = ipm_qp_solve(g, H, box)
+        np.testing.assert_array_equal(s, -BOUNDARY_FRACTION * g)
+        np.testing.assert_array_equal(s, ipm_two_solves(g, H, box))
+
+
+def ladder_by_rungs(hess, lambda_min):
+    """The shift ladder testing every rung with _positive_definite (the oracle)."""
+    lam = 0.0
+    while True:
+        candidate = hess if lam == 0.0 else hess.plus_diagonal(lam)
+        if _positive_definite(candidate):
+            return candidate, lam
+        lam = lambda_min if lam == 0.0 else lam * 10.0
+        if lam > REGULARIZATION_LADDER_CAP * lambda_min:
+            return None, math.inf
+
+
+class TestDiagonalLadder:
+    def rungs(self, lambda_min):
+        lam, out = lambda_min, []
+        while lam <= REGULARIZATION_LADDER_CAP * lambda_min:
+            out.append(lam)
+            lam *= 10.0
+        return out
+
+    def assert_same(self, d, lambda_min):
+        hess = Hessian(d)
+        got, lam = regularize_hessian(hess, lambda_min)
+        want, want_lam = ladder_by_rungs(hess, lambda_min)
+        assert lam == want_lam
+        if want is None:
+            assert got is None and lam == math.inf
+            return
+        assert got.k == 0
+        np.testing.assert_array_equal(got.d, want.d)
+        assert (got is hess) == (want is hess)
+
+    def test_matches_the_rung_loop_bitwise(self, rng):
+        for lambda_min in (LAMBDA_MIN, 1e-3, 0.37):
+            rungs = self.rungs(lambda_min)
+            for _ in range(300):
+                n = int(rng.integers(1, 101))
+                d = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8, 3)
+                self.assert_same(d, lambda_min)
+            for _ in range(20):  # already positive
+                self.assert_same(rng.uniform(1e-12, 5.0, 50), lambda_min)
+            for lam in rungs:  # minimum exactly -lam, and its neighbours
+                for low in (-lam, np.nextafter(-lam, 0.0), np.nextafter(-lam, -np.inf)):
+                    d = rng.uniform(0.0, 5.0, 30)
+                    d[int(rng.integers(30))] = low
+                    self.assert_same(d, lambda_min)
+            for low in (-rungs[-1], -2.0 * rungs[-1]):  # past the cap
+                d = rng.uniform(0.0, 5.0, 30)
+                d[3] = low
+                self.assert_same(d, lambda_min)
+                assert regularize_hessian(Hessian(d), lambda_min) == (None, math.inf)
+        # Rastrigin's diagonal 2 - 40 pi^2 cos(2 pi x) reaches -393, past 1e-6 * 1e8
+        d = np.full(100, 2.0 - 40.0 * math.pi**2)
+        assert regularize_hessian(Hessian(d), LAMBDA_MIN) == (None, math.inf)
 
 
 class TestSqpRun:

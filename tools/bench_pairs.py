@@ -23,7 +23,13 @@ direction in ``BENCHMARK.json``, and how many pairs had identical digests.
 After the pairs, one traced pass per side (``--trace 1``, the parent
 first) gives ``<name>_layers``: every per-layer metric of ``BENCHMARK.json``
 on both sides with the change/parent ratio, and each side's ``failed``
-count and zero-span guard lines.  Only the standard library is used.
+count and zero-span guard lines.
+
+When the first pair's ``digest-sha256`` lines differ, ``<name>_digest_diff``
+lists the ``# digest`` rows that differ: each row's label, its parent and
+change values, and per value the distance in units in the last place for
+floats (0 for an equal value, null for an unequal one of another type).
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import argparse
 import json
 import shutil
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -64,7 +71,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
     lines = proc.stdout.splitlines()
     if proc.returncode not in ((0, 1) if trace else (0,)) or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
-    record = {"meta": None, "notes": [], "digest_sha256": None,
+    record = {"meta": None, "notes": [], "digest_sha256": None, "digest_rows": [],
               "result": json.loads(lines[-1])}
     for line in lines[:-1]:
         if line.startswith("# meta "):
@@ -73,6 +80,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
             record["meta"] = meta
         elif line.startswith("# digest-sha256 "):
             record["digest_sha256"] = line.split()[-1]
+        elif line.startswith("# digest "):
+            record["digest_rows"].append(json.loads(line[len("# digest "):]))
         elif line.startswith("# ") and not line.startswith(("# metric ", "# digest ")):
             record["notes"].append(line[2:])
     if trace:
@@ -115,6 +124,33 @@ def layers(parent: dict, change: dict, names: list[str]) -> dict:
         out[name] = {"unit": p["unit"], "parent": p["value"], "change": c,
                      "ratio": c / p["value"] if p["value"] else None}
     return out
+
+
+def _ordered(x: float) -> int:
+    """``x``'s place among the doubles: neighbours differ by one."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(2**63) - bits
+
+
+def ulps(parent, change) -> int | None:
+    if parent == change:
+        return 0
+    if isinstance(parent, float) and isinstance(change, float):
+        return abs(_ordered(parent) - _ordered(change))
+    return None
+
+
+def digest_diff(parent: dict, change: dict) -> dict:
+    """The digest rows (label first, then values) that differ between two runs."""
+    rows = []
+    for p, c in zip(parent["digest_rows"], change["digest_rows"]):
+        if p != c:
+            rows.append({"label": p[0], "parent": p[1:], "change": c[1:],
+                         "ulps": [ulps(a, b) for a, b in zip(p[1:], c[1:])]})
+    return {"parent_sha256": parent["digest_sha256"],
+            "change_sha256": change["digest_sha256"],
+            "rows_compared": min(len(parent["digest_rows"]), len(change["digest_rows"])),
+            "rows": rows}
 
 
 def main(argv=None) -> int:
@@ -164,10 +200,13 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload <name> "
                    f"--seed {args.seed} --seconds {args.seconds:g} --trace 0",
     })
-    doc.setdefault("workloads", {})[args.workload] = {
-        "change": pairs[0][1], "parent": pairs[0][0],
-    }
+    first = {side: {k: v for k, v in run.items() if k != "digest_rows"}
+             for side, run in zip(("parent", "change"), pairs[0])}
+    doc.setdefault("workloads", {})[args.workload] = first
     key = args.workload.replace("-", "_")
+    doc.pop(f"{key}_digest_diff", None)
+    if first["parent"]["digest_sha256"] != first["change"]["digest_sha256"]:
+        doc[f"{key}_digest_diff"] = digest_diff(*pairs[0])
     command = (f"python3 perfbench/run.py --workload {args.workload} "
                f"--seed {args.seed} --seconds {args.seconds:g} --trace")
     if args.pairs > 1:
