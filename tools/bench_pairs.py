@@ -82,7 +82,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
             record["digest_sha256"] = line.split()[-1]
         elif line.startswith("# digest "):
             record["digest_rows"].append(json.loads(line[len("# digest "):]))
-        elif line.startswith("# ") and not line.startswith(("# metric ", "# digest ")):
+        elif line.startswith("# ") and not line.startswith("# metric "):
             record["notes"].append(line[2:])
     if trace:
         record["guards"] = [line[2:] for line in proc.stderr.splitlines()
@@ -133,6 +133,7 @@ def _ordered(x: float) -> int:
 
 
 def ulps(parent, change) -> int | None:
+    """Doubles between two digest values: 0 when equal, None for unequal non-floats."""
     if parent == change:
         return 0
     if isinstance(parent, float) and isinstance(change, float):
