@@ -8,7 +8,6 @@ followed by a seeded evolutionary validation round.
 from .autodiff import ADDomainError, ADScalar, ADVector, evaluate
 from .benchmarks import BenchmarkProblem, Orientation, get_problem, list_problems
 from .encoding import (
-    Chromosome,
     EncodingSpec,
     VariableSpec,
     compute_bit_length,
@@ -29,7 +28,6 @@ __all__ = [
     "ADVector",
     "BenchmarkProblem",
     "BoundBox",
-    "Chromosome",
     "ConvergenceState",
     "EncodingSpec",
     "Engine",

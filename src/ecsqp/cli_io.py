@@ -357,48 +357,34 @@ def _execute_one(cfg: RunConfig, index: int, out_dir: str | None) -> dict:
 
 @dataclass
 class AggregateReport:
-    """Across-run per-generation means and standard errors plus final stats."""
+    """Across-run per-generation means and standard errors.
+
+    Every ec run yields one row per generation up to the cap, so the runs
+    stack into one ``(runs, generations, columns)`` array.
+    """
 
     columns: tuple
-    generations: np.ndarray
     means: np.ndarray
     stderrs: np.ndarray
-    counts: np.ndarray
-    final_best: np.ndarray
+    runs: int
 
     @classmethod
     def from_runs(cls, columns: tuple, runs: list[dict]) -> "AggregateReport":
-        numeric = [c for c in columns if c != "generation"]
-        max_len = max(len(r["rows"]) for r in runs)
-        data = np.full((len(runs), max_len, len(numeric)), np.nan)
-        for i, run in enumerate(runs):
-            for g, row in enumerate(run["rows"]):
-                data[i, g, :] = row[1:]
-        counts = np.sum(~np.isnan(data[:, :, 0]), axis=0)
-        with np.errstate(invalid="ignore"):
-            means = np.nanmean(data, axis=0)
-        # sample standard error (R-1 divisor), NaN where a single run remains
-        deviations = np.where(np.isnan(data), 0.0, data - means[None, :, :])
-        ss = np.sum(deviations**2, axis=0)
-        denom = np.maximum(counts[:, None] - 1, 1).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            stderrs = np.sqrt(ss / denom) / np.sqrt(counts[:, None])
-        stderrs[counts < 2, :] = np.nan
-        return cls(
-            columns=columns,
-            generations=np.arange(1, max_len + 1),
-            means=means,
-            stderrs=stderrs,
-            counts=counts,
-            final_best=np.array([r["final_best"] for r in runs]),
-        )
+        data = np.array([[row[1:] for row in run["rows"]] for run in runs], dtype=float)
+        means = data.mean(axis=0)
+        # sample standard error (R-1 divisor), NaN for a single run
+        if len(runs) < 2:
+            stderrs = np.full_like(means, np.nan)
+        else:
+            ss = np.sum((data - means[None, :, :]) ** 2, axis=0)
+            stderrs = np.sqrt(ss / (len(runs) - 1)) / np.sqrt(len(runs))
+        return cls(columns=columns, means=means, stderrs=stderrs, runs=len(runs))
 
     def rows(self) -> list[tuple]:
-        numeric = [c for c in self.columns if c != "generation"]
         out = []
-        for g in range(self.generations.size):
-            row = [int(self.generations[g]), int(self.counts[g])]
-            for j in range(len(numeric)):
+        for g in range(self.means.shape[0]):
+            row = [g + 1, self.runs]
+            for j in range(self.means.shape[1]):
                 row.append(float(self.means[g, j]))
                 row.append(float(self.stderrs[g, j]))
             out.append(tuple(row))

@@ -2,7 +2,8 @@
 
 Each decision variable is stored as an unsigned big-endian bit field whose
 length is derived from the variable's range and precision requirement.  A
-chromosome concatenates the fields of all variables.
+chromosome is a uint8 row of 0/1 values that concatenates the fields of all
+variables; a population is an ``(N, L)`` matrix of such rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "Chromosome",
     "EncodingSpec",
     "VariableSpec",
     "compute_bit_length",
@@ -146,45 +146,9 @@ class EncodingSpec:
         return W, lower, span, denom
 
 
-@dataclass(frozen=True, eq=False)
-class Chromosome:
-    """Fixed-length bit vector (values 0/1, big-endian per variable field)."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise ValueError("chromosome bits must be a 1-D vector")
-        if bits.size and bits.max() > 1:
-            raise ValueError("chromosome bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return self.bits.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Chromosome):
-            return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(
-            np.all(self.bits == other.bits)
-        )
-
-    def copy(self) -> "Chromosome":
-        return Chromosome(self.bits.copy())
-
-
 def random_bits(length: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random ``(count, length)`` bit matrix."""
     return rng.integers(0, 2, size=(count, length), dtype=np.uint8)
-
-
-def _check_length(nbits: int, spec: EncodingSpec) -> None:
-    if nbits != spec.total_length:
-        raise ValueError(
-            f"chromosome length {nbits} does not match encoding length "
-            f"{spec.total_length}"
-        )
 
 
 def decode_batch(bits: np.ndarray, spec: EncodingSpec) -> np.ndarray:
@@ -192,19 +156,22 @@ def decode_batch(bits: np.ndarray, spec: EncodingSpec) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
         raise ValueError("expected a 2-D bit matrix")
-    _check_length(bits.shape[1], spec)
+    if bits.shape[1] != spec.total_length:
+        raise ValueError(
+            f"chromosome length {bits.shape[1]} does not match encoding length "
+            f"{spec.total_length}"
+        )
     W, lower, span, denom = spec._decoder
     return lower + span * ((bits @ W) / denom)
 
 
-def decode(chrom: Chromosome, spec: EncodingSpec) -> np.ndarray:
-    """Decode one chromosome into its real-valued phenotype vector."""
-    _check_length(len(chrom), spec)
-    return decode_batch(chrom.bits[None, :], spec)[0]
+def decode(bits: np.ndarray, spec: EncodingSpec) -> np.ndarray:
+    """Decode one length-L bit row into its real-valued phenotype vector."""
+    return decode_batch(bits[None, :], spec)[0]
 
 
-def encode(x, spec: EncodingSpec) -> Chromosome:
-    """Nearest-grid-point inverse of :func:`decode`.
+def encode(x, spec: EncodingSpec) -> np.ndarray:
+    """Nearest-grid-point inverse of :func:`decode`, as a uint8 bit row.
 
     Values marginally outside a variable's range (by at most its precision)
     are clamped; anything further out raises.  Midpoint ties round toward the
@@ -226,4 +193,4 @@ def encode(x, spec: EncodingSpec) -> Chromosome:
         code = min(max(code, 0), denom)
         digits = (code >> np.arange(var.bit_length - 1, -1, -1)) & 1
         fields.append(digits.astype(np.uint8))
-    return Chromosome(np.concatenate(fields))
+    return np.concatenate(fields)

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .encoding import Chromosome, random_bits
+from .encoding import random_bits
 
 __all__ = [
     "EliteState",
@@ -123,9 +123,6 @@ class Population:
     @cached_property
     def stats(self) -> "FitnessStats":
         return FitnessStats.from_values(self.fitness)
-
-    def best_chromosome(self) -> Chromosome:
-        return Chromosome(self.bits[np.argmax(self.fitness)].copy())
 
 
 @dataclass(frozen=True)
@@ -351,9 +348,9 @@ class LineageRecord:
     won selection slot j, the fitness of that copy (identical to the parent's,
     selection adds no new solutions), and the fitness of the chromosome
     occupying the slot after crossover and after mutation.  ``pair_crossed``
-    marks whether the slot's pair actually exchanged material.  The fields
-    are numpy arrays, taken as given; the engine also hands over the
-    parents' and the offspring pool's cached summaries.
+    marks whether the slot's pair actually exchanged material.  The arrays
+    are taken as given, with the cached fitness summaries of the parents and
+    of the offspring pool.
     """
 
     parent_fitness: np.ndarray
@@ -362,8 +359,8 @@ class LineageRecord:
     fitness_after_selection: np.ndarray
     fitness_after_crossover: np.ndarray
     fitness_after_mutation: np.ndarray
-    parent_stats: FitnessStats | None = None
-    offspring_stats: FitnessStats | None = None
+    parent_stats: FitnessStats
+    offspring_stats: FitnessStats
 
     def __post_init__(self) -> None:
         m = self.slot_parent.shape
@@ -371,13 +368,6 @@ class LineageRecord:
                   self.fitness_after_crossover, self.fitness_after_mutation):
             if a.shape != m:
                 raise ValueError("lineage arrays must share the slot count")
-
-    def moments(self) -> tuple[FitnessStats, FitnessStats]:
-        """Fitness summaries of the parents and of the offspring pool, from
-        the arrays for a record built without them."""
-        parents = self.parent_stats or FitnessStats.from_values(self.parent_fitness)
-        pool = self.offspring_stats or FitnessStats.from_values(self.fitness_after_mutation)
-        return parents, pool
 
     @property
     def population_size(self) -> int:

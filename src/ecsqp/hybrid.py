@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import ADDomainError
 from .benchmarks import BenchmarkProblem
-from .encoding import Chromosome, EncodingSpec, decode, decode_batch, encode
+from .encoding import EncodingSpec, decode, decode_batch, encode
 from .evolution import Engine, GAConfig, Population
 from .local_search import LineSearchError, SQPConfig, SQPResult, sqp_run
 from .price_monitor import ConvergenceState, decompose_generation, sigma_width, update_convergence
@@ -36,7 +36,6 @@ __all__ = [
     "SwitchReason",
     "evolve",
     "fitness_function",
-    "invert_chromosome",
     "run_hybrid",
     "should_switch",
 ]
@@ -82,11 +81,6 @@ def should_switch(
     if generation >= crit.max_generations:
         return SwitchReason.MAX_GEN
     return None
-
-
-def invert_chromosome(c: Chromosome) -> Chromosome:
-    """Bitwise complement of a chromosome."""
-    return Chromosome(np.uint8(1) - c.bits)
 
 
 @dataclass(frozen=True)
@@ -218,8 +212,9 @@ def run_hybrid(
         "ec", explore, explore.random_population(), crit, sign, trace, price_rows, 0
     )
     ec_evals = explore.evaluations
-    x_ec = decode(pop1.best_chromosome(), spec)
-    f_ec = sign * float(pop1.fitness.max())
+    best = np.argmax(pop1.fitness)
+    x_ec = decode(pop1.bits[best], spec)
+    f_ec = sign * float(pop1.fitness[best])
 
     # phase 2: local refinement from the decoded incumbent
     objective = problem.minimand
@@ -248,16 +243,17 @@ def run_hybrid(
         warnings.append(f"local phase failed ({exc}); kept x_ec")
 
     # phase 3: seeded validation round
-    seed_chrom = encode(x_sqp, spec)
-    seeds = [seed_chrom.bits, invert_chromosome(seed_chrom).bits]
+    seed = encode(x_sqp, spec)
+    seeds = [seed, 1 - seed]
     validate = Engine(validation_ga or ga_cfg, spec.total_length, fitness, rng=rng)
     pop3, val_reason = _switching_phase(
         "validation", validate, validate.seeded_population(seeds),
         validation_criteria or crit, sign, trace, price_rows, ec_evals + sqp_evals,
     )
     val_evals = validate.evaluations
-    x_val = decode(pop3.best_chromosome(), spec)
-    f_val = sign * float(pop3.fitness.max())
+    best = np.argmax(pop3.fitness)
+    x_val = decode(pop3.bits[best], spec)
+    f_val = sign * float(pop3.fitness[best])
 
     if sign * f_val > sign * f_sqp:
         x_star, f_star = x_val, f_val

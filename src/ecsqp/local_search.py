@@ -202,11 +202,6 @@ def _factor(W: Hessian) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def _solve(W: Hessian, b: np.ndarray) -> np.ndarray:
-    """Solve ``W x = b`` once, through :func:`_factor`."""
-    return _factor(W)(b)
-
-
 def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
     """Smallest diagonal shift from {0, lambda_min, 10*lambda_min, ...} that
     makes the matrix positive definite.
@@ -247,7 +242,7 @@ def newton_direction(
         return np.zeros_like(grad), 0.0
     shifted, lam = regularize_hessian(hess, lambda_min)
     if shifted is not None:
-        d = _solve(shifted, -grad)
+        d = _factor(shifted)(-grad)
         if d @ grad < 0.0:
             return d, lam
     return -grad, math.inf
@@ -349,7 +344,7 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
 
     def fallback() -> np.ndarray:
         try:
-            d = _solve(H, -g)
+            d = _factor(H)(-g)
         except np.linalg.LinAlgError:
             d = -g
         return _fraction_to_boundary(np.zeros_like(d), d, lb, ub) * d

@@ -123,7 +123,7 @@ def decompose_generation(
     mean-fitness change (offspring pool mean minus parent mean) to relative
     tolerance 1e-9.
     """
-    parents, offspring = lineage.moments()
+    parents, offspring = lineage.parent_stats, lineage.offspring_stats
     counts = np.bincount(lineage.slot_parent, minlength=lineage.population_size)
     sel = selection_term(counts, lineage.parent_fitness)
     xo, xo_sigma = _stage_moments(lineage.stage_deltas(Stage.CROSSOVER.value))

@@ -131,6 +131,22 @@ class TestRunBatch:
         b = (tmp_path / "b" / "trace_0.csv").read_bytes()
         assert a == b
 
+    def test_single_run_aggregate_has_no_standard_errors(self, config_file, tmp_path):
+        # one run leaves no spread to estimate: every row counts 1 run and
+        # every _se column reads nan
+        cfg = load_config(config_file)
+        cfg = cli_io.replace(cfg, mode="ec", repetitions=1, output=str(tmp_path / "out"))
+        run_batch(cfg, cfg.output, jobs=1)
+        header, *rows = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
+        columns = header.split(",")
+        se = [j for j, c in enumerate(columns) if c.endswith("_se")]
+        assert len(se) == len(PRICE_COLUMNS) - 1
+        assert len(rows) == cfg.ga.max_generations
+        for g, line in enumerate(rows, start=1):
+            fields = line.split(",")
+            assert fields[:2] == [str(g), "1"]
+            assert all(fields[j] == "nan" for j in se)
+
     def test_seeded_output_pinned(self, config_file, tmp_path):
         # SHA-256 of a seeded ec batch's whole output directory; it changes
         # whenever the RNG draw order or a GA operator's result changes
@@ -191,7 +207,7 @@ class TestRunBatch:
         report: AggregateReport = result["aggregate"]
         runs = result["runs"]
         # arithmetic mean recomputed straight from the per-run rows
-        for g in range(report.generations.size):
+        for g in range(report.means.shape[0]):
             for j, col in enumerate([c for c in PRICE_COLUMNS if c != "generation"]):
                 column_values = [run["rows"][g][1 + j] for run in runs]
                 assert report.means[g, j] == pytest.approx(np.mean(column_values))

@@ -6,33 +6,16 @@ import pytest
 from ecsqp import hybrid
 from ecsqp.autodiff import ADDomainError
 from ecsqp.benchmarks import BenchmarkProblem, Orientation, get_problem
-from ecsqp.encoding import Chromosome, EncodingSpec, decode, encode
+from ecsqp.encoding import EncodingSpec, decode, encode
 from ecsqp.evolution import GAConfig
 from ecsqp.hybrid import (
     SwitchCriteria,
     SwitchReason,
-    invert_chromosome,
     run_hybrid,
     should_switch,
 )
 from ecsqp.local_search import BoundBox, SQPConfig
 from ecsqp.price_monitor import ConvergenceState
-
-
-def bits(text):
-    return Chromosome(np.array([int(c) for c in text], dtype=np.uint8))
-
-
-class TestInvertChromosome:
-    def test_complement(self):
-        assert invert_chromosome(bits("1011")) == bits("0100")
-
-    def test_involution(self, rng):
-        c = Chromosome(rng.integers(0, 2, 32, dtype=np.uint8))
-        assert invert_chromosome(invert_chromosome(c)) == c
-
-    def test_all_zeros(self):
-        assert invert_chromosome(bits("0000")) == bits("1111")
 
 
 class TestShouldSwitch:
@@ -184,15 +167,13 @@ class TestRunHybrid:
         result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=4)
 
         spec = EncodingSpec.for_bounds([0.0, 0.0], [1.0, 1.0], 0.01)
-        seed_chrom = encode(result.x_sqp, spec)
+        seed = encode(result.x_sqp, spec)
         assert len(captured["seeds"]) == 2
-        np.testing.assert_array_equal(captured["seeds"][0], seed_chrom.bits)
-        np.testing.assert_array_equal(
-            captured["seeds"][1], invert_chromosome(seed_chrom).bits
-        )
+        np.testing.assert_array_equal(captured["seeds"][0], seed)
+        np.testing.assert_array_equal(captured["seeds"][1], 1 - seed)
         assert captured["bits"].shape[0] == captured["n"]
         # the two seeds occupy the final rows
-        np.testing.assert_array_equal(captured["bits"][-2], seed_chrom.bits)
+        np.testing.assert_array_equal(captured["bits"][-2], seed)
 
     def test_seeded_elite_survival_during_validation(self):
         # within the validation phase the running best never drops below the

@@ -22,7 +22,6 @@ from ecsqp.local_search import (
     _factor,
     _fraction_to_boundary,
     _positive_definite,
-    _solve,
     _step_to_zero,
     ipm_qp_solve,
     newton_direction,
@@ -259,14 +258,14 @@ class TestWoodburySolve:
         for _ in range(20):
             W = random_structured(rng, 8, k)
             b = rng.normal(size=8)
-            np.testing.assert_allclose(_solve(W, b), np.linalg.solve(np.asarray(W), b),
+            np.testing.assert_allclose(_factor(W)(b), np.linalg.solve(np.asarray(W), b),
                                        rtol=1e-10, atol=1e-12)
 
     def test_k_equals_n_from_a_dense_matrix(self, rng):
         for _ in range(20):
             A = random_spd(rng, 6)
             b = rng.normal(size=6)
-            np.testing.assert_allclose(_solve(Hessian.from_dense(A), b), np.linalg.solve(A, b),
+            np.testing.assert_allclose(_factor(Hessian.from_dense(A))(b), np.linalg.solve(A, b),
                                        rtol=1e-10, atol=1e-12)
 
     def test_negative_diagonal_part_is_re_split(self, rng):
@@ -274,12 +273,12 @@ class TestWoodburySolve:
             W = random_structured(rng, 6, 6, negative_diagonal=True)
             assert np.any(W.d < 0.0)
             b = rng.normal(size=6)
-            np.testing.assert_allclose(_solve(W, b), np.linalg.solve(np.asarray(W), b),
+            np.testing.assert_allclose(_factor(W)(b), np.linalg.solve(np.asarray(W), b),
                                        rtol=1e-10, atol=1e-12)
 
     def test_nonpositive_diagonal_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            _solve(Hessian(np.array([1.0, -1.0])), np.ones(2))
+            _factor(Hessian(np.array([1.0, -1.0])))(np.ones(2))
 
     def test_positive_definiteness_matches_the_spectrum(self, rng):
         decided = 0
@@ -364,7 +363,7 @@ def ipm_two_solves(g, H, box, targets=None):
 
     def fallback():
         try:
-            d = _solve(H, -g)
+            d = _factor(H)(-g)
         except np.linalg.LinAlgError:
             d = -g
         return _fraction_to_boundary(np.zeros_like(d), d, lb, ub) * d
@@ -383,7 +382,7 @@ def ipm_two_solves(g, H, box, targets=None):
         W = H.plus_diagonal(z[:n] / t[:n] + z[n:] / t[n:])
 
         def newton(c):
-            ds = _solve(W, c[:n] / t[:n] - c[n:] / t[n:] - r)
+            ds = _factor(W)(c[:n] / t[:n] - c[n:] / t[n:] - r)
             dt = np.concatenate([ds, -ds])
             dz = (c - z * dt) / t
             tz, dtz = np.concatenate([t, z]), np.concatenate([dt, dz])

