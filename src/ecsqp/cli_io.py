@@ -15,6 +15,11 @@ Each run writes ``trace_<i>.csv``; a batch additionally writes
 ``aggregate.csv`` (per-generation means and standard errors across runs) and
 ``summary.txt``.  Numeric CSV fields carry 9 significant digits.  Per-run
 seeds are ``base_seed + run_index``.
+
+An ``ec`` batch steps its runs together as one stack (``--jobs J`` splits
+them into J contiguous stacks, one per worker process); each run keeps its
+own generator, so the output is byte-identical to running one at a time.
+Hybrid and sqp runs end on data-dependent conditions and run one per task.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import concurrent.futures
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -33,7 +39,7 @@ import yaml
 
 from .benchmarks import BenchmarkProblem, get_problem, list_problems
 from .encoding import EncodingSpec
-from .evolution import Engine, GAConfig, SelectionMethod
+from .evolution import Engine, GAConfig, RunStreams, SelectionMethod
 from .fdcheck import fd_gradient, fd_hessian, max_relative_error
 from .hybrid import HybridResult, SwitchCriteria, evolve, fitness_function, run_hybrid
 from .local_search import SQPConfig, sqp_run
@@ -255,35 +261,43 @@ def _write_csv(path: Path, header: tuple, rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _run_ec(cfg: RunConfig, index: int) -> dict:
-    """One seeded evolution-only run to the generation cap, with operator rows."""
+def _run_ec(cfg: RunConfig, indices: list[int]) -> list[dict]:
+    """Seeded evolution-only runs to the generation cap, with operator rows,
+    stepped together as one stack."""
     problem = cfg.make_problem()
     spec = EncodingSpec.for_bounds(
         problem.bounds.lower, problem.bounds.upper, cfg.precision
     )
-    ga = replace(cfg.resolved_ga(spec), rng_seed=cfg.run_seed(index))
-    engine = Engine(ga, spec.total_length, fitness_function(problem, spec))
+    ga = cfg.resolved_ga(spec)
+    rng = RunStreams(np.random.default_rng(cfg.run_seed(i)) for i in indices)
+    engine = Engine(ga, spec.total_length, fitness_function(problem, spec), rng=rng)
     generations = evolve(engine, engine.random_population(), cfg.switch)
-    rows = []
-    for gen, pop, c, stats, state in islice(generations, ga.max_generations):
-        rows.append(
+    table = []
+    for gen, pop, c, stats, states in islice(generations, ga.max_generations):
+        table.append(
             (
-                gen, c.selection_term, c.crossover_term, c.mutation_term,
+                c.selection_term, c.crossover_term, c.mutation_term,
                 sigma_width(c.crossover_sigma), sigma_width(c.mutation_sigma),
                 stats.best, stats.mean, stats.worst,
             )
         )
-    return {
-        "index": index,
-        "columns": PRICE_COLUMNS,
-        "rows": rows,
-        "final_best": problem.sign * float(pop.fitness.max()),
-        "evaluations": engine.evaluations,
-        "converged_at": state.converged_at,
-    }
+    per_run = np.array(table).transpose(2, 0, 1).tolist()  # (runs, generations, 8)
+    final_best = (problem.sign * pop.fitness.max(axis=-1)).tolist()
+    return [
+        {
+            "index": index,
+            "columns": PRICE_COLUMNS,
+            "rows": [(g, *row) for g, row in enumerate(per_run[r], start=1)],
+            "final_best": final_best[r],
+            "evaluations": int(engine.run_evaluations[r]),
+            "converged_at": states[r].converged_at,
+        }
+        for r, index in enumerate(indices)
+    ]
 
 
-def _run_hybrid(cfg: RunConfig, index: int) -> dict:
+def _run_hybrid(cfg: RunConfig, indices: list[int]) -> list[dict]:
+    (index,) = indices  # a hybrid run ends on data-dependent conditions: one per task
     problem = cfg.make_problem()
     spec = EncodingSpec.for_bounds(
         problem.bounds.lower, problem.bounds.upper, cfg.precision
@@ -302,7 +316,7 @@ def _run_hybrid(cfg: RunConfig, index: int) -> dict:
     rows = [
         (r.phase, r.step, r.best, r.mean, r.evaluations) for r in result.trace
     ]
-    return {
+    return [{
         "index": index,
         "columns": HYBRID_COLUMNS,
         "rows": rows,
@@ -310,10 +324,11 @@ def _run_hybrid(cfg: RunConfig, index: int) -> dict:
         "evaluations": result.evaluations["total"],
         "switch_reason": result.switch_reason.value,
         "warnings": result.warnings,
-    }
+    }]
 
 
-def _run_sqp(cfg: RunConfig, index: int) -> dict:
+def _run_sqp(cfg: RunConfig, indices: list[int]) -> list[dict]:
+    (index,) = indices  # an sqp run ends on data-dependent conditions: one per task
     problem = cfg.make_problem()
     box = problem.bounds
     x0 = np.random.default_rng(cfg.run_seed(index)).uniform(box.lower, box.upper)
@@ -323,31 +338,44 @@ def _run_sqp(cfg: RunConfig, index: int) -> dict:
          it.step_norm, it.alpha, it.lambda_used)
         for it in result.trace
     ]
-    return {
+    return [{
         "index": index,
         "columns": SQP_COLUMNS,
         "rows": rows,
         "final_best": -problem.sign * result.f,
         "evaluations": result.evaluations,
         "stop_reason": result.stop_reason,
-    }
+    }]
 
 
 _MODE_RUNNERS = {"ec": _run_ec, "hybrid": _run_hybrid, "sqp": _run_sqp}
 
 
-def _execute_one(cfg: RunConfig, index: int, out_dir: str | None) -> dict:
+def _execute(cfg: RunConfig, indices: list[int], out_dir: str | None) -> list[dict]:
+    """Run ``indices`` as one task and write their traces.
+
+    When the task raises, its runs are re-run one at a time, so that only a
+    failing run fails and the others keep their output; a failed run's
+    record holds the error and its formatted traceback.
+    """
     try:
-        outcome = _MODE_RUNNERS[cfg.mode](cfg, index)
+        outcomes = _MODE_RUNNERS[cfg.mode](cfg, indices)
         if out_dir is not None:
-            _write_csv(
-                Path(out_dir) / f"trace_{index}.csv",
-                outcome["columns"],
-                outcome["rows"],
-            )
-        return outcome
+            for outcome in outcomes:
+                _write_csv(
+                    Path(out_dir) / f"trace_{outcome['index']}.csv",
+                    outcome["columns"],
+                    outcome["rows"],
+                )
+        return outcomes
     except Exception as exc:  # per-run isolation
-        return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
+        if len(indices) > 1:
+            return [o for index in indices for o in _execute(cfg, [index], out_dir)]
+        return [{
+            "index": indices[0],
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
+        }]
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +432,18 @@ def run_batch(cfg: RunConfig, out_dir: str | None, jobs: int = 1) -> dict:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     indices = list(range(cfg.repetitions))
-    if jobs > 1 and len(indices) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(_execute_one, [cfg] * len(indices), indices,
-                         [out_dir] * len(indices))
-            )
+    if cfg.mode == "ec":  # J contiguous stacks, each stepped as one population
+        stacks = max(1, min(jobs, len(indices)))
+        cuts = [len(indices) * k // stacks for k in range(stacks + 1)]
+        tasks = [indices[a:b] for a, b in zip(cuts, cuts[1:])]
     else:
-        outcomes = [_execute_one(cfg, i, out_dir) for i in indices]
+        tasks = [[i] for i in indices]
+    if jobs > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = pool.map(_execute, [cfg] * len(tasks), tasks, [out_dir] * len(tasks))
+            outcomes = [o for task in done for o in task]
+    else:
+        outcomes = [o for task in tasks for o in _execute(cfg, task, out_dir)]
     outcomes.sort(key=lambda o: o["index"])
     good = [o for o in outcomes if "error" not in o]
     failed = [o for o in outcomes if "error" in o]

@@ -146,8 +146,9 @@ class EncodingSpec:
         return W, lower, span, denom
 
 
-def random_bits(length: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random ``(count, length)`` bit matrix."""
+def random_bits(length: int, count: int, rng) -> np.ndarray:
+    """Uniform random ``(count, length)`` bit matrix; ``(R, count, length)``
+    from the R generators of an :class:`ecsqp.evolution.RunStreams`."""
     return rng.integers(0, 2, size=(count, length), dtype=np.uint8)
 
 

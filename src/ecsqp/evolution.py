@@ -10,11 +10,24 @@ fitness-change decomposition in :mod:`ecsqp.price_monitor`.
 The engine maximizes internally.  Minimization problems are wrapped by
 negating the objective at the boundary.
 
+The engine steps a stack of R independent runs at once.  A population's
+bits are ``(N, L)`` and its fitness ``(N,)`` for one run; a stack adds a
+leading run axis, ``(R, N, L)`` and ``(R, N)``, and every operator, the
+fitness batch, the replacement and the fitness summaries act on all runs in
+one call.  Each run keeps its own ``np.random.Generator`` (a stack holds them
+in a :class:`RunStreams`) and draws exactly what it would draw alone, in the
+same order: selection, crossover coins then loci, mutation.  A run stepped in
+a stack is therefore bitwise the run stepped alone, provided the fitness
+function scores each row independently of the other rows in its batch (the
+package's decode-and-objective fitness does; a float matmul need not).  A
+single run is the same code with no run axis.
+
 The variation operators work on whole ``(m, L)`` bit matrices, one row per
-chromosome.  Two mutation schemes are supported.  ``per-chromosome`` (the
-default, :func:`single_bit_mutation`) flips one uniformly chosen bit in an
-offspring with probability Pm; this weak scheme is what the published
-selection-comparison tables and the collapsing crossover envelope require.
+chromosome, with any leading run axis.  Two mutation schemes are supported.
+``per-chromosome`` (the default, :func:`single_bit_mutation`) flips one
+uniformly chosen bit in an offspring with probability Pm; this weak scheme is
+what the published selection-comparison tables and the collapsing crossover
+envelope require.
 ``per-bit`` (:func:`bit_flip_mutation`) flips every bit independently with
 probability Pm; it explores far more aggressively and keeps the population
 permanently diverse, which prevents envelope-based convergence detection.
@@ -25,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,6 +53,7 @@ __all__ = [
     "GenerationResult",
     "LineageRecord",
     "Population",
+    "RunStreams",
     "SelectionMethod",
     "adaptive_elitism_replace",
     "binary_tournament_cycle",
@@ -90,44 +104,109 @@ class GAConfig:
             raise ValueError(f"unknown mutation scheme {self.mutation_scheme!r}")
 
 
+class RunStreams:
+    """The random generators of a stack of runs, one per run.
+
+    Each draw method makes the same request of every run's generator, in run
+    order, and stacks the results on a leading run axis.  A run's generator
+    thus yields exactly the draws it would yield to the run alone.
+    """
+
+    __slots__ = ("generators",)
+
+    def __init__(self, generators):
+        self.generators = tuple(generators)
+        if not self.generators:
+            raise ValueError("a stack needs at least one run")
+
+    def __len__(self) -> int:
+        return len(self.generators)
+
+    def __iter__(self):
+        return iter(self.generators)
+
+    def random(self, size) -> np.ndarray:
+        return np.array([g.random(size) for g in self.generators])
+
+    def integers(self, low, high, size, **kwargs) -> np.ndarray:
+        return np.array([g.integers(low, high, size=size, **kwargs) for g in self.generators])
+
+    def permutation(self, n: int) -> np.ndarray:
+        return np.array([g.permutation(n) for g in self.generators])
+
+
+@lru_cache(maxsize=16)
+def _run_offsets(runs: int, n: int) -> np.ndarray:
+    """Read-only ``(R, 1)`` index of each run's first row in the flattened
+    ``(R * n, ...)`` rows of a stack."""
+    offsets = (n * np.arange(runs))[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _per_run(x):
+    """A per-run value as a column against per-slot rows: ``(R, 1)`` from a
+    stack's ``(R,)``, and a single run's scalar as it is."""
+    return x[:, None] if isinstance(x, np.ndarray) and x.ndim else x
+
+
+def _flat(index: np.ndarray, n: int) -> np.ndarray:
+    """Per-run row indices ``(..., k)`` into runs of ``n`` rows, as indices
+    into the flattened rows of their stack (unchanged for a single run)."""
+    if index.ndim == 1:
+        return index
+    return index + _run_offsets(index.shape[0], n)
+
+
 class Population:
     """Fixed-size evaluated population, stored as bit and fitness arrays.
 
-    The arrays are immutable by contract: the fitness summary :attr:`stats`
-    is computed once, on first use, and the engine, the replacement and the
-    decomposition all read that cached summary.
+    ``bits`` is ``(N, L)`` with ``(N,)`` fitness for one run, or ``(R, N, L)``
+    with ``(R, N)`` fitness for a stack of R runs.  The arrays are immutable
+    by contract: the fitness summary :attr:`stats` is computed once, on first
+    use, and the engine, the replacement and the decomposition all read that
+    cached summary.
     """
+
+    __slots__ = ("bits", "fitness", "_stats")
 
     def __init__(self, bits: np.ndarray, fitness: np.ndarray):
         bits = np.asarray(bits, dtype=np.uint8)
         fitness = np.asarray(fitness, dtype=float)
-        if bits.ndim != 2 or fitness.shape != (bits.shape[0],):
-            raise ValueError("bits must be (N, L) with one fitness per row")
-        if bits.shape[0] == 0:
+        if bits.ndim not in (2, 3) or fitness.shape != bits.shape[:-1]:
+            raise ValueError("bits must be (N, L) or (R, N, L) with one fitness per row")
+        if fitness.size == 0:
             raise ValueError("population may not be empty")
         if not np.isfinite(fitness).all():
             raise ValueError("all members must carry finite fitness")
         self.bits = bits
         self.fitness = fitness
+        self._stats = None
 
     @classmethod
     def _checked(cls, bits: np.ndarray, fitness: np.ndarray) -> "Population":
         """Population of arrays already typed, shaped and checked finite."""
         pop = cls.__new__(cls)
-        pop.bits, pop.fitness = bits, fitness
+        pop.bits, pop.fitness, pop._stats = bits, fitness, None
         return pop
 
     def __len__(self) -> int:
-        return self.bits.shape[0]
+        """The population size N (of each run, for a stack)."""
+        return self.bits.shape[-2]
 
-    @cached_property
+    @property
     def stats(self) -> "FitnessStats":
-        return FitnessStats.from_values(self.fitness)
+        if self._stats is None:
+            self._stats = FitnessStats.from_values(self.fitness)
+        return self._stats
 
 
 @dataclass(frozen=True)
 class FitnessStats:
-    """Population fitness summary (maximization convention)."""
+    """Population fitness summary (maximization convention).
+
+    The fields are floats for one run and ``(R,)`` arrays for a stack.
+    """
 
     mean: float
     variance: float
@@ -136,18 +215,22 @@ class FitnessStats:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "FitnessStats":
+        """Summary of ``(N,)`` values, or of each row of ``(R, N)`` values."""
         values = np.asarray(values, dtype=float)
-        n = values.size
+        n = values.shape[-1] if values.ndim else 0
         if n == 0:
             raise ValueError("cannot summarize an empty fitness vector")
-        mean = np.add.reduce(values) / n  # ndarray.mean's sum, without its overhead
-        d = values - mean
-        return cls(
-            mean=float(mean),
-            variance=float(np.add.reduce(d * d) / n),  # population form, as ndarray.var
-            best=float(values.max()),
-            worst=float(values.min()),
+        mean = np.add.reduce(values, axis=-1) / n  # ndarray.mean's sum, without its overhead
+        d = values - _per_run(mean)
+        fields = (
+            mean,
+            np.add.reduce(d * d, axis=-1) / n,  # population form, as ndarray.var
+            values.max(axis=-1),
+            values.min(axis=-1),
         )
+        if values.ndim == 1:
+            fields = map(float, fields)
+        return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +239,7 @@ class FitnessStats:
 
 
 def roulette_select(
-    pop: Population, count: int, rng: np.random.Generator
+    pop: Population, count: int, rng: np.random.Generator | RunStreams
 ) -> np.ndarray:
     """Fitness-proportionate sampling with replacement.
 
@@ -165,17 +248,24 @@ def roulette_select(
     only defined for positive fitness; while any member is nonpositive the
     whole population is drawn uniformly instead.  Proportional pressure then
     decays naturally as the mean fitness grows, which is the behaviour the
-    selection-comparison experiments depend on.
+    selection-comparison experiments depend on.  Each run of a stack spins
+    its own wheel.
     """
-    f = pop.fitness
+    if pop.fitness.ndim == 2:
+        return np.array([_spin(f, count, g) for f, g in zip(pop.fitness, rng)])
+    return _spin(pop.fitness, count, rng)
+
+
+def _spin(f: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` roulette draws over one run's fitness vector."""
     if f.min() <= 0.0:
-        return rng.integers(0, len(pop), size=count)
+        return rng.integers(0, f.shape[0], size=count)
     total = f.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise ValueError(f"total fitness must be positive, got {total}")
     cum = np.cumsum(f)
     draws = rng.random(count) * total
-    return np.minimum(np.searchsorted(cum, draws, side="right"), len(pop) - 1)
+    return np.minimum(np.searchsorted(cum, draws, side="right"), f.shape[0] - 1)
 
 
 def tournament_select(
@@ -207,28 +297,27 @@ def tournament_select(
 
 
 def binary_tournament_cycle(
-    pop: Population, rng: np.random.Generator
+    pop: Population, rng: np.random.Generator | RunStreams
 ) -> np.ndarray:
     """One complete cycle of strict binary tournaments without replacement.
 
     The population is randomly paired off twice, so every chromosome takes
     part in exactly two contests and the best member always wins both of its
-    contests.  Yields exactly N winner indices; ties break uniformly.
+    contests.  Yields exactly N winner indices per run; ties break uniformly.
     """
     n = len(pop)
     if n % 2 != 0:
         raise ValueError("tournament cycles need an even population")
-    f = pop.fitness
-    winners = np.empty(n, dtype=np.int64)
-    out = 0
+    f = pop.fitness.ravel()
+    half = n // 2
+    rounds = []
     for _ in range(2):
         perm = rng.permutation(n)
-        a, b = perm[0::2], perm[1::2]
-        coin = rng.random(n // 2) < 0.5
-        fa, fb = f[a], f[b]
-        winners[out : out + n // 2] = np.where((fa > fb) | ((fa == fb) & coin), a, b)
-        out += n // 2
-    return winners
+        coin = rng.random(half) < 0.5
+        a, b = perm[..., 0::2], perm[..., 1::2]
+        fa, fb = f[_flat(a, n)], f[_flat(b, n)]
+        rounds.append(np.where((fa > fb) | ((fa == fb) & coin), a, b))
+    return np.concatenate(rounds, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +335,9 @@ def _suffix_masks(length: int) -> np.ndarray:
 
 
 def single_point_crossover(
-    bits: np.ndarray, rate: float, rng: np.random.Generator
+    bits: np.ndarray, rate: float, rng: np.random.Generator | RunStreams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise single-point crossover of an ``(m, L)`` matrix, m even.
+    """Pairwise single-point crossover of an ``(..., m, L)`` matrix, m even.
 
     Rows ``2i`` and ``2i+1`` form pair i.  Each pair crosses with probability
     ``rate``; a crossing pair swaps its suffixes after a locus drawn
@@ -256,39 +345,40 @@ def single_point_crossover(
     The swap XORs the pair's differing suffix bits into both rows.  Returns
     the children and, per row, whether its pair crossed and whether it changed.
     """
-    pairs, length = bits.shape[0] // 2, bits.shape[1]
+    pairs, length = bits.shape[-2] // 2, bits.shape[-1]
     coins = rng.random(pairs) < rate
     loci = rng.integers(1, length, size=pairs)
-    pair = bits.reshape(pairs, 2, length)
-    diff = pair[:, 0] ^ pair[:, 1]
+    pair = bits.reshape(bits.shape[:-2] + (pairs, 2, length))
+    diff = pair[..., 0, :] ^ pair[..., 1, :]
     diff &= _suffix_masks(length)[np.where(coins, loci, length)]
-    child = (pair ^ diff[:, None, :]).reshape(bits.shape)
-    return child, coins.repeat(2), diff.any(axis=1).repeat(2)
+    child = (pair ^ diff[..., None, :]).reshape(bits.shape)
+    return child, coins.repeat(2, axis=-1), diff.any(axis=-1).repeat(2, axis=-1)
 
 
 def bit_flip_mutation(
-    bits: np.ndarray, rate: float, rng: np.random.Generator
+    bits: np.ndarray, rate: float, rng: np.random.Generator | RunStreams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flip every bit of an ``(m, L)`` matrix independently with probability
-    ``rate``.  Returns the mutants and, per row, whether any bit flipped."""
-    flips = (rng.random(bits.shape) < rate).view(np.uint8)
-    return bits ^ flips, flips.any(axis=1)
+    """Flip every bit of an ``(..., m, L)`` matrix independently with
+    probability ``rate``.  Returns the mutants and, per row, whether any bit
+    flipped."""
+    flips = (rng.random(bits.shape[-2:]) < rate).view(np.uint8)
+    return bits ^ flips, flips.any(axis=-1)
 
 
 def single_bit_mutation(
-    bits: np.ndarray, rate: float, rng: np.random.Generator
+    bits: np.ndarray, rate: float, rng: np.random.Generator | RunStreams
 ) -> tuple[np.ndarray, np.ndarray]:
     """With probability ``rate`` per row, flip one uniformly chosen bit.
 
     All row coins are drawn before all bit positions.  Returns the mutants
     and, per row, whether a bit flipped.
     """
-    m, length = bits.shape
+    m, length = bits.shape[-2:]
     do = rng.random(m) < rate
     which = rng.integers(0, length, size=m)
     mutated = bits.copy()
-    rows = np.flatnonzero(do)
-    mutated[rows, which[rows]] ^= 1
+    hit = np.nonzero(do)
+    mutated[(*hit, which[hit])] ^= 1
     return mutated, do
 
 
@@ -299,13 +389,19 @@ def single_bit_mutation(
 
 @dataclass
 class EliteState:
-    """Mutable carry-over size for the adaptive elitist replacement."""
+    """Mutable carry-over size for the adaptive elitist replacement: an int
+    for one run, an ``(R,)`` integer array for a stack."""
 
-    n_elite: int
+    n_elite: int | np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.min(self.n_elite) < 1:
+            raise ValueError("elite size must be at least 1")
 
     @classmethod
-    def initial(cls, cfg: GAConfig) -> "EliteState":
-        return cls(n_elite=math.ceil(cfg.overlap_fraction * cfg.population_size))
+    def initial(cls, cfg: GAConfig, runs: int | None = None) -> "EliteState":
+        n_elite = math.ceil(cfg.overlap_fraction * cfg.population_size)
+        return cls(n_elite=n_elite if runs is None else np.full(runs, n_elite))
 
 
 def adaptive_elitism_replace(
@@ -315,24 +411,36 @@ def adaptive_elitism_replace(
 
     When the offspring pool improves both the mean and the variance of the
     parent fitness, the elite count first halves, floored at one so the
-    incumbent best always survives.  The merged rows are not rescanned: both
-    populations' fitness was checked finite where it entered.
+    incumbent best always survives.  Each run of a stack keeps its own elite
+    count.  The merged rows are not rescanned: both populations' fitness was
+    checked finite where it entered.
     """
-    if len(parents) != len(offspring):
+    if parents.fitness.shape != offspring.fitness.shape:
         raise ValueError("parent and offspring populations must have equal size")
-    if state.n_elite < 1:
-        raise ValueError("elite size must be at least 1")
     ps = parents.stats
     os = offspring.stats
-    if os.mean > ps.mean and os.variance > ps.variance:
-        state.n_elite = max(1, state.n_elite // 2)
-    n = len(parents)
-    k = min(state.n_elite, n)
-    elite_idx = parents.fitness.argsort()[::-1][:k]
-    off_idx = offspring.fitness.argsort()[::-1][: n - k]
-    bits = np.concatenate((parents.bits[elite_idx], offspring.bits[off_idx]))
-    fit = np.concatenate((parents.fitness[elite_idx], offspring.fitness[off_idx]))
-    return Population._checked(bits, fit)
+    halved = state.n_elite >> ((os.mean > ps.mean) & (os.variance > ps.variance))
+    state.n_elite = halved + (halved == 0)  # floored at one
+    n, length = parents.bits.shape[-2:]
+    best_parents = parents.fitness.argsort(axis=-1)[..., ::-1]
+    best_offspring = offspring.fitness.argsort(axis=-1)[..., ::-1]
+    if parents.fitness.ndim == 1:
+        k = min(state.n_elite, n)
+        elite, rest = best_parents[:k], best_offspring[: n - k]
+        return Population._checked(
+            np.concatenate((parents.bits.take(elite, axis=0), offspring.bits.take(rest, axis=0))),
+            np.concatenate((parents.fitness.take(elite), offspring.fitness.take(rest))),
+        )
+    # each run of a stack has its own k: its rank j takes its parents' j-th
+    # best while j < k, then its offspring's (j-k)-th best, from its rows of
+    # the parents-then-offspring stack (where j < k, j - k is a valid index
+    # whose value np.where discards)
+    ranks, k = np.arange(n), np.minimum(state.n_elite, n)[:, None]
+    later = best_offspring.ravel()[_flat(ranks - k, n)] + n
+    src = _flat(np.where(ranks < k, best_parents, later), 2 * n)
+    bits = np.concatenate((parents.bits, offspring.bits), axis=-2)
+    fit = np.concatenate((parents.fitness, offspring.fitness), axis=-1)
+    return Population._checked(bits.reshape(-1, length).take(src, axis=0), fit.take(src))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +458,8 @@ class LineageRecord:
     occupying the slot after crossover and after mutation.  ``pair_crossed``
     marks whether the slot's pair actually exchanged material.  The arrays
     are taken as given, with the cached fitness summaries of the parents and
-    of the offspring pool.
+    of the offspring pool.  For a stack every array has a leading run axis
+    and ``slot_parent`` indexes each run's own parents.
     """
 
     parent_fitness: np.ndarray
@@ -371,17 +480,24 @@ class LineageRecord:
 
     @property
     def population_size(self) -> int:
-        return self.parent_fitness.shape[0]
+        return self.parent_fitness.shape[-1]
 
     def stage_deltas(self, stage: str) -> np.ndarray:
         """Per-slot fitness change across one operator stage."""
         if stage == "selection":
-            return self.fitness_after_selection - self.parent_fitness[self.slot_parent]
+            parent = self.parent_fitness.take(_flat(self.slot_parent, self.population_size))
+            return self.fitness_after_selection - parent
         if stage == "crossover":
             return self.fitness_after_crossover - self.fitness_after_selection
         if stage == "mutation":
             return self.fitness_after_mutation - self.fitness_after_crossover
         raise KeyError(f"unknown stage {stage!r}")
+
+    def selection_stage_z(self) -> np.ndarray:
+        """Offspring count of each parent: the number of slots it won."""
+        parents = self.parent_fitness
+        flat = _flat(self.slot_parent, self.population_size).ravel()
+        return np.bincount(flat, minlength=parents.size).reshape(parents.shape)
 
     def crossover_stage_z(self) -> np.ndarray:
         """Offspring attributed to each selected instance by the crossover
@@ -399,38 +515,47 @@ def evolve_generation(
     pop: Population,
     cfg: GAConfig,
     fitness_fn: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator,
+    rng: np.random.Generator | RunStreams,
     elite: EliteState,
+    run_evaluations: np.ndarray | None = None,
 ) -> GenerationResult:
-    """Advance one generation and capture its lineage.
+    """Advance one generation (of one run, or of every run of a stack) and
+    capture its lineage.
 
     ``fitness_fn`` maps an ``(m, L)`` bit matrix to ``m`` fitness values
     (maximization).  Chromosomes left untouched by an operator inherit their
-    fitness, and the rows that crossover or mutation changed are scored
-    together: one fitness call per generation (none when no row changed) and
-    at most two evaluations per slot.  Only those new values are checked
-    finite; inherited ones were checked when they entered.
+    fitness, and the rows that crossover or mutation changed, in every run,
+    are scored together: one fitness call per generation (none when no row
+    changed) and at most two evaluations per slot.  Only those new values are
+    checked finite; inherited ones were checked when they entered.  A stack's
+    per-run evaluation counts are added to ``run_evaluations``.
     """
     if cfg.selection is SelectionMethod.ROULETTE_WHEEL:
         slots = roulette_select(pop, len(pop), rng)
     else:
         slots = binary_tournament_cycle(pop, rng)
-    sel_bits = pop.bits[slots]
-    f_sel = pop.fitness[slots]
+    n, length = pop.bits.shape[-2:]
+    at = _flat(slots, n)
+    sel_bits = pop.bits.reshape(-1, length).take(at, axis=0)
+    f_sel = pop.fitness.take(at)
 
     child, crossed, changed = single_point_crossover(sel_bits, cfg.crossover_rate, rng)
     mutate = bit_flip_mutation if cfg.mutation_scheme == "per-bit" else single_bit_mutation
     mutated, touched = mutate(child, cfg.mutation_rate, rng)
 
-    rows = np.concatenate((child[changed], mutated[touched]))
+    crossed_rows = child[changed]
+    rows = np.concatenate((crossed_rows, mutated[touched]))
     values = fitness_fn(rows) if rows.shape[0] else np.empty(0)
     if not np.isfinite(values).all():
         raise ValueError("all members must carry finite fitness")
-    n_xo = np.count_nonzero(changed)
+    n_xo = crossed_rows.shape[0]
     f_xo = f_sel.copy()
     f_xo[changed] = values[:n_xo]
     f_mut = f_xo.copy()
     f_mut[touched] = values[n_xo:]
+    if run_evaluations is not None:
+        run_evaluations += np.count_nonzero(changed, axis=-1)
+        run_evaluations += np.count_nonzero(touched, axis=-1)
 
     offspring = Population._checked(mutated, f_mut)
     nxt = adaptive_elitism_replace(pop, offspring, elite)
@@ -441,23 +566,36 @@ def evolve_generation(
 
 
 class Engine:
-    """Seeded driver owning the RNG stream, elite state and evaluation count."""
+    """Seeded driver owning the RNG stream(s), elite state and evaluation count.
+
+    ``rng`` is one generator (by default seeded with ``cfg.rng_seed``) for a
+    single run, or a :class:`RunStreams` for a stack of runs stepped
+    together.  :attr:`evaluations` counts every run's objective evaluations;
+    a stack also counts them per run in :attr:`run_evaluations`.
+    """
 
     def __init__(
         self,
         cfg: GAConfig,
         chromosome_length: int,
         fitness_fn: Callable[[np.ndarray], np.ndarray],
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | RunStreams | None = None,
     ):
         if chromosome_length < 2:
             raise ValueError("chromosome length must be >= 2")
         self.cfg = cfg
         self.chromosome_length = chromosome_length
         self.rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
-        self.elite = EliteState.initial(cfg)
+        runs = len(self.rng) if isinstance(self.rng, RunStreams) else None
+        self.elite = EliteState.initial(cfg, runs)
         self.evaluations = 0
+        self.run_evaluations = None if runs is None else np.zeros(runs, dtype=np.int64)
         self._fitness_fn = fitness_fn
+
+    @property
+    def runs(self) -> int:
+        """The number of runs stepped together (1 for a single run)."""
+        return 1 if self.run_evaluations is None else self.run_evaluations.shape[0]
 
     def _evaluate(self, bits: np.ndarray) -> np.ndarray:
         self.evaluations += bits.shape[0]
@@ -470,13 +608,22 @@ class Engine:
         return self.seeded_population([])
 
     def seeded_population(self, seeds: list[np.ndarray]) -> Population:
-        """Random population topped up with explicit seed chromosomes."""
+        """Random population topped up with explicit seed chromosomes (the
+        same seeds in every run of a stack)."""
         n = self.cfg.population_size
         if len(seeds) > n:
             raise ValueError("more seeds than population slots")
         bits = random_bits(self.chromosome_length, n - len(seeds), self.rng)
-        bits = np.vstack([bits] + [np.asarray(s, dtype=np.uint8)[None, :] for s in seeds])
-        return Population(bits, self._evaluate(bits))
+        seeds = np.asarray(seeds, dtype=np.uint8).reshape(-1, self.chromosome_length)
+        bits = np.concatenate(
+            (bits, np.broadcast_to(seeds, bits.shape[:-2] + seeds.shape)), axis=-2
+        )
+        if self.run_evaluations is not None:
+            self.run_evaluations += n
+        values = self._evaluate(bits.reshape(-1, self.chromosome_length))
+        return Population(bits, values.reshape(bits.shape[:-1]))
 
     def step(self, pop: Population) -> GenerationResult:
-        return evolve_generation(pop, self.cfg, self._evaluate, self.rng, self.elite)
+        return evolve_generation(
+            pop, self.cfg, self._evaluate, self.rng, self.elite, self.run_evaluations
+        )

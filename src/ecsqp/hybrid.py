@@ -7,9 +7,12 @@ the crossover-envelope convergence state.  The exploration phase runs it
 until its crossover convergence signal fires (or progress stalls, or the
 generation cap is hit), hands its best decoded point to the SQP local
 solver, and finally validates the refined solution with a fresh population
-seeded with the refined chromosome and its bitwise complement.  ``ec`` batch
-mode (:mod:`ecsqp.cli_io`) runs the same generator to a generation cap.  All
-reporting is in the problem's native orientation.
+seeded with the refined chromosome and its bitwise complement.  A hybrid run
+steps one run at a time: its phases end on data-dependent conditions.
+``ec`` batch mode (:mod:`ecsqp.cli_io`) runs the same generator to a
+generation cap on a stack of runs stepped together (see
+:mod:`ecsqp.evolution`).  All reporting is in the problem's native
+orientation.
 """
 
 from __future__ import annotations
@@ -127,17 +130,22 @@ def fitness_function(
 def evolve(engine: Engine, pop: Population, crit: SwitchCriteria) -> Iterator[tuple]:
     """Step ``engine`` from ``pop`` for as long as the caller keeps drawing.
 
-    Yields ``(generation, population, contribution, stats, state)`` for
+    Yields ``(generation, population, contribution, stats, states)`` for
     generations 1, 2, ...: the new population, its operator decomposition
-    and fitness summary, and the crossover-envelope convergence state built
-    from ``crit.sigma_threshold``.
+    and fitness summary, and one crossover-envelope convergence state per
+    run, built from ``crit.sigma_threshold``.  For a stack of runs the
+    population, the decomposition and the summary carry a leading run axis.
     """
-    state = ConvergenceState(threshold=crit.sigma_threshold)
+    states = [ConvergenceState(threshold=crit.sigma_threshold) for _ in range(engine.runs)]
     for generation in count(1):
         pop, lineage, stats = engine.step(pop)
         contribution = decompose_generation(lineage, generation)
-        update_convergence(state, sigma_width(contribution.crossover_sigma), generation)
-        yield generation, pop, contribution, stats, state
+        widths = sigma_width(contribution.crossover_sigma)
+        if not isinstance(widths, np.ndarray):
+            widths = (widths,)
+        for state, width in zip(states, widths):
+            update_convergence(state, width, generation)
+        yield generation, pop, contribution, stats, states
 
 
 def _switching_phase(
@@ -157,7 +165,7 @@ def _switching_phase(
         PhaseTraceRow(name, 0, sign * best_history[0],
                       sign * pop.stats.mean, eval_base + engine.evaluations)
     )
-    for generation, pop, contribution, stats, state in evolve(engine, pop, crit):
+    for generation, pop, contribution, stats, (state,) in evolve(engine, pop, crit):
         best_history.append(stats.best)
         price_rows.append((name, contribution, stats))
         trace.append(

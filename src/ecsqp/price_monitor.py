@@ -7,6 +7,10 @@ per-operator stages.  Monitoring the spread (+/- one standard deviation) of
 the crossover term's per-child contributions provides a convergence signal:
 the population has converged once the width of that envelope stays below a
 threshold.
+
+Every term is computed per run: for a stack of runs (see
+:mod:`ecsqp.evolution`) each function takes the stacked lineage and returns
+one value per run, bitwise the value of that run alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import LineageRecord
+from .evolution import LineageRecord, _per_run
 
 __all__ = [
     "ConvergenceState",
@@ -40,35 +44,45 @@ class Stage(enum.Enum):
     MUTATION = "mutation"
 
 
-def selection_term(z, q) -> float:
+def _any(mask) -> bool:
+    """Whether a per-run flag is set in any run (a bool for a single run)."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def selection_term(z, q):
     """Cov(z, q) / z_bar with the population (1/N) covariance.
 
-    ``z`` holds per-parent offspring counts, ``q`` the parent fitnesses.
-    Each mean is ``np.add.reduce(x) / n``, bitwise equal to ``ndarray.mean``.
+    ``z`` holds per-parent offspring counts, ``q`` the parent fitnesses, both
+    ``(N,)`` or, for a stack, ``(R, N)``.  Each mean is
+    ``np.add.reduce(x) / n``, bitwise equal to ``ndarray.mean``.
     """
     z = np.asarray(z, dtype=float)
     q = np.asarray(q, dtype=float)
-    if z.shape != q.shape or z.ndim != 1 or z.size == 0:
-        raise ValueError("z and q must be equal-length nonempty vectors")
-    n = z.size
-    z_bar = np.add.reduce(z) / n
-    if z_bar <= 0.0:
+    if z.shape != q.shape or z.ndim not in (1, 2) or z.size == 0:
+        raise ValueError("z and q must be equal-shape nonempty vectors")
+    n = z.shape[-1]
+    z_bar = np.add.reduce(z, axis=-1) / n
+    if _any(z_bar <= 0.0):
         raise ValueError("mean offspring count must be positive")
-    cov = float(np.add.reduce((z - z_bar) * (q - np.add.reduce(q) / n)) / n)
+    q_bar = np.add.reduce(q, axis=-1) / n
+    cov = np.add.reduce((z - _per_run(z_bar)) * (q - _per_run(q_bar)), axis=-1) / n
     return cov / z_bar
 
 
-def _stage_moments(deltas: np.ndarray) -> tuple[float, float]:
+def _stage_moments(deltas: np.ndarray):
     """Mean and standard deviation of one stage's per-child deltas."""
     if deltas.size < 1:
         raise ValueError("stage carries no children")
-    n = deltas.shape[0]
-    mean = np.add.reduce(deltas) / n
-    second = np.add.reduce(deltas * deltas) / n
-    return float(mean), math.sqrt(max(second - mean * mean, 0.0))
+    n = deltas.shape[-1]
+    mean = np.add.reduce(deltas, axis=-1) / n
+    second = np.add.reduce(deltas * deltas, axis=-1) / n
+    var = second - mean * mean
+    if deltas.ndim == 1:
+        return float(mean), math.sqrt(max(var, 0.0))
+    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
-def operator_term(lineage: LineageRecord, stage: Stage) -> float:
+def operator_term(lineage: LineageRecord, stage: Stage):
     """Mean-fitness change attributed to one operator stage.
 
     Equals ``sum_i z_i * dq_i / (N * z_bar)`` where ``dq_i`` is the change in
@@ -80,7 +94,7 @@ def operator_term(lineage: LineageRecord, stage: Stage) -> float:
     return _stage_moments(lineage.stage_deltas(stage.value))[0]
 
 
-def operator_term_sigma(lineage: LineageRecord, stage: Stage) -> float:
+def operator_term_sigma(lineage: LineageRecord, stage: Stage):
     """Standard deviation of the per-child stage deltas.
 
     Moments are taken over the flat multiset of per-child fitness changes
@@ -90,27 +104,30 @@ def operator_term_sigma(lineage: LineageRecord, stage: Stage) -> float:
     return _stage_moments(lineage.stage_deltas(stage.value))[1]
 
 
-def sigma_width(sigma: float) -> float:
+def sigma_width(sigma):
     """Width of the +/- sigma envelope around an operator term: 2*sigma.
 
     The term mean cancels: (mean + sigma) - (mean - sigma) == 2*sigma.
     """
-    if sigma < 0.0:
+    if _any(sigma < 0.0):
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     return 2.0 * sigma
 
 
 @dataclass(frozen=True)
 class OperatorContribution:
-    """Per-generation decomposition of the offspring-pool mean-fitness change."""
+    """Per-generation decomposition of the offspring-pool mean-fitness change.
+
+    The terms are scalars for one run and ``(R,)`` arrays for a stack.
+    """
 
     generation: int
-    selection_term: float
-    crossover_term: float
-    mutation_term: float
-    crossover_sigma: float
-    mutation_sigma: float
-    total_delta_q: float
+    selection_term: float | np.ndarray
+    crossover_term: float | np.ndarray
+    mutation_term: float | np.ndarray
+    crossover_sigma: float | np.ndarray
+    mutation_sigma: float | np.ndarray
+    total_delta_q: float | np.ndarray
 
 
 def decompose_generation(
@@ -124,14 +141,18 @@ def decompose_generation(
     tolerance 1e-9.
     """
     parents, offspring = lineage.parent_stats, lineage.offspring_stats
-    counts = np.bincount(lineage.slot_parent, minlength=lineage.population_size)
-    sel = selection_term(counts, lineage.parent_fitness)
+    sel = selection_term(lineage.selection_stage_z(), lineage.parent_fitness)
     xo, xo_sigma = _stage_moments(lineage.stage_deltas(Stage.CROSSOVER.value))
     mut, mut_sigma = _stage_moments(lineage.stage_deltas(Stage.MUTATION.value))
     total = offspring.mean - parents.mean
     parts = sel + xo + mut
-    scale = max(abs(total), abs(parts), abs(parents.mean), 1.0)
-    if abs(total - parts) > DECOMPOSITION_RTOL * scale:
+    # |total - parts| > tol * max(|total|, |parts|, |parent mean|, 1), as one
+    # comparison per operand: rounding tol * x keeps the order of the x
+    gap = abs(total - parts)
+    if _any(
+        (gap > DECOMPOSITION_RTOL * abs(total)) & (gap > DECOMPOSITION_RTOL * abs(parts))
+        & (gap > DECOMPOSITION_RTOL * abs(parents.mean)) & (gap > DECOMPOSITION_RTOL)
+    ):
         raise ValueError(
             f"decomposition identity violated: terms sum to {parts}, "
             f"actual change {total}"

@@ -1,6 +1,8 @@
 """Configuration parsing, batch execution, CSV schemas and the CLI surface."""
 
 import hashlib
+from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,10 +19,12 @@ from ecsqp.cli_io import (
     main,
     run_batch,
 )
+from ecsqp.benchmarks import get_problem
 from ecsqp.encoding import EncodingSpec
-from ecsqp.evolution import SelectionMethod
+from ecsqp.evolution import Engine, GAConfig, SelectionMethod
+from ecsqp.hybrid import SwitchCriteria, evolve, fitness_function
 from ecsqp.local_search import BoundBox
-from ecsqp.price_monitor import ConvergenceState
+from ecsqp.price_monitor import ConvergenceState, sigma_width
 
 
 BASE_CONFIG = """
@@ -250,10 +254,10 @@ class TestRunBatch:
         try:
             problem = factory(1)
 
-            def poisoned(cfg, index):
-                if index == 1:
+            def poisoned(cfg, indices):
+                if 1 in indices:
                     raise RuntimeError("boom")
-                return cli_io._run_ec(cfg, index)
+                return cli_io._run_ec(cfg, indices)
 
             cfg = RunConfig(problem="ackley", dimension=2, repetitions=3, mode="ec",
                             ga=cli_io.GAConfig(population_size=10, overlap_fraction=0.2,
@@ -274,6 +278,112 @@ class TestRunBatch:
         assert cli_io._fmt(837.96577454486754) == "837.965775"
         assert cli_io._fmt(0.000123456789123) == "0.000123456789"
         assert cli_io._fmt(3) == "3"
+
+
+def run_alone(cfg: RunConfig, index: int) -> dict:
+    """Ec run ``index`` of ``cfg`` on the single-run engine (no run axis),
+    with the rows, best, evaluations and converged_at of a batch record."""
+    problem = cfg.make_problem()
+    spec = EncodingSpec.for_bounds(problem.bounds.lower, problem.bounds.upper, cfg.precision)
+    ga = replace(cfg.resolved_ga(spec), rng_seed=cfg.run_seed(index))
+    engine = Engine(ga, spec.total_length, fitness_function(problem, spec))
+    rows = []
+    generations = evolve(engine, engine.random_population(), cfg.switch)
+    for gen, pop, c, stats, (state,) in islice(generations, ga.max_generations):
+        rows.append((gen, c.selection_term, c.crossover_term, c.mutation_term,
+                     sigma_width(c.crossover_sigma), sigma_width(c.mutation_sigma),
+                     stats.best, stats.mean, stats.worst))
+    return {"rows": rows, "final_best": problem.sign * float(pop.fitness.max()),
+            "evaluations": engine.evaluations, "converged_at": state.converged_at}
+
+
+def stack_config(selection, scheme, runs, problem="schwefel-max"):
+    # a loose envelope threshold, so that runs converge at different
+    # generations or not at all
+    rate = 0.3 if scheme == "per-chromosome" else 0.05
+    ga = GAConfig(population_size=20, crossover_rate=0.7, mutation_rate=rate,
+                  selection=selection, mutation_scheme=scheme, overlap_fraction=0.1,
+                  max_generations=25)
+    return RunConfig(problem=problem, dimension=2, ga=ga, repetitions=runs, seed=7,
+                     mode="ec", switch=SwitchCriteria(sigma_threshold=30.0))
+
+
+def directory_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestStackedBatch:
+    """An ec batch steps its runs as one stack; each run is bitwise the run
+    stepped alone."""
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["per-chromosome", "per-bit"])
+    @pytest.mark.parametrize("selection", list(SelectionMethod))
+    def test_stack_equals_runs_alone(self, tmp_path, selection, scheme, runs):
+        cfg = stack_config(selection, scheme, runs)
+        stacked = run_batch(cfg, str(tmp_path / "stack"), jobs=1)
+        assert not stacked["failures"]
+        assert [r["index"] for r in stacked["runs"]] == list(range(runs))
+        for run in stacked["runs"]:
+            alone = run_alone(cfg, run["index"])
+            for key in ("rows", "final_best", "evaluations", "converged_at"):
+                assert run[key] == alone[key], key
+        # one stack of one run per worker process writes the same bytes
+        split = run_batch(cfg, str(tmp_path / "split"), jobs=runs)
+        assert [r["rows"] for r in split["runs"]] == [r["rows"] for r in stacked["runs"]]
+        assert directory_bytes(tmp_path / "split") == directory_bytes(tmp_path / "stack")
+        assert sorted(directory_bytes(tmp_path / "stack")) == sorted(
+            [f"trace_{i}.csv" for i in range(runs)] + ["aggregate.csv", "summary.txt"])
+
+    def test_a_run_failing_inside_a_stack_fails_alone(self, tmp_path):
+        # a problem that raises on one row; the row is one that run 1 scores
+        # after its first generation and that runs 0 and 2 never score
+        base = get_problem("schwefel-max", 2)
+        seen, poison = [], []
+
+        def batch(X):
+            X = np.asarray(X, dtype=float)
+            if poison and (X == poison[0]).all(axis=1).any():
+                raise RuntimeError("poisoned row")
+            seen.append(X.copy())
+            return base.batch(X)
+
+        register_problem("stack-probe", lambda n: replace(base, name="stack-probe", batch=batch))
+        try:
+            cfg = replace(stack_config(SelectionMethod.BINARY_TOURNAMENT, "per-chromosome", 3),
+                          problem="stack-probe")
+            scored = []
+            for index in range(3):
+                seen.clear()
+                run_alone(cfg, index)
+                scored.append(seen[:])  # seen[0] is the initial population
+            others = {tuple(x) for i in (0, 2) for X in scored[i] for x in X}
+            others |= {tuple(x) for x in scored[1][0]}
+            poison.append(next(x for X in scored[1][2:] for x in X if tuple(x) not in others))
+
+            result = run_batch(cfg, str(tmp_path / "poisoned"), jobs=1)
+            poison.clear()
+            clean = run_batch(cfg, str(tmp_path / "clean"), jobs=1)
+        finally:
+            _REGISTRY.pop("stack-probe", None)
+
+        assert [r["index"] for r in result["runs"]] == [0, 2]
+        (failure,) = result["failures"]
+        assert failure["index"] == 1
+        assert failure["error"] == "RuntimeError: poisoned row"
+        assert failure["traceback"].startswith("Traceback (most recent call last):")
+        assert failure["traceback"].rstrip().endswith("RuntimeError: poisoned row")
+        assert "in batch" in failure["traceback"]
+        for good, ref in zip(result["runs"], [clean["runs"][0], clean["runs"][2]]):
+            assert good == ref
+        poisoned, reference = directory_bytes(tmp_path / "poisoned"), directory_bytes(tmp_path / "clean")
+        assert sorted(poisoned) == ["aggregate.csv", "summary.txt", "trace_0.csv", "trace_2.csv"]
+        for name in ("trace_0.csv", "trace_2.csv"):
+            assert poisoned[name] == reference[name]
+        summary = poisoned["summary.txt"].decode().splitlines()
+        assert summary[1] == "runs: 2 ok, 1 failed (seeds 7..9)"
+        assert summary[-1] == "run 1 failed: RuntimeError: poisoned row"
+        assert "Traceback" not in poisoned["summary.txt"].decode()
 
 
 class TestAdCheck:

@@ -1,5 +1,7 @@
 """Selection, variation, replacement and the generation step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ecsqp.evolution import (
     FitnessStats,
     GAConfig,
     Population,
+    RunStreams,
     SelectionMethod,
     adaptive_elitism_replace,
     binary_tournament_cycle,
@@ -20,6 +23,7 @@ from ecsqp.evolution import (
     single_point_crossover,
     tournament_select,
 )
+from ecsqp.price_monitor import decompose_generation
 
 CHI2_CRIT_DF3_P01 = 11.345  # chi-square 0.99 quantile, 3 degrees of freedom
 
@@ -575,3 +579,66 @@ class TestEvolveGeneration:
             GAConfig(population_size=6, overlap_fraction=0.2, crossover_rate=1.5)
         with pytest.raises(ValueError):
             GAConfig(population_size=6, overlap_fraction=0.2, mutation_scheme="x")
+
+
+class TestStackedEngine:
+    """A stack of runs stepped together is bitwise each run stepped alone."""
+
+    @pytest.mark.parametrize("selection", list(SelectionMethod))
+    @pytest.mark.parametrize("scheme", ["per-chromosome", "per-bit"])
+    def test_each_run_equals_its_single_engine(self, selection, scheme):
+        # integer weights keep every row's score exact whatever batch it is
+        # in; bits @ w + 1 is negative for some rows, so roulette runs draw
+        # uniformly in some generations and proportionally in others
+        fit = bit_objective(np.random.default_rng(0).integers(-3, 4, size=12).astype(float))
+        cfg = GAConfig(population_size=10, crossover_rate=0.7, mutation_rate=0.3,
+                       overlap_fraction=0.3, selection=selection, mutation_scheme=scheme)
+        seeds = [3, 4, 5]
+        stack = Engine(cfg, 12, fit, rng=RunStreams(np.random.default_rng(s) for s in seeds))
+        alone = [Engine(replace(cfg, rng_seed=s), 12, fit) for s in seeds]
+        stacked = stack.random_population()
+        pops = [e.random_population() for e in alone]
+        assert stacked.bits.shape == (3, 10, 12) and len(stacked) == 10
+        for gen in range(1, 31):
+            stacked, lineage, stats = stack.step(stacked)
+            terms = decompose_generation(lineage, gen)
+            for r, engine in enumerate(alone):
+                pops[r], one, one_stats = engine.step(pops[r])
+                np.testing.assert_array_equal(stacked.bits[r], pops[r].bits)
+                np.testing.assert_array_equal(stacked.fitness[r], pops[r].fitness)
+                for field in ("parent_fitness", "slot_parent", "pair_crossed",
+                              "fitness_after_selection", "fitness_after_crossover",
+                              "fitness_after_mutation"):
+                    np.testing.assert_array_equal(getattr(lineage, field)[r],
+                                                  getattr(one, field))
+                assert (stats.mean[r], stats.variance[r], stats.best[r], stats.worst[r]) == (
+                    one_stats.mean, one_stats.variance, one_stats.best, one_stats.worst)
+                alone_terms = decompose_generation(one, gen)
+                for name in ("selection_term", "crossover_term", "mutation_term",
+                             "crossover_sigma", "mutation_sigma", "total_delta_q"):
+                    assert getattr(terms, name)[r] == getattr(alone_terms, name)
+                assert stack.elite.n_elite[r] == engine.elite.n_elite
+                assert stack.run_evaluations[r] == engine.evaluations
+            assert type(stack.evaluations) is int
+            assert stack.evaluations == sum(e.evaluations for e in alone)
+
+    def test_one_fitness_call_per_generation_for_the_whole_stack(self):
+        calls = []
+
+        def fit(bits):
+            calls.append(bits.shape)
+            return bits @ np.linspace(-1.0, 1.0, 8) + 1.0
+
+        cfg = GAConfig(population_size=6, mutation_rate=0.5, overlap_fraction=0.34)
+        stack = Engine(cfg, 8, fit, rng=RunStreams(np.random.default_rng(s) for s in range(4)))
+        pop = stack.random_population()
+        assert calls == [(24, 8)]
+        for _ in range(5):
+            calls.clear()
+            before = stack.evaluations
+            pop, _, _ = stack.step(pop)
+            assert len(calls) == 1 and calls[0][0] == stack.evaluations - before
+
+    def test_stack_needs_a_run(self):
+        with pytest.raises(ValueError):
+            RunStreams([])

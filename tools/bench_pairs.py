@@ -19,6 +19,11 @@ The result is merged into ``--out`` (created if missing) in the schema of
 end-to-end metrics with their quartiles (inclusive method; the middle one is
 the median) and the number of pairs the change won, by the ``better``
 direction in ``BENCHMARK.json``, and how many pairs had identical digests.
+It also holds each run's reference-kernel time scale (``time_scale``, with
+quartiles) and its unscaled ``runs_per_s`` (``unscaled_runs_per_s``, with
+quartiles and the change's wins), both parsed from the run's
+``time scale ... unscaled: ... runs_per_s ... 1/s`` note: the scaled rates
+move with the time scale, the unscaled rate does not.
 
 After the pairs, one traced pass per side (``--trace 1``, the parent
 first) gives ``<name>_layers``: every per-layer metric of ``BENCHMARK.json``
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import struct
@@ -96,22 +102,43 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+SCALE_NOTE = re.compile(r"^time scale (\S+) \(reference kernel\); unscaled: "
+                        r".*\bruns_per_s (\S+) 1/s$")
+
+
+def scale_note(record: dict) -> tuple[float, float]:
+    """The run's reference-kernel time scale and its unscaled runs_per_s."""
+    for note in record["notes"]:
+        match = SCALE_NOTE.match(note)
+        if match:
+            return float(match[1]), float(match[2])
+    raise ValueError("no 'time scale ... unscaled: ... runs_per_s' note in the run")
+
+
+def series(parent: list[float], change: list[float], direction: str | None) -> dict:
+    """Both series and their quartiles, and the change's wins when ``direction``
+    says which way is better."""
+    out = {"parent": parent, "change": change,
+           "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change)}
+    if direction is not None:
+        out = {"better": direction, **out,
+               "change_wins": sum((c > p) if direction == "higher" else (c < p)
+                                  for p, c in zip(parent, change))}
+    return out
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
-    """Per gated metric: both series, their quartiles, and the change's wins."""
+    """Per gated metric: both series, their quartiles, and the change's wins;
+    then the time scale and the unscaled runs_per_s of every run."""
     out = {}
     for name, direction in better.items():
         parent = [p["result"]["metrics"][name]["value"] for p, _ in pairs]
         change = [c["result"]["metrics"][name]["value"] for _, c in pairs]
-        wins = sum((c > p) if direction == "higher" else (c < p)
-                   for p, c in zip(parent, change))
-        out[name] = {
-            "better": direction,
-            "parent": parent,
-            "change": change,
-            "parent_quartiles": quartiles(parent),
-            "change_quartiles": quartiles(change),
-            "change_wins": wins,
-        }
+        out[name] = series(parent, change, direction)
+    notes = [(scale_note(p), scale_note(c)) for p, c in pairs]
+    out["time_scale"] = series([p[0] for p, _ in notes], [c[0] for _, c in notes], None)
+    out["unscaled_runs_per_s"] = series([p[1] for p, _ in notes], [c[1] for _, c in notes],
+                                        "higher")
     return out
 
 
