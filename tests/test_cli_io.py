@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ecsqp import cli_io
-from ecsqp.benchmarks import BenchmarkProblem, Orientation, register_problem, _REGISTRY
+from ecsqp.benchmarks import BenchmarkProblem, Orientation, get_problem, register_problem, _REGISTRY
 from ecsqp.cli_io import (
     AggregateReport,
     ConfigError,
@@ -19,7 +19,6 @@ from ecsqp.cli_io import (
     main,
     run_batch,
 )
-from ecsqp.benchmarks import get_problem
 from ecsqp.encoding import EncodingSpec
 from ecsqp.evolution import Engine, GAConfig, SelectionMethod
 from ecsqp.hybrid import SwitchCriteria, evolve, fitness_function
@@ -297,14 +296,14 @@ def run_alone(cfg: RunConfig, index: int) -> dict:
             "evaluations": engine.evaluations, "converged_at": state.converged_at}
 
 
-def stack_config(selection, scheme, runs, problem="schwefel-max"):
+def stack_config(selection, scheme, runs):
     # a loose envelope threshold, so that runs converge at different
     # generations or not at all
     rate = 0.3 if scheme == "per-chromosome" else 0.05
     ga = GAConfig(population_size=20, crossover_rate=0.7, mutation_rate=rate,
                   selection=selection, mutation_scheme=scheme, overlap_fraction=0.1,
                   max_generations=25)
-    return RunConfig(problem=problem, dimension=2, ga=ga, repetitions=runs, seed=7,
+    return RunConfig(problem="schwefel-max", dimension=2, ga=ga, repetitions=runs, seed=7,
                      mode="ec", switch=SwitchCriteria(sigma_threshold=30.0))
 
 
