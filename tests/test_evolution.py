@@ -639,6 +639,19 @@ class TestStackedEngine:
             pop, _, _ = stack.step(pop)
             assert len(calls) == 1 and calls[0][0] == stack.evaluations - before
 
+    def test_seeded_population_puts_the_seeds_in_every_run(self):
+        fit = bit_objective(np.arange(8.0) - 3.0)
+        cfg = GAConfig(population_size=6, overlap_fraction=0.34)
+        seeds = [np.ones(8, np.uint8), np.zeros(8, np.uint8)]
+        stack = Engine(cfg, 8, fit, rng=RunStreams(np.random.default_rng(s) for s in (1, 2)))
+        stacked = stack.seeded_population(seeds)
+        for r, s in enumerate((1, 2)):
+            alone = Engine(replace(cfg, rng_seed=s), 8, fit).seeded_population(seeds)
+            np.testing.assert_array_equal(stacked.bits[r], alone.bits)
+            np.testing.assert_array_equal(stacked.fitness[r], alone.fitness)
+            np.testing.assert_array_equal(stacked.bits[r, -2:], np.array(seeds))
+        assert stack.run_evaluations.tolist() == [6, 6] and stack.evaluations == 12
+
     def test_stack_needs_a_run(self):
         with pytest.raises(ValueError):
             RunStreams([])
