@@ -27,6 +27,8 @@ __all__ = [
 
 #: Widest field whose integer codes float64 holds exactly; decoding relies on it.
 MAX_BIT_LENGTH = 53
+#: Widest field whose integer codes float32 holds exactly.
+FLOAT32_BIT_LENGTH = 24
 
 
 def compute_bit_length(lower: float, upper: float, precision: float) -> int:
@@ -132,9 +134,15 @@ class EncodingSpec:
         ``W`` is the ``(L, n)`` place-value matrix: column i holds the powers
         of two of variable i's field (big-endian, the first bit is the most
         significant) and zeros elsewhere.  Every code is an integer below
-        2**53, so ``bits @ W`` is exact in float64.
+        2**53, so ``bits @ W`` is exact in float64.  When no field is wider
+        than 24 bits, ``W`` is float32: every partial sum of the product is
+        then an integer below 2**24, so the float32 product is exact too,
+        and dividing it by the float64 ``denom`` gives the float64 result
+        bit for bit.
         """
-        W = np.zeros((self.total_length, self.dimension))
+        exact_in_float32 = max(v.bit_length for v in self.variables) <= FLOAT32_BIT_LENGTH
+        W = np.zeros((self.total_length, self.dimension),
+                     dtype=np.float32 if exact_in_float32 else np.float64)
         start = 0
         for i, v in enumerate(self.variables):
             stop = start + v.bit_length

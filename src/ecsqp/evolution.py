@@ -31,6 +31,8 @@ envelope require.
 ``per-bit`` (:func:`bit_flip_mutation`) flips every bit independently with
 probability Pm; it explores far more aggressively and keeps the population
 permanently diverse, which prevents envelope-based convergence detection.
+It samples the flips sparsely, a Binomial(mL, Pm) count of them at a
+uniform subset of positions, so its cost grows with the flips, not the bits.
 """
 
 from __future__ import annotations
@@ -360,9 +362,25 @@ def bit_flip_mutation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flip every bit of an ``(..., m, L)`` matrix independently with
     probability ``rate``.  Returns the mutants and, per row, whether any bit
-    flipped."""
-    flips = (rng.random(bits.shape[-2:]) < rate).view(np.uint8)
-    return bits ^ flips, flips.any(axis=-1)
+    flipped.
+
+    The flips are sampled sparsely, with the law of independent Bernoulli
+    flips: each run's generator draws the flip count ``K ~ Binomial(mL,
+    rate)``, then a uniform K-subset of the positions of its row-major
+    ``(m, L)`` block, so the cost grows with the flips, not with the bits.
+    """
+    m, length = bits.shape[-2:]
+    cells = m * length
+    generators = rng if isinstance(rng, RunStreams) else (rng,)
+    flat = np.concatenate([
+        g.choice(cells, size=g.binomial(cells, rate), replace=False) + r * cells
+        for r, g in enumerate(generators)
+    ])
+    mutated = bits.copy()
+    mutated.reshape(-1)[flat] ^= 1
+    touched = np.zeros(bits.shape[:-1], dtype=bool)
+    touched.reshape(-1)[flat // length] = True
+    return mutated, touched
 
 
 def single_bit_mutation(

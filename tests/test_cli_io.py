@@ -172,7 +172,7 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("mode, expected", [
         ("sqp", "b2b8da217ab9d2c55cfda828b4ece7e65329e9be2c4628d645af4e5d787ca22a"),
-        ("hybrid", "d80006f75ce6029b63cb4e50d400ff735903ca2b2e6b2a1007071718555e5054"),
+        ("hybrid", "17c785b1262b176be16c76f0772227cb79a154787d1406ea72d7f60642fa9bb0"),
     ])
     def test_seeded_mode_output_pinned(self, tmp_path, mode, expected):
         # SHA-256 of a seeded `run --mode` batch's whole output directory

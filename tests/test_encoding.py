@@ -139,6 +139,55 @@ class TestDecode:
         mat[1] = 1
         np.testing.assert_array_equal(decode_batch(mat, spec), per_field_loop(mat))
 
+    def test_fields_up_to_24_bits_decode_exactly_in_float32(self, rng):
+        # widths 1..24: precision span / (2**w - 0.5) derives w bits
+        fields = [(-0.3 * w, 0.7 * w + 0.1) for w in range(1, 25)]
+        spec = EncodingSpec(tuple(
+            VariableSpec(lo, up, (up - lo) / (2**w - 0.5))
+            for w, (lo, up) in enumerate(fields, start=1)
+        ))
+        assert [v.bit_length for v in spec.variables] == list(range(1, 25))
+        assert spec._decoder[0].dtype == np.float32
+
+        def reference(row):
+            # exact codes as Python ints; int / int is correctly rounded
+            out, start = [], 0
+            for v in spec.variables:
+                code = int("".join(map(str, row[start : start + v.bit_length])), 2)
+                out.append(v.lower + (v.upper - v.lower) * (code / (2**v.bit_length - 1)))
+                start += v.bit_length
+            return out
+
+        mat = random_bits(spec.total_length, 400, rng)
+        mat[0] = 0
+        mat[1] = 1
+        mat[2] = np.arange(spec.total_length) % 2
+        ends = np.cumsum([v.bit_length for v in spec.variables])
+        # every other field all ones, the rest all zeros, and the reverse
+        field_index = np.searchsorted(ends, np.arange(spec.total_length), side="right")
+        mat[3] = field_index % 2
+        mat[4] = 1 - mat[3]
+        got = decode_batch(mat, spec)
+        assert got.dtype == np.float64
+        want = np.array([reference(row) for row in mat])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_25_bit_field_keeps_float64(self):
+        spec = EncodingSpec((
+            VariableSpec(0.0, 1.0, 1.0 / (2**25 - 0.5)),
+            VariableSpec(-5.0, 5.0, 0.01),
+        ))
+        assert [v.bit_length for v in spec.variables] == [25, 10]
+        assert spec._decoder[0].dtype == np.float64
+        # codes from 2**24 up, where float32 no longer holds every integer
+        codes = [2**24, 2**24 + 1, 2**24 + 3, 2**25 - 3, 2**25 - 1]
+        mat = np.zeros((len(codes), spec.total_length), np.uint8)
+        for row, code in zip(mat, codes):
+            row[:25] = (code >> np.arange(24, -1, -1)) & 1
+        np.testing.assert_array_equal(
+            decode_batch(mat, spec)[:, 0], [code / (2**25 - 1) for code in codes]
+        )
+
     def test_monotone_in_integer_code(self):
         spec = EncodingSpec.for_bounds([2.0], [7.0], 0.01)
         l = spec.variables[0].bit_length

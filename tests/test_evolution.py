@@ -26,6 +26,7 @@ from ecsqp.evolution import (
 from ecsqp.price_monitor import decompose_generation
 
 CHI2_CRIT_DF3_P01 = 11.345  # chi-square 0.99 quantile, 3 degrees of freedom
+CHI2_CRIT_DF199_P999 = 266.386  # chi-square 0.999 quantile, 199 degrees of freedom
 
 
 def make_pop(fitness, length=8, seed=0):
@@ -249,6 +250,59 @@ class TestMutation:
         zeros = np.zeros((10_000, L), np.uint8)
         total = sum(int(bit_flip_mutation(zeros, 1.0 / L, rng)[0].sum()) for _ in range(10))
         assert total / 100_000 == pytest.approx(1.0, abs=0.05)
+
+    def test_flips_per_row_are_binomial(self):
+        # Binomial(L, Pm) at L=170, Pm=1/170: mean 1 and variance 169/170;
+        # over 40,000 rows the standard errors are about 0.005 and 0.009
+        L, rate = 170, 1.0 / 170
+        rng = np.random.default_rng(20)
+        zeros = np.zeros((200, L), np.uint8)
+        flips = np.concatenate(
+            [bit_flip_mutation(zeros, rate, rng)[0].sum(axis=1) for _ in range(200)]
+        )
+        assert flips.mean() == pytest.approx(L * rate, abs=0.03)
+        assert flips.var() == pytest.approx(L * rate * (1 - rate), abs=0.05)
+
+    def test_flip_positions_are_uniform(self):
+        # 2,000 calls at rate 0.05 on 200 cells: about 100 flips per cell
+        rng = np.random.default_rng(21)
+        zeros = np.zeros((20, 10), np.uint8)
+        counts = sum(
+            bit_flip_mutation(zeros, 0.05, rng)[0].astype(np.int64) for _ in range(2000)
+        ).ravel()
+        expected = [counts.sum() / counts.size] * counts.size
+        assert chi_square_statistic(counts, expected) < CHI2_CRIT_DF199_P999
+
+    @pytest.mark.parametrize("rate", [0.001, 0.02, 0.5])
+    def test_touched_marks_the_rows_that_changed(self, rate):
+        rng = np.random.default_rng(22)
+        bits = rng.integers(0, 2, size=(300, 40), dtype=np.uint8)
+        before = bits.copy()
+        mutated, touched = bit_flip_mutation(bits, rate, rng)
+        np.testing.assert_array_equal(bits, before)
+        assert mutated.dtype == np.uint8 and touched.dtype == bool
+        np.testing.assert_array_equal(touched, (mutated != bits).any(axis=1))
+        assert 0 < touched.sum() <= 300
+
+    def test_draws_the_flip_count_then_a_subset_of_positions(self):
+        mutated, _ = bit_flip_mutation(np.zeros((50, 17), np.uint8), 0.03,
+                                       np.random.default_rng(5))
+        g = np.random.default_rng(5)
+        expected = np.zeros(50 * 17, np.uint8)
+        expected[g.choice(850, size=g.binomial(850, 0.03), replace=False)] = 1
+        np.testing.assert_array_equal(mutated.ravel(), expected)
+
+    def test_stacked_runs_equal_their_generators_alone(self):
+        bits = np.random.default_rng(23).integers(0, 2, size=(3, 40, 30), dtype=np.uint8)
+        seeds = [7, 8, 9]
+        mutated, touched = bit_flip_mutation(
+            bits, 0.02, RunStreams(np.random.default_rng(s) for s in seeds)
+        )
+        assert mutated.shape == bits.shape and touched.shape == (3, 40)
+        for r, s in enumerate(seeds):
+            alone, alone_touched = bit_flip_mutation(bits[r], 0.02, np.random.default_rng(s))
+            np.testing.assert_array_equal(mutated[r], alone)
+            np.testing.assert_array_equal(touched[r], alone_touched)
 
     def test_single_bit_scheme_flips_at_most_one(self, rng):
         mutated, touched = single_bit_mutation(np.zeros((2000, 50), np.uint8), 0.5, rng)

@@ -23,7 +23,11 @@ It also holds each run's reference-kernel time scale (``time_scale``, with
 quartiles) and its unscaled ``runs_per_s`` (``unscaled_runs_per_s``, with
 quartiles and the change's wins), both parsed from the run's
 ``time scale ... unscaled: ... runs_per_s ... 1/s`` note: the scaled rates
-move with the time scale, the unscaled rate does not.
+move with the time scale, the unscaled rate does not.  And it holds each
+run's ``cpu_per_wall`` (with quartiles): the CPU seconds of the perfbench
+process and its children (``resource.getrusage(RUSAGE_CHILDREN)`` deltas)
+over its wall seconds, so a gain that comes from a second BLAS core shows.
+Each run record also keeps its ``cpu_s`` and ``wall_s``.
 
 After the pairs, one traced pass per side (``--trace 1``, the parent
 first) gives ``<name>_layers``: every per-layer metric of ``BENCHMARK.json``
@@ -42,12 +46,14 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import resource
 import shutil
 import statistics
 import struct
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,15 +76,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     """One perfbench run in ``tree``, parsed into the record schema.  A traced
     run that trips a zero-span guard exits 1 but still prints its result; its
-    guard lines are kept under ``guards``."""
+    guard lines are kept under ``guards``.  ``cpu_s`` and ``wall_s`` are the
+    CPU and wall seconds of the subprocess and the children it waited for."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    cpu0, wall0 = cpu_children(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    wall_s, cpu_s = time.perf_counter() - wall0, cpu_children() - cpu0
     lines = proc.stdout.splitlines()
     if proc.returncode not in ((0, 1) if trace else (0,)) or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
     record = {"meta": None, "notes": [], "digest_sha256": None, "digest_rows": [],
-              "result": json.loads(lines[-1])}
+              "result": json.loads(lines[-1]), "cpu_s": cpu_s, "wall_s": wall_s}
     for line in lines[:-1]:
         if line.startswith("# meta "):
             meta = json.loads(line[len("# meta "):])
@@ -94,6 +103,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
         record["guards"] = [line[2:] for line in proc.stderr.splitlines()
                             if line.startswith("# GUARD")]
     return record
+
+
+def cpu_children() -> float:
+    """User plus system CPU seconds of every waited-for child so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -129,7 +144,8 @@ def series(parent: list[float], change: list[float], direction: str | None) -> d
 
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     """Per gated metric: both series, their quartiles, and the change's wins;
-    then the time scale and the unscaled runs_per_s of every run."""
+    then the time scale, the unscaled runs_per_s and the CPU/wall ratio of
+    every run."""
     out = {}
     for name, direction in better.items():
         parent = [p["result"]["metrics"][name]["value"] for p, _ in pairs]
@@ -139,6 +155,8 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     out["time_scale"] = series([p[0] for p, _ in notes], [c[0] for _, c in notes], None)
     out["unscaled_runs_per_s"] = series([p[1] for p, _ in notes], [c[1] for _, c in notes],
                                         "higher")
+    out["cpu_per_wall"] = series([p["cpu_s"] / p["wall_s"] for p, _ in pairs],
+                                 [c["cpu_s"] / c["wall_s"] for _, c in pairs], None)
     return out
 
 
