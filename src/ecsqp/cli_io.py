@@ -50,7 +50,6 @@ from .price_monitor import decompose_generation  # noqa: F401
 from . import autodiff
 
 __all__ = [
-    "AggregateReport",
     "ConfigError",
     "RunConfig",
     "ad_check",
@@ -155,13 +154,12 @@ class RunConfig:
         """GA settings with a '1/l' mutation rate bound to the string length."""
         return self._bind_mutation(self.ga, self.mutation_rate_raw, spec)
 
-    def resolved_validation(
-        self, spec: EncodingSpec
-    ) -> tuple[GAConfig | None, SwitchCriteria | None]:
+    def resolved_validation(self, spec: EncodingSpec) -> GAConfig | None:
+        """Validation GA settings, with a '1/l' mutation rate bound likewise."""
         ga = self.validation_ga
         if ga is not None:
             ga = self._bind_mutation(ga, self.validation_mutation_rate_raw, spec)
-        return ga, self.validation_switch
+        return ga
 
 
 def _build_section(cls, data: dict, *, context: str = ""):
@@ -210,17 +208,22 @@ def load_config(path: str | Path) -> RunConfig:
         return _build_section(GAConfig, section, context=context), raw
 
     data = dict(data)
-    ga, mutation_raw = parse_ga(data.pop("ga", {}), "ga section")
-    sqp = _build_section(SQPConfig, dict(data.pop("sqp", {})), context="sqp section")
-    switch = _build_section(
-        SwitchCriteria, dict(data.pop("switch", {})), context="switch section"
-    )
+
+    def section(name: str) -> dict:
+        value = data.pop(name, {})
+        if not isinstance(value, dict):
+            raise ConfigError(f"the {name} section must be a mapping, got {value!r}")
+        return value
+
+    ga, mutation_raw = parse_ga(section("ga"), "ga section")
+    sqp = _build_section(SQPConfig, section("sqp"), context="sqp section")
+    switch = _build_section(SwitchCriteria, section("switch"), context="switch section")
     # parsed in every mode: `run --mode hybrid` may override the file's mode
-    val_ga_data = {**VALIDATION_GA_DEFAULTS, **data.pop("validation_ga", {})}
+    val_ga_data = {**VALIDATION_GA_DEFAULTS, **section("validation_ga")}
     validation_ga, val_raw = parse_ga(val_ga_data, "validation_ga section")
     validation_switch = _build_section(
         SwitchCriteria,
-        {**VALIDATION_SWITCH_DEFAULTS, **data.pop("validation_switch", {})},
+        {**VALIDATION_SWITCH_DEFAULTS, **section("validation_switch")},
         context="validation_switch section",
     )
     for required in ("problem", "dimension"):
@@ -235,9 +238,17 @@ def load_config(path: str | Path) -> RunConfig:
         context="run config",
     )
     try:
-        cfg.make_problem()
+        problem = cfg.make_problem()
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"bad problem {cfg.problem!r} at dimension {cfg.dimension!r}: {exc}"
+        ) from exc
+    try:  # the encoding grid every ec and hybrid run builds
+        EncodingSpec.for_bounds(problem.bounds.lower, problem.bounds.upper, cfg.precision)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad precision {cfg.precision!r}: {exc}") from exc
     return cfg
 
 
@@ -302,16 +313,15 @@ def _run_hybrid(cfg: RunConfig, indices: list[int]) -> list[dict]:
     spec = EncodingSpec.for_bounds(
         problem.bounds.lower, problem.bounds.upper, cfg.precision
     )
-    val_ga, val_switch = cfg.resolved_validation(spec)
     result: HybridResult = run_hybrid(
         problem,
-        replace(cfg.resolved_ga(spec), rng_seed=cfg.run_seed(index)),
+        cfg.resolved_ga(spec),
         cfg.sqp,
         cfg.switch,
         cfg.run_seed(index),
         precision=cfg.precision,
-        validation_criteria=val_switch,
-        validation_ga=val_ga,
+        validation_criteria=cfg.validation_switch,
+        validation_ga=cfg.resolved_validation(spec),
     )
     rows = [
         (r.phase, r.step, r.best, r.mean, r.evaluations) for r in result.trace
@@ -383,52 +393,32 @@ def _execute(cfg: RunConfig, indices: list[int], out_dir: str | None) -> list[di
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AggregateReport:
-    """Across-run per-generation means and standard errors.
+def _aggregate(runs: list[dict]) -> tuple[tuple, list[tuple]]:
+    """Header and rows of ``aggregate.csv``: per generation, the across-run
+    mean and sample standard error (R-1 divisor, NaN for a single run) of
+    every numeric ``PRICE_COLUMNS`` column.
 
     Every ec run yields one row per generation up to the cap, so the runs
     stack into one ``(runs, generations, columns)`` array.
     """
-
-    columns: tuple
-    means: np.ndarray
-    stderrs: np.ndarray
-    runs: int
-
-    @classmethod
-    def from_runs(cls, columns: tuple, runs: list[dict]) -> "AggregateReport":
-        data = np.array([[row[1:] for row in run["rows"]] for run in runs], dtype=float)
-        means = data.mean(axis=0)
-        # sample standard error (R-1 divisor), NaN for a single run
-        if len(runs) < 2:
-            stderrs = np.full_like(means, np.nan)
-        else:
-            ss = np.sum((data - means[None, :, :]) ** 2, axis=0)
-            stderrs = np.sqrt(ss / (len(runs) - 1)) / np.sqrt(len(runs))
-        return cls(columns=columns, means=means, stderrs=stderrs, runs=len(runs))
-
-    def rows(self) -> list[tuple]:
-        out = []
-        for g in range(self.means.shape[0]):
-            row = [g + 1, self.runs]
-            for j in range(self.means.shape[1]):
-                row.append(float(self.means[g, j]))
-                row.append(float(self.stderrs[g, j]))
-            out.append(tuple(row))
-        return out
-
-    def header(self) -> tuple:
-        numeric = [c for c in self.columns if c != "generation"]
-        cols = ["generation", "runs"]
-        for c in numeric:
-            cols.append(f"{c}_mean")
-            cols.append(f"{c}_se")
-        return tuple(cols)
+    data = np.array([[row[1:] for row in run["rows"]] for run in runs], dtype=float)
+    means = data.mean(axis=0)
+    if len(runs) < 2:
+        stderrs = np.full_like(means, np.nan)
+    else:
+        ss = np.sum((data - means[None, :, :]) ** 2, axis=0)
+        stderrs = np.sqrt(ss / (len(runs) - 1)) / np.sqrt(len(runs))
+    header = ["generation", "runs"]
+    for c in PRICE_COLUMNS[1:]:
+        header += [f"{c}_mean", f"{c}_se"]
+    interleaved = np.stack((means, stderrs), axis=-1).reshape(means.shape[0], -1)
+    rows = [(g, len(runs), *r) for g, r in enumerate(interleaved.tolist(), start=1)]
+    return tuple(header), rows
 
 
 def run_batch(cfg: RunConfig, out_dir: str | None, jobs: int = 1) -> dict:
-    """Execute the configured repetitions; returns results and failures."""
+    """Execute the configured repetitions; returns the good runs' records
+    under ``runs`` and the failed runs' under ``failures``."""
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     indices = list(range(cfg.repetitions))
@@ -448,14 +438,11 @@ def run_batch(cfg: RunConfig, out_dir: str | None, jobs: int = 1) -> dict:
     good = [o for o in outcomes if "error" not in o]
     failed = [o for o in outcomes if "error" in o]
 
-    report = None
-    if good and cfg.mode == "ec":
-        report = AggregateReport.from_runs(PRICE_COLUMNS, good)
-        if out_dir is not None:
-            _write_csv(Path(out_dir) / "aggregate.csv", report.header(), report.rows())
     if good and out_dir is not None:
+        if cfg.mode == "ec":
+            _write_csv(Path(out_dir) / "aggregate.csv", *_aggregate(good))
         _write_summary(Path(out_dir) / "summary.txt", cfg, good, failed)
-    return {"runs": good, "failures": failed, "aggregate": report}
+    return {"runs": good, "failures": failed}
 
 
 def _write_summary(path: Path, cfg: RunConfig, good: list[dict], failed: list[dict]):

@@ -87,11 +87,6 @@ class VariableSpec:
             )
         object.__setattr__(self, "bit_length", l)
 
-    @property
-    def grid_step(self) -> float:
-        """Spacing between adjacent decodable values."""
-        return (self.upper - self.lower) / (2**self.bit_length - 1)
-
 
 @dataclass(frozen=True)
 class EncodingSpec:

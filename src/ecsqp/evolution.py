@@ -60,7 +60,6 @@ __all__ = [
     "adaptive_elitism_replace",
     "binary_tournament_cycle",
     "bit_flip_mutation",
-    "evolve_generation",
     "roulette_select",
     "single_bit_mutation",
     "single_point_crossover",
@@ -416,11 +415,6 @@ class EliteState:
         if np.min(self.n_elite) < 1:
             raise ValueError("elite size must be at least 1")
 
-    @classmethod
-    def initial(cls, cfg: GAConfig, runs: int | None = None) -> "EliteState":
-        n_elite = math.ceil(cfg.overlap_fraction * cfg.population_size)
-        return cls(n_elite=n_elite if runs is None else np.full(runs, n_elite))
-
 
 def adaptive_elitism_replace(
     parents: Population, offspring: Population, state: EliteState
@@ -529,64 +523,11 @@ class GenerationResult(NamedTuple):
     stats: FitnessStats
 
 
-def evolve_generation(
-    pop: Population,
-    cfg: GAConfig,
-    fitness_fn: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator | RunStreams,
-    elite: EliteState,
-    run_evaluations: np.ndarray | None = None,
-) -> GenerationResult:
-    """Advance one generation (of one run, or of every run of a stack) and
-    capture its lineage.
-
-    ``fitness_fn`` maps an ``(m, L)`` bit matrix to ``m`` fitness values
-    (maximization).  Chromosomes left untouched by an operator inherit their
-    fitness, and the rows that crossover or mutation changed, in every run,
-    are scored together: one fitness call per generation (none when no row
-    changed) and at most two evaluations per slot.  Only those new values are
-    checked finite; inherited ones were checked when they entered.  A stack's
-    per-run evaluation counts are added to ``run_evaluations``.
-    """
-    if cfg.selection is SelectionMethod.ROULETTE_WHEEL:
-        slots = roulette_select(pop, len(pop), rng)
-    else:
-        slots = binary_tournament_cycle(pop, rng)
-    n, length = pop.bits.shape[-2:]
-    at = _flat(slots, n)
-    sel_bits = pop.bits.reshape(-1, length).take(at, axis=0)
-    f_sel = pop.fitness.take(at)
-
-    child, crossed, changed = single_point_crossover(sel_bits, cfg.crossover_rate, rng)
-    mutate = bit_flip_mutation if cfg.mutation_scheme == "per-bit" else single_bit_mutation
-    mutated, touched = mutate(child, cfg.mutation_rate, rng)
-
-    crossed_rows = child[changed]
-    rows = np.concatenate((crossed_rows, mutated[touched]))
-    values = fitness_fn(rows) if rows.shape[0] else np.empty(0)
-    if not np.isfinite(values).all():
-        raise ValueError("all members must carry finite fitness")
-    n_xo = crossed_rows.shape[0]
-    f_xo = f_sel.copy()
-    f_xo[changed] = values[:n_xo]
-    f_mut = f_xo.copy()
-    f_mut[touched] = values[n_xo:]
-    if run_evaluations is not None:
-        run_evaluations += np.count_nonzero(changed, axis=-1)
-        run_evaluations += np.count_nonzero(touched, axis=-1)
-
-    offspring = Population._checked(mutated, f_mut)
-    nxt = adaptive_elitism_replace(pop, offspring, elite)
-    lineage = LineageRecord(
-        pop.fitness, slots, crossed, f_sel, f_xo, f_mut, pop.stats, offspring.stats
-    )
-    return GenerationResult(nxt, lineage, nxt.stats)
-
-
 class Engine:
     """Seeded driver owning the RNG stream(s), elite state and evaluation count.
 
-    ``rng`` is one generator (by default seeded with ``cfg.rng_seed``) for a
+    ``fitness_fn`` maps an ``(m, L)`` bit matrix to ``m`` fitness values
+    (maximization).  ``rng`` is one generator (by default seeded with ``cfg.rng_seed``) for a
     single run, or a :class:`RunStreams` for a stack of runs stepped
     together.  :attr:`evaluations` counts every run's objective evaluations;
     a stack also counts them per run in :attr:`run_evaluations`.
@@ -605,7 +546,8 @@ class Engine:
         self.chromosome_length = chromosome_length
         self.rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
         runs = len(self.rng) if isinstance(self.rng, RunStreams) else None
-        self.elite = EliteState.initial(cfg, runs)
+        n_elite = math.ceil(cfg.overlap_fraction * cfg.population_size)
+        self.elite = EliteState(n_elite if runs is None else np.full(runs, n_elite))
         self.evaluations = 0
         self.run_evaluations = None if runs is None else np.zeros(runs, dtype=np.int64)
         self._fitness_fn = fitness_fn
@@ -642,6 +584,48 @@ class Engine:
         return Population(bits, values.reshape(bits.shape[:-1]))
 
     def step(self, pop: Population) -> GenerationResult:
-        return evolve_generation(
-            pop, self.cfg, self._evaluate, self.rng, self.elite, self.run_evaluations
+        """Advance one generation (of one run, or of every run of a stack)
+        and capture its lineage.
+
+        Chromosomes left untouched by an operator inherit their fitness, and
+        the rows that crossover or mutation changed, in every run, are scored
+        together: one fitness call per generation (none when no row changed)
+        and at most two evaluations per slot.  Only those new values are
+        checked finite; inherited ones were checked when they entered.
+        Selection and replacement are looked up as module globals at call
+        time, so they can be rebound from outside.
+        """
+        cfg = self.cfg
+        if cfg.selection is SelectionMethod.ROULETTE_WHEEL:
+            slots = roulette_select(pop, len(pop), self.rng)
+        else:
+            slots = binary_tournament_cycle(pop, self.rng)
+        n, length = pop.bits.shape[-2:]
+        at = _flat(slots, n)
+        sel_bits = pop.bits.reshape(-1, length).take(at, axis=0)
+        f_sel = pop.fitness.take(at)
+
+        child, crossed, changed = single_point_crossover(sel_bits, cfg.crossover_rate, self.rng)
+        mutate = bit_flip_mutation if cfg.mutation_scheme == "per-bit" else single_bit_mutation
+        mutated, touched = mutate(child, cfg.mutation_rate, self.rng)
+
+        crossed_rows = child[changed]
+        rows = np.concatenate((crossed_rows, mutated[touched]))
+        values = self._evaluate(rows) if rows.shape[0] else np.empty(0)
+        if not np.isfinite(values).all():
+            raise ValueError("all members must carry finite fitness")
+        n_xo = crossed_rows.shape[0]
+        f_xo = f_sel.copy()
+        f_xo[changed] = values[:n_xo]
+        f_mut = f_xo.copy()
+        f_mut[touched] = values[n_xo:]
+        if self.run_evaluations is not None:
+            self.run_evaluations += np.count_nonzero(changed, axis=-1)
+            self.run_evaluations += np.count_nonzero(touched, axis=-1)
+
+        offspring = Population._checked(mutated, f_mut)
+        nxt = adaptive_elitism_replace(pop, offspring, self.elite)
+        lineage = LineageRecord(
+            pop.fitness, slots, crossed, f_sel, f_xo, f_mut, pop.stats, offspring.stats
         )
+        return GenerationResult(nxt, lineage, nxt.stats)

@@ -26,16 +26,18 @@ from .evolution import LineageRecord, _per_run
 __all__ = [
     "ConvergenceState",
     "OperatorContribution",
+    "SMOOTHING_WINDOW",
     "Stage",
     "decompose_generation",
     "operator_term",
-    "operator_term_sigma",
     "selection_term",
     "sigma_width",
     "update_convergence",
 ]
 
 DECOMPOSITION_RTOL = 1e-9
+#: consecutive envelope widths at or below the threshold that declare convergence
+SMOOTHING_WINDOW = 3
 
 
 class Stage(enum.Enum):
@@ -92,16 +94,6 @@ def operator_term(lineage: LineageRecord, stage: Stage):
     copies keep their parent's fitness.
     """
     return _stage_moments(lineage.stage_deltas(stage.value))[0]
-
-
-def operator_term_sigma(lineage: LineageRecord, stage: Stage):
-    """Standard deviation of the per-child stage deltas.
-
-    Moments are taken over the flat multiset of per-child fitness changes
-    with the same ``1/(N z_bar)`` weighting as the stage mean, i.e.
-    ``Var = E[dq^2] - E[dq]^2`` over all children of all parents.
-    """
-    return _stage_moments(lineage.stage_deltas(stage.value))[1]
 
 
 def sigma_width(sigma):
@@ -173,20 +165,17 @@ class ConvergenceState:
     """Debounced first-crossing detector on the crossover envelope width.
 
     Convergence is declared at the first generation completing
-    ``smoothing_window`` consecutive widths at or below the threshold; raw
-    single-generation widths are too noisy to act on directly.
+    :data:`SMOOTHING_WINDOW` consecutive widths at or below the threshold;
+    raw single-generation widths are too noisy to act on directly.
     """
 
     threshold: float = 0.01
-    smoothing_window: int = 3
     converged_at: int | None = None
     _streak: int = 0
 
     def __post_init__(self) -> None:
         if self.threshold <= 0.0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.smoothing_window < 1:
-            raise ValueError("smoothing window must be >= 1")
 
 
 def update_convergence(
@@ -199,6 +188,6 @@ def update_convergence(
     if state.converged_at is not None:
         return state
     state._streak = state._streak + 1 if width <= state.threshold else 0
-    if state._streak >= state.smoothing_window:
+    if state._streak >= SMOOTHING_WINDOW:
         state.converged_at = generation
     return state

@@ -10,7 +10,6 @@ import pytest
 from ecsqp import cli_io
 from ecsqp.benchmarks import BenchmarkProblem, Orientation, get_problem, register_problem, _REGISTRY
 from ecsqp.cli_io import (
-    AggregateReport,
     ConfigError,
     PRICE_COLUMNS,
     RunConfig,
@@ -23,7 +22,7 @@ from ecsqp.encoding import EncodingSpec
 from ecsqp.evolution import Engine, GAConfig, SelectionMethod
 from ecsqp.hybrid import SwitchCriteria, evolve, fitness_function
 from ecsqp.local_search import BoundBox
-from ecsqp.price_monitor import ConvergenceState, sigma_width
+from ecsqp.price_monitor import SMOOTHING_WINDOW, sigma_width
 
 
 BASE_CONFIG = """
@@ -72,10 +71,10 @@ class TestLoadConfig:
         spec = EncodingSpec.for_bounds(
             problem.bounds.lower, problem.bounds.upper, cfg.precision
         )
-        ga, switch = cfg.resolved_validation(spec)
+        ga = cfg.resolved_validation(spec)
         assert ga.population_size == 40
         assert ga.mutation_rate == pytest.approx(1 / 34)
-        assert switch.max_generations == 800
+        assert cfg.validation_switch.max_generations == 800
 
     def test_mutation_rate_binding(self, config_file):
         cfg = load_config(config_file)
@@ -195,7 +194,7 @@ class TestRunBatch:
             c = cli_io.replace(cfg, switch=cli_io.replace(cfg.switch, sigma_threshold=threshold))
             result = run_batch(c, str(out), jobs=1)
             converged = [r["converged_at"] for r in result["runs"]]
-            expected = [None] * 3 if threshold < 1 else [ConvergenceState().smoothing_window] * 3
+            expected = [None] * 3 if threshold < 1 else [SMOOTHING_WINDOW] * 3
             assert converged == expected
             lines = (out / "summary.txt").read_text().splitlines()
             recorded = [line for line in lines if line.startswith("converged_at per run: ")]
@@ -206,16 +205,20 @@ class TestRunBatch:
     def test_aggregate_matches_independent_recomputation(self, config_file, tmp_path):
         cfg = load_config(config_file)
         cfg = cli_io.replace(cfg, mode="ec", repetitions=3, output=None)
-        result = run_batch(cfg, None, jobs=1)
-        report: AggregateReport = result["aggregate"]
-        runs = result["runs"]
+        runs = run_batch(cfg, None, jobs=1)["runs"]
+        header, rows = cli_io._aggregate(runs)
+        numeric = PRICE_COLUMNS[1:]
+        assert header == ("generation", "runs", *(
+            f"{c}_{stat}" for c in numeric for stat in ("mean", "se")))
+        assert len(rows) == cfg.ga.max_generations
         # arithmetic mean recomputed straight from the per-run rows
-        for g in range(report.means.shape[0]):
-            for j, col in enumerate([c for c in PRICE_COLUMNS if c != "generation"]):
+        for g, row in enumerate(rows):
+            assert row[:2] == (g + 1, 3)
+            for j in range(len(numeric)):
                 column_values = [run["rows"][g][1 + j] for run in runs]
-                assert report.means[g, j] == pytest.approx(np.mean(column_values))
+                assert row[2 + 2 * j] == pytest.approx(np.mean(column_values))
                 expected_se = np.std(column_values, ddof=1) / np.sqrt(len(runs))
-                assert report.stderrs[g, j] == pytest.approx(expected_se)
+                assert row[3 + 2 * j] == pytest.approx(expected_se)
 
     def test_hybrid_mode_schema(self, config_file, tmp_path):
         cfg = load_config(config_file)
@@ -440,6 +443,23 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--jobs", "1"]) == 2
         err = capsys.readouterr().err
         assert "unknown key" in err and key in err
+
+    @pytest.mark.parametrize("entry", [
+        {"ga": "null"}, {"validation_ga": "null"}, {"sqp": "3"}, {"switch": "[1, 2]"},
+        {"dimension": "two"}, {"dimension": "0"},
+        {"problem": "schwefel-max", "dimension": "3"},
+        {"precision": "abc"}, {"precision": "-1"},
+    ], ids=lambda entry: ",".join(f"{k}={v}" for k, v in entry.items()))
+    @pytest.mark.parametrize("mode", ["ec", "hybrid", "sqp"])
+    def test_malformed_value_exit_two(self, tmp_path, capsys, entry, mode):
+        # a malformed section, problem or precision fails at load time in
+        # every mode, not as a traceback or as failed runs
+        bad = tmp_path / "bad.yaml"
+        keys = {"problem": "ackley", "dimension": "2", **entry}
+        bad.write_text("".join(f"{k}: {v}\n" for k, v in keys.items()))
+        assert main(["run", "--config", str(bad), "--mode", mode, "--jobs", "1",
+                     "--runs", "1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_repeated_key_exit_two(self, tmp_path, capsys):
         # yaml.safe_load keeps the last of two values without a word

@@ -217,7 +217,8 @@ class TestEncode:
 
     def test_nearest_grid_point_error_bound(self, rng):
         spec = EncodingSpec.for_bounds([-5.0], [5.0], 0.01)
-        step = spec.variables[0].grid_step
+        var = spec.variables[0]
+        step = (var.upper - var.lower) / (2**var.bit_length - 1)  # grid spacing
         for _ in range(300):
             x = rng.uniform(-5.0, 5.0)
             back = decode(encode([x], spec), spec)[0]

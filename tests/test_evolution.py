@@ -17,7 +17,6 @@ from ecsqp.evolution import (
     adaptive_elitism_replace,
     binary_tournament_cycle,
     bit_flip_mutation,
-    evolve_generation,
     roulette_select,
     single_bit_mutation,
     single_point_crossover,
@@ -542,8 +541,7 @@ class TestEvolveGeneration:
         cfg = GAConfig(population_size=12, crossover_rate=0.6, mutation_rate=0.5,
                        overlap_fraction=0.25, rng_seed=21)
         pop = Engine(cfg, 16, fit).random_population()
-        step_rng = np.random.default_rng(5)
-        result = evolve_generation(pop, cfg, fit, step_rng, EliteState.initial(cfg))
+        result = Engine(cfg, 16, fit, rng=np.random.default_rng(5)).step(pop)
         replay = np.random.default_rng(5)
         slots = binary_tournament_cycle(pop, replay)
         child, _, _ = single_point_crossover(pop.bits[slots], 0.6, replay)

@@ -203,3 +203,26 @@ class TestRunHybrid:
                             validation_criteria=deep, validation_ga=val_ga)
         val_rows = [r for r in result.trace if r.phase == "validation"]
         assert len(val_rows) > 11  # ran past the exploration cap
+
+    def test_result_ignores_the_ga_configs_seeds(self):
+        # run_hybrid seeds both GA phases from its own rng_seed; the configs'
+        # rng_seed fields are never read
+        problem = get_problem("ackley", 2)
+        results = []
+        for ga_seed, val_seed in ((0, 0), (17, 29)):
+            ga = GAConfig(population_size=20, mutation_rate=0.05, rng_seed=ga_seed,
+                          overlap_fraction=0.1)
+            val_ga = GAConfig(population_size=40, mutation_rate=0.02, rng_seed=val_seed,
+                              overlap_fraction=0.1, mutation_scheme="per-bit")
+            results.append(run_hybrid(problem, ga, SQPConfig(),
+                                      SwitchCriteria(max_generations=10), rng_seed=5,
+                                      validation_criteria=SwitchCriteria(max_generations=20),
+                                      validation_ga=val_ga))
+        a, b = results
+        assert {r.phase for r in a.trace} == {"ec", "sqp", "validation"}
+        assert a.f_star == b.f_star
+        assert a.evaluations == b.evaluations
+        np.testing.assert_equal(
+            [(r.phase, r.step, r.best, r.mean, r.evaluations) for r in a.trace],
+            [(r.phase, r.step, r.best, r.mean, r.evaluations) for r in b.trace],
+        )

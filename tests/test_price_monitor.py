@@ -17,7 +17,6 @@ from ecsqp.price_monitor import (
     Stage,
     decompose_generation,
     operator_term,
-    operator_term_sigma,
     selection_term,
     sigma_width,
     update_convergence,
@@ -78,18 +77,18 @@ class TestOperatorTerm:
 class TestOperatorSigma:
     def test_unchanged_children_have_zero_spread(self):
         lin = lineage_from([0, 1], [4.0, 2.0])
-        assert operator_term_sigma(lin, Stage.MUTATION) == 0.0
+        assert decompose_generation(lin, 1).mutation_sigma == 0.0
 
     def test_plus_minus_one(self):
         lin = lineage_from([0, 1], [4.0, 2.0], f_xo=[5.0, 1.0])
         # deltas {+1, -1} with normalization 2: E = 0, E[d^2] = 1, sigma = 1
-        assert operator_term_sigma(lin, Stage.CROSSOVER) == pytest.approx(1.0)
+        assert decompose_generation(lin, 1).crossover_sigma == pytest.approx(1.0)
         assert operator_term(lin, Stage.CROSSOVER) == pytest.approx(0.0)
 
     def test_constant_deltas(self):
         lin = lineage_from([0, 1, 2], [4.0, 2.0, 6.0],
                            f_xo=[4.5, 2.5, 6.5])
-        assert operator_term_sigma(lin, Stage.CROSSOVER) == pytest.approx(0.0, abs=1e-12)
+        assert decompose_generation(lin, 1).crossover_sigma == pytest.approx(0.0, abs=1e-12)
         assert operator_term(lin, Stage.CROSSOVER) == pytest.approx(0.5)
 
 
@@ -111,30 +110,31 @@ class TestSigmaWidth:
 
 
 class TestUpdateConvergence:
-    def test_first_crossing_window_one(self):
-        state = ConvergenceState(threshold=0.01, smoothing_window=1)
-        for gen, width in enumerate([0.5, 0.2, 0.009], start=1):
+    def test_first_crossing_completes_the_window(self):
+        state = ConvergenceState(threshold=0.01)
+        for gen, width in enumerate([0.5, 0.2, 0.009, 0.01, 0.0], start=1):
             update_convergence(state, width, gen)
-        assert state.converged_at == 3
+        assert state.converged_at == 5
 
     def test_never_below_threshold(self):
-        state = ConvergenceState(threshold=0.01, smoothing_window=1)
+        state = ConvergenceState(threshold=0.01)
         for gen in range(1, 50):
             update_convergence(state, 0.02, gen)
         assert state.converged_at is None
 
     def test_debounce_requires_consecutive_widths(self):
-        state = ConvergenceState(threshold=0.01, smoothing_window=3)
+        state = ConvergenceState(threshold=0.01)
         widths = [0.009, 0.5, 0.009, 0.009, 0.009]
         for gen, width in enumerate(widths, start=1):
             update_convergence(state, width, gen)
         assert state.converged_at == 5
 
     def test_detection_is_sticky(self):
-        state = ConvergenceState(threshold=0.01, smoothing_window=1)
-        update_convergence(state, 0.001, 1)
-        update_convergence(state, 99.0, 2)
-        assert state.converged_at == 1
+        state = ConvergenceState(threshold=0.01)
+        for gen in range(1, 4):
+            update_convergence(state, 0.001, gen)
+        update_convergence(state, 99.0, 4)
+        assert state.converged_at == 3
 
 
 class TestDecompositionIdentity:
@@ -182,8 +182,10 @@ class TestDecompositionIdentity:
                 c = decompose_generation(lineage, gen)
                 assert c.crossover_term == operator_term(lineage, Stage.CROSSOVER)
                 assert c.mutation_term == operator_term(lineage, Stage.MUTATION)
-                assert c.crossover_sigma == operator_term_sigma(lineage, Stage.CROSSOVER)
-                assert c.mutation_sigma == operator_term_sigma(lineage, Stage.MUTATION)
+                for sigma, stage in ((c.crossover_sigma, "crossover"),
+                                     (c.mutation_sigma, "mutation")):
+                    assert sigma == pytest.approx(np.std(lineage.stage_deltas(stage)),
+                                                  rel=1e-9, abs=1e-12)
                 assert c.total_delta_q == float(
                     lineage.fitness_after_mutation.mean() - lineage.parent_fitness.mean()
                 )
@@ -257,8 +259,8 @@ class TestSchwefelConvergenceSignal:
                        mutation_rate=1.0 / spec.total_length, rng_seed=2)
         eng = Engine(cfg, spec.total_length, fitness)
         pop = eng.random_population()
-        xo_state = ConvergenceState(threshold=0.01, smoothing_window=3)
-        mut_state = ConvergenceState(threshold=0.01, smoothing_window=3)
+        xo_state = ConvergenceState(threshold=0.01)
+        mut_state = ConvergenceState(threshold=0.01)
         for gen in range(1, 101):
             pop, lineage, _ = eng.step(pop)
             c = decompose_generation(lineage, gen)

@@ -6,6 +6,7 @@ benchmark run.  The file is loaded by path, as the benchmark loads it.
 """
 
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,18 @@ def tracing():
 def test_function_spans_resolve(tracing):
     for module, attr, _ in tracing._FUNCTION_SPANS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_names_bound_in_several_modules_are_one_function(tracing):
+    # the tracer rebinds each importer's reference; a wrapper added in one
+    # importer would leave the calls through it untraced
+    bound = defaultdict(list)
+    for module, attr, _ in tracing._FUNCTION_SPANS:
+        bound[attr].append(getattr(module, attr))
+    shared = {attr: fns for attr, fns in bound.items() if len(fns) > 1}
+    assert shared
+    for attr, fns in shared.items():
+        assert all(fn is fns[0] for fn in fns), attr
 
 
 def test_patched_methods_resolve():

@@ -15,9 +15,10 @@ The result is merged into ``--out`` (created if missing) in the schema of
 ``BENCH_*.json`` (an existing file must hold the same two commits):
 ``workloads.<name>.{change,parent}`` holds the first pair's two runs
 (metadata, notes, digest and the JSON result line), and, when
-``--pairs`` is above one, ``<name>_claim_pairs`` holds every pair's gated
-end-to-end metrics with their quartiles (inclusive method; the middle one is
-the median) and the number of pairs the change won, by the ``better``
+``--pairs`` is above one, ``<name>_claim_pairs`` holds the ``--seed`` and
+every pair's gated end-to-end metrics with their quartiles (inclusive
+method; the middle one is the median) and the number of pairs the change
+won, by the ``better``
 direction in ``BENCHMARK.json``, and how many pairs had identical digests.
 It also holds each run's reference-kernel time scale (``time_scale``, with
 quartiles) and its unscaled ``runs_per_s`` (``unscaled_runs_per_s``, with
@@ -38,7 +39,13 @@ When the first pair's ``digest-sha256`` lines differ, ``<name>_digest_diff``
 lists the ``# digest`` rows that differ: each row's label, its parent and
 change values, and per value the distance in units in the last place for
 floats (0 for an equal value, null for an unequal one of another type).
-Only the standard library is used.
+
+A later run at another ``--seed`` than the stored claim pairs' is a held-out
+run: it makes no traced pass and writes ``<name>_heldout_pairs`` (the same
+fields as the claim pairs) into the same ``--out`` file, leaving the
+workload's claim, layers and digest diff as they were.  A run at the claim's
+seed replaces them.  The merge itself is :func:`merge`, which starts no
+process.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -199,6 +206,55 @@ def digest_diff(parent: dict, change: dict) -> dict:
             "rows": rows}
 
 
+def claim_seed(doc: dict, workload: str) -> int | None:
+    """The ``--seed`` of the claim pairs stored for ``workload``, if any."""
+    return doc.get(f"{workload.replace('-', '_')}_claim_pairs", {}).get("seed")
+
+
+def merge(doc: dict, workload: str, seed: int, seconds: float,
+          pairs: list[tuple[dict, dict]], traced: dict | None,
+          better: dict[str, str], per_layer: list[str]) -> dict:
+    """Merge one invocation's pairs (and traced pass) into ``doc``, in place.
+
+    A run at another seed than the workload's stored claim pairs is a
+    held-out run: it writes ``<name>_heldout_pairs`` only, and ``traced``
+    is not read.  Any other run writes ``workloads.<name>``, the digest diff,
+    ``<name>_claim_pairs`` (above one pair) and ``<name>_layers``.
+    """
+    key = workload.replace("-", "_")
+    command = (f"python3 perfbench/run.py --workload {workload} "
+               f"--seed {seed} --seconds {seconds:g} --trace")
+    record = {
+        "command": f"{command} 0",
+        "seed": seed,
+        "order": "pair i runs the parent first when i is odd, "
+                 "the change first when i is even",
+        **summarize(pairs, better),
+        "digest_identical_pairs": sum(p["digest_sha256"] == c["digest_sha256"]
+                                      for p, c in pairs),
+    }
+    if claim_seed(doc, workload) not in (None, seed):
+        doc[f"{key}_heldout_pairs"] = record
+        return doc
+    doc["command"] = ("python3 perfbench/run.py --workload <name> "
+                      f"--seed {seed} --seconds {seconds:g} --trace 0")
+    first = {side: {k: v for k, v in run.items() if k != "digest_rows"}
+             for side, run in zip(("parent", "change"), pairs[0])}
+    doc.setdefault("workloads", {})[workload] = first
+    doc.pop(f"{key}_digest_diff", None)
+    if first["parent"]["digest_sha256"] != first["change"]["digest_sha256"]:
+        doc[f"{key}_digest_diff"] = digest_diff(*pairs[0])
+    if len(pairs) > 1:
+        doc[f"{key}_claim_pairs"] = record
+    doc[f"{key}_layers"] = {
+        "command": f"{command} 1",
+        "failed": {side: run["result"]["failed"] for side, run in traced.items()},
+        "guards": {side: run["guards"] for side, run in traced.items()},
+        **layers(traced["parent"], traced["change"], per_layer),
+    }
+    return doc
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -220,6 +276,7 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     if doc and (doc["change"], doc["parent"]) != (change_sha, parent_sha):
         ap.error(f"{args.out} holds other commits")
+    held_out = claim_seed(doc, args.workload) not in (None, args.seed)
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
@@ -233,8 +290,9 @@ def main(argv=None) -> int:
                 rps = runs[side]["result"]["metrics"]["runs_per_s"]["value"]
                 print(f"pair {i} {side}: runs_per_s {rps:.4g}", file=sys.stderr)
             pairs.append((runs["parent"], runs["change"]))
-        traced = {side: run_once(trees[side], args.workload, args.seed, args.seconds, 1)
-                  for side in ("parent", "change")}
+        traced = None if held_out else {
+            side: run_once(trees[side], args.workload, args.seed, args.seconds, 1)
+            for side in ("parent", "change")}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -243,33 +301,8 @@ def main(argv=None) -> int:
                 "same session and host",
         "change": change_sha,
         "parent": parent_sha,
-        "command": "python3 perfbench/run.py --workload <name> "
-                   f"--seed {args.seed} --seconds {args.seconds:g} --trace 0",
     })
-    first = {side: {k: v for k, v in run.items() if k != "digest_rows"}
-             for side, run in zip(("parent", "change"), pairs[0])}
-    doc.setdefault("workloads", {})[args.workload] = first
-    key = args.workload.replace("-", "_")
-    doc.pop(f"{key}_digest_diff", None)
-    if first["parent"]["digest_sha256"] != first["change"]["digest_sha256"]:
-        doc[f"{key}_digest_diff"] = digest_diff(*pairs[0])
-    command = (f"python3 perfbench/run.py --workload {args.workload} "
-               f"--seed {args.seed} --seconds {args.seconds:g} --trace")
-    if args.pairs > 1:
-        doc[f"{key}_claim_pairs"] = {
-            "command": f"{command} 0",
-            "order": "pair i runs the parent first when i is odd, "
-                     "the change first when i is even",
-            **summarize(pairs, better),
-            "digest_identical_pairs": sum(p["digest_sha256"] == c["digest_sha256"]
-                                          for p, c in pairs),
-        }
-    doc[f"{key}_layers"] = {
-        "command": f"{command} 1",
-        "failed": {side: run["result"]["failed"] for side, run in traced.items()},
-        "guards": {side: run["guards"] for side, run in traced.items()},
-        **layers(traced["parent"], traced["change"], per_layer),
-    }
+    merge(doc, args.workload, args.seed, args.seconds, pairs, traced, better, per_layer)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
