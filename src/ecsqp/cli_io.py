@@ -127,8 +127,11 @@ class RunConfig:
     validation_mutation_rate_raw: str | float | None = None
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        # type() rather than isinstance(): a YAML true/false is a bool, an int subclass
+        if type(self.repetitions) is not int or self.repetitions < 1:
+            raise ConfigError(f"repetitions must be an integer >= 1, got {self.repetitions!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.mode not in ("hybrid", "ec", "sqp"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         for raw in (self.mutation_rate_raw, self.validation_mutation_rate_raw):

@@ -529,8 +529,9 @@ class Engine:
     ``fitness_fn`` maps an ``(m, L)`` bit matrix to ``m`` fitness values
     (maximization).  ``rng`` is one generator (by default seeded with ``cfg.rng_seed``) for a
     single run, or a :class:`RunStreams` for a stack of runs stepped
-    together.  :attr:`evaluations` counts every run's objective evaluations;
-    a stack also counts them per run in :attr:`run_evaluations`.
+    together.  :attr:`run_evaluations` counts each run's objective
+    evaluations, shape ``()`` for a single run and ``(R,)`` for a stack;
+    :attr:`evaluations` is their total.
     """
 
     def __init__(
@@ -545,20 +546,23 @@ class Engine:
         self.cfg = cfg
         self.chromosome_length = chromosome_length
         self.rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
-        runs = len(self.rng) if isinstance(self.rng, RunStreams) else None
+        shape = (len(self.rng),) if isinstance(self.rng, RunStreams) else ()
         n_elite = math.ceil(cfg.overlap_fraction * cfg.population_size)
-        self.elite = EliteState(n_elite if runs is None else np.full(runs, n_elite))
-        self.evaluations = 0
-        self.run_evaluations = None if runs is None else np.zeros(runs, dtype=np.int64)
+        self.elite = EliteState(np.full(shape, n_elite) if shape else n_elite)
+        self.run_evaluations = np.zeros(shape, dtype=np.int64)
         self._fitness_fn = fitness_fn
+
+    @property
+    def evaluations(self) -> int:
+        """Objective evaluations of all runs together."""
+        return int(self.run_evaluations.sum())
 
     @property
     def runs(self) -> int:
         """The number of runs stepped together (1 for a single run)."""
-        return 1 if self.run_evaluations is None else self.run_evaluations.shape[0]
+        return self.run_evaluations.size
 
     def _evaluate(self, bits: np.ndarray) -> np.ndarray:
-        self.evaluations += bits.shape[0]
         values = np.asarray(self._fitness_fn(bits), dtype=float)
         if values.shape != (bits.shape[0],):
             raise ValueError("fitness function must return one value per row")
@@ -578,8 +582,7 @@ class Engine:
         bits = np.concatenate(
             (bits, np.broadcast_to(seeds, bits.shape[:-2] + seeds.shape)), axis=-2
         )
-        if self.run_evaluations is not None:
-            self.run_evaluations += n
+        self.run_evaluations += n
         values = self._evaluate(bits.reshape(-1, self.chromosome_length))
         return Population(bits, values.reshape(bits.shape[:-1]))
 
@@ -611,6 +614,7 @@ class Engine:
 
         crossed_rows = child[changed]
         rows = np.concatenate((crossed_rows, mutated[touched]))
+        self.run_evaluations += np.add.reduce(changed, axis=-1) + np.add.reduce(touched, axis=-1)
         values = self._evaluate(rows) if rows.shape[0] else np.empty(0)
         if not np.isfinite(values).all():
             raise ValueError("all members must carry finite fitness")
@@ -619,9 +623,6 @@ class Engine:
         f_xo[changed] = values[:n_xo]
         f_mut = f_xo.copy()
         f_mut[touched] = values[n_xo:]
-        if self.run_evaluations is not None:
-            self.run_evaluations += np.count_nonzero(changed, axis=-1)
-            self.run_evaluations += np.count_nonzero(touched, axis=-1)
 
         offspring = Population._checked(mutated, f_mut)
         nxt = adaptive_elitism_replace(pop, offspring, self.elite)

@@ -3,14 +3,16 @@ then a seeded evolutionary validation round.
 
 Every evolutionary run in the package goes through :func:`evolve`, one
 generator that steps an engine and tracks the per-operator decomposition and
-the crossover-envelope convergence state.  The exploration phase runs it
-until its crossover convergence signal fires (or progress stalls, or the
-generation cap is hit), hands its best decoded point to the SQP local
-solver, and finally validates the refined solution with a fresh population
-seeded with the refined chromosome and its bitwise complement.  A hybrid run
-steps one run at a time: its phases end on data-dependent conditions.
-``ec`` batch mode (:mod:`ecsqp.cli_io`) runs the same generator to a
-generation cap on a stack of runs stepped together (see
+the crossover-envelope convergence state.  In :func:`run_hybrid` both
+evolutionary phases are one GA-phase routine, which runs :func:`evolve` until
+:func:`should_switch` fires (the crossover envelope collapsed, progress
+stalled, or the generation cap was hit) and decodes the best member.  The
+exploration phase starts it from a random population and hands its best
+point to the SQP local solver; the validation phase starts it from a
+population seeded with the refined chromosome and its bitwise complement.
+A hybrid run steps one run at a time: its phases end on data-dependent
+conditions.  ``ec`` batch mode (:mod:`ecsqp.cli_io`) runs the same
+generator to a generation cap on a stack of runs stepped together (see
 :mod:`ecsqp.evolution`).  All reporting is in the problem's native
 orientation.
 """
@@ -140,42 +142,9 @@ def evolve(engine: Engine, pop: Population, crit: SwitchCriteria) -> Iterator[tu
     for generation in count(1):
         pop, lineage, stats = engine.step(pop)
         contribution = decompose_generation(lineage, generation)
-        widths = sigma_width(contribution.crossover_sigma)
-        if not isinstance(widths, np.ndarray):
-            widths = (widths,)
-        for state, width in zip(states, widths):
+        for state, width in zip(states, np.ravel(sigma_width(contribution.crossover_sigma))):
             update_convergence(state, width, generation)
         yield generation, pop, contribution, stats, states
-
-
-def _switching_phase(
-    name: str,
-    engine: Engine,
-    pop: Population,
-    crit: SwitchCriteria,
-    sign: float,
-    trace: list[PhaseTraceRow],
-    price_rows: list,
-    eval_base: int,
-) -> tuple[Population, SwitchReason]:
-    """Evolve until :func:`should_switch` fires; returns the final population,
-    whose best member elitism keeps the best seen, and the reason."""
-    best_history = [pop.stats.best]
-    trace.append(
-        PhaseTraceRow(name, 0, sign * best_history[0],
-                      sign * pop.stats.mean, eval_base + engine.evaluations)
-    )
-    for generation, pop, contribution, stats, (state,) in evolve(engine, pop, crit):
-        best_history.append(stats.best)
-        price_rows.append((name, contribution, stats))
-        trace.append(
-            PhaseTraceRow(name, generation, sign * stats.best, sign * stats.mean,
-                          eval_base + engine.evaluations)
-        )
-        reason = should_switch(state, best_history, generation, crit)
-        if reason is not None:
-            break
-    return pop, reason
 
 
 def run_hybrid(
@@ -214,15 +183,32 @@ def run_hybrid(
     trace: list[PhaseTraceRow] = []
     price_rows: list = []
 
+    def ga_phase(name: str, cfg: GAConfig, phase_crit: SwitchCriteria,
+                 seeds: list[np.ndarray], eval_base: int
+                 ) -> tuple[np.ndarray, float, int, SwitchReason]:
+        """Evolve a population topped up with ``seeds`` until
+        :func:`should_switch` fires.  Returns the best member decoded (elitism
+        keeps the best seen), its value, the phase's evaluations and the
+        reason; the trace and ``price_rows`` gain the phase's rows."""
+        engine = Engine(cfg, spec.total_length, fitness, rng=rng)
+        pop = engine.seeded_population(seeds)
+        best_history = [pop.stats.best]
+        trace.append(PhaseTraceRow(name, 0, sign * best_history[0],
+                                   sign * pop.stats.mean, eval_base + engine.evaluations))
+        for generation, pop, contribution, stats, (state,) in evolve(engine, pop, phase_crit):
+            best_history.append(stats.best)
+            price_rows.append((name, contribution, stats))
+            trace.append(PhaseTraceRow(name, generation, sign * stats.best, sign * stats.mean,
+                                       eval_base + engine.evaluations))
+            reason = should_switch(state, best_history, generation, phase_crit)
+            if reason is not None:
+                break
+        best = np.argmax(pop.fitness)
+        return (decode(pop.bits[best], spec), sign * float(pop.fitness[best]),
+                engine.evaluations, reason)
+
     # phase 1: global exploration
-    explore = Engine(ga_cfg, spec.total_length, fitness, rng=rng)
-    pop1, reason = _switching_phase(
-        "ec", explore, explore.random_population(), crit, sign, trace, price_rows, 0
-    )
-    ec_evals = explore.evaluations
-    best = np.argmax(pop1.fitness)
-    x_ec = decode(pop1.bits[best], spec)
-    f_ec = sign * float(pop1.fitness[best])
+    x_ec, f_ec, ec_evals, reason = ga_phase("ec", ga_cfg, crit, [], 0)
 
     # phase 2: local refinement from the decoded incumbent
     objective = problem.minimand
@@ -252,16 +238,10 @@ def run_hybrid(
 
     # phase 3: seeded validation round
     seed = encode(x_sqp, spec)
-    seeds = [seed, 1 - seed]
-    validate = Engine(validation_ga or ga_cfg, spec.total_length, fitness, rng=rng)
-    pop3, val_reason = _switching_phase(
-        "validation", validate, validate.seeded_population(seeds),
-        validation_criteria or crit, sign, trace, price_rows, ec_evals + sqp_evals,
+    x_val, f_val, val_evals, val_reason = ga_phase(
+        "validation", validation_ga or ga_cfg, validation_criteria or crit,
+        [seed, 1 - seed], ec_evals + sqp_evals,
     )
-    val_evals = validate.evaluations
-    best = np.argmax(pop3.fitness)
-    x_val = decode(pop3.bits[best], spec)
-    f_val = sign * float(pop3.fitness[best])
 
     if sign * f_val > sign * f_sqp:
         x_star, f_star = x_val, f_val

@@ -33,7 +33,6 @@ __all__ = [
     "SQPConfig",
     "SQPResult",
     "ipm_qp_solve",
-    "newton_direction",
     "regularize_hessian",
     "sqp_run",
     "wolfe_line_search",
@@ -227,27 +226,6 @@ def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
     return (hess if lam == 0.0 else hess.plus_diagonal(lam)), lam
 
 
-def newton_direction(
-    grad: np.ndarray, hess, lambda_min: float = LAMBDA_MIN
-) -> tuple[np.ndarray, float]:
-    """Descent direction solving ``(H + lambda I) d = -g``.
-
-    ``lambda`` is the first rung of :func:`regularize_hessian`'s ladder that
-    makes the matrix positive definite.  An exhausted ladder, or a shifted
-    solve that does not point downhill, falls back to steepest descent with
-    ``lambda_used = inf``.
-    """
-    grad = np.asarray(grad, dtype=float)
-    if np.all(grad == 0.0):
-        return np.zeros_like(grad), 0.0
-    shifted, lam = regularize_hessian(hess, lambda_min)
-    if shifted is not None:
-        d = _factor(shifted)(-grad)
-        if d @ grad < 0.0:
-            return d, lam
-    return -grad, math.inf
-
-
 def wolfe_line_search(
     phi: Callable[[float], float],
     dphi: Callable[[float], float],
@@ -389,6 +367,31 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     return s
 
 
+def _search_direction(
+    grad: np.ndarray, hess, step_box: BoundBox | None
+) -> tuple[np.ndarray, float]:
+    """Regularized Newton direction of ``0.5 d^T H d + g^T d`` and its shift.
+
+    ``H + lambda I`` is the first rung of :func:`regularize_hessian`'s ladder
+    that is positive definite.  Without ``step_box`` the direction solves
+    ``(H + lambda I) d = -g``; with it, :func:`ipm_qp_solve` minimizes the
+    model over the step box.  An exhausted ladder, or a direction that does
+    not point downhill, falls back to steepest descent with ``lambda = inf``,
+    cut back to :data:`BOUNDARY_FRACTION` of the way to the step box.
+    """
+    shifted, lam = regularize_hessian(hess, LAMBDA_MIN)
+    if shifted is not None:
+        if step_box is None:
+            d = _factor(shifted)(-grad)
+        else:
+            d = ipm_qp_solve(grad, shifted, step_box)
+        if d @ grad < 0.0:
+            return d, lam
+    frac = 1.0 if step_box is None else _fraction_to_boundary(
+        np.zeros_like(grad), -grad, step_box.lower, step_box.upper)
+    return -grad * frac, math.inf
+
+
 def sqp_run(
     objective: Callable[[ADVector], ADScalar],
     x0,
@@ -433,17 +436,8 @@ def sqp_run(
             stop_reason = "grad_tol"
             break
 
-        if box is not None:
-            step_box = BoundBox(box.lower - x, box.upper - x)
-            H_pd, lam = regularize_hessian(hess, LAMBDA_MIN)
-            d = None if H_pd is None else ipm_qp_solve(grad, H_pd, step_box)
-            if d is None or d @ grad >= 0.0:  # ladder exhausted, or step not downhill
-                frac = _fraction_to_boundary(
-                    np.zeros_like(grad), -grad, step_box.lower, step_box.upper
-                )
-                d, lam = -grad * frac, math.inf
-        else:
-            d, lam = newton_direction(grad, hess)
+        step_box = None if box is None else BoundBox(box.lower - x, box.upper - x)
+        d, lam = _search_direction(grad, hess, step_box)
 
         dnorm = float(np.linalg.norm(d))
         if dnorm <= cfg.step_tol:

@@ -449,6 +449,8 @@ class TestCli:
         {"dimension": "two"}, {"dimension": "0"},
         {"problem": "schwefel-max", "dimension": "3"},
         {"precision": "abc"}, {"precision": "-1"},
+        {"seed": "abc"}, {"seed": "1.5"}, {"seed": "-3"}, {"seed": "true"},
+        {"repetitions": "2.5"}, {"repetitions": "true"},
     ], ids=lambda entry: ",".join(f"{k}={v}" for k, v in entry.items()))
     @pytest.mark.parametrize("mode", ["ec", "hybrid", "sqp"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, entry, mode):
@@ -459,6 +461,12 @@ class TestCli:
         bad.write_text("".join(f"{k}: {v}\n" for k, v in keys.items()))
         assert main(["run", "--config", str(bad), "--mode", mode, "--jobs", "1",
                      "--runs", "1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--runs", "0")])
+    def test_malformed_override_exit_two(self, config_file, tmp_path, capsys, flag, value):
+        assert main(["run", "--config", str(config_file), "--mode", "ec", "--jobs", "1",
+                     flag, value, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_repeated_key_exit_two(self, tmp_path, capsys):

@@ -22,9 +22,9 @@ from ecsqp.local_search import (
     _factor,
     _fraction_to_boundary,
     _positive_definite,
+    _search_direction,
     _step_to_zero,
     ipm_qp_solve,
-    newton_direction,
     regularize_hessian,
     sqp_run,
     wolfe_line_search,
@@ -53,7 +53,7 @@ def random_spd(rng, n, spread=2.0):
 
 class TestNewtonDirection:
     def test_identity_hessian(self):
-        d, lam = newton_direction(np.array([3.0, -4.0]), np.eye(2))
+        d, lam = _search_direction(np.array([3.0, -4.0]), np.eye(2), None)
         np.testing.assert_allclose(d, [-3.0, 4.0])
         assert lam == 0.0
 
@@ -63,18 +63,18 @@ class TestNewtonDirection:
             b = rng.normal(size=3)
             x = rng.normal(size=3)
             grad = Q @ x - b
-            d, lam = newton_direction(grad, Q)
+            d, lam = _search_direction(grad, Q, None)
             x_star = np.linalg.solve(Q, b)  # independent solve
             np.testing.assert_allclose(x + d, x_star, atol=1e-9)
             assert lam == 0.0
 
     def test_indefinite_hessian_regularized_to_descent(self):
-        d, lam = newton_direction(np.array([1.0, 0.0]), -np.eye(2))
+        d, lam = _search_direction(np.array([1.0, 0.0]), -np.eye(2), None)
         assert d @ np.array([1.0, 0.0]) < 0.0
         assert 0 < lam < math.inf
 
     def test_zero_gradient_returns_zero_step(self):
-        d, lam = newton_direction(np.zeros(2), np.eye(2))
+        d, lam = _search_direction(np.zeros(2), np.eye(2), None)
         assert not d.any()
 
     def test_regularize_ladder_gives_up(self):
