@@ -109,12 +109,26 @@ VALIDATION_SWITCH_DEFAULTS = dict(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one experiment batch."""
+    """Settings for one experiment batch, checked and resolved at construction.
+
+    Building a ``RunConfig`` (from a file, in code, or by ``replace``) raises
+    :class:`ConfigError` for a bad seed, repetitions or mode, a problem that
+    does not exist at ``dimension``, a ``precision`` that gives no encoding
+    grid on the problem's bounds, or a mutation rate other than a number or
+    ``"1/l"``.  A ``mutation_rate_raw`` (``validation_mutation_rate_raw``)
+    is bound into ``ga`` (``validation_ga``): ``"1/l"`` as one over the
+    grid's string length, a number as itself; so ``ga`` and
+    ``validation_ga`` are final.  The runners rebuild the problem with
+    :meth:`make_problem` at run time rather than keep the one built here:
+    ``get_problem`` may be rebound, or a problem factory registered again,
+    after the config is built (``perfbench/tracing.py`` wraps it to trace
+    the objective's batches).
+    """
 
     problem: str
     dimension: int
     precision: float | list = 0.01  # scalar or per-variable
-    ga: GAConfig = field(default_factory=lambda: GAConfig(population_size=100))
+    ga: GAConfig = field(default_factory=GAConfig)
     sqp: SQPConfig = field(default_factory=SQPConfig)
     switch: SwitchCriteria = field(default_factory=SwitchCriteria)
     validation_ga: GAConfig | None = None
@@ -134,11 +148,31 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.mode not in ("hybrid", "ec", "sqp"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        for raw in (self.mutation_rate_raw, self.validation_mutation_rate_raw):
-            if isinstance(raw, str) and raw.strip().lower().replace(" ", "") != "1/l":
-                raise ConfigError(
-                    f"unrecognized mutation_rate {raw!r}; use 1/l or a number"
-                )
+        try:
+            problem = self.make_problem()
+        except KeyError as exc:
+            raise ConfigError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"bad problem {self.problem!r} at dimension {self.dimension!r}: {exc}"
+            ) from exc
+        try:  # the encoding grid every ec and hybrid run builds
+            spec = EncodingSpec.for_bounds(
+                problem.bounds.lower, problem.bounds.upper, self.precision
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad precision {self.precision!r}: {exc}") from exc
+        for name, raw in (("ga", self.mutation_rate_raw),
+                          ("validation_ga", self.validation_mutation_rate_raw)):
+            if isinstance(raw, str):
+                if raw.strip().lower().replace(" ", "") != "1/l":
+                    raise ConfigError(
+                        f"unrecognized mutation_rate {raw!r}; use 1/l or a number"
+                    )
+                raw = 1.0 / spec.total_length
+            ga = getattr(self, name)
+            if raw is not None and ga is not None:
+                object.__setattr__(self, name, replace(ga, mutation_rate=float(raw)))
 
     def run_seed(self, index: int) -> int:
         return self.seed + index
@@ -146,32 +180,19 @@ class RunConfig:
     def make_problem(self) -> BenchmarkProblem:
         return get_problem(self.problem, self.dimension)
 
-    @staticmethod
-    def _bind_mutation(ga: GAConfig, raw, spec: EncodingSpec) -> GAConfig:
-        if raw is None:
-            return ga
-        rate = 1.0 / spec.total_length if isinstance(raw, str) else float(raw)
-        return replace(ga, mutation_rate=rate)
-
-    def resolved_ga(self, spec: EncodingSpec) -> GAConfig:
-        """GA settings with a '1/l' mutation rate bound to the string length."""
-        return self._bind_mutation(self.ga, self.mutation_rate_raw, spec)
-
-    def resolved_validation(self, spec: EncodingSpec) -> GAConfig | None:
-        """Validation GA settings, with a '1/l' mutation rate bound likewise."""
-        ga = self.validation_ga
-        if ga is not None:
-            ga = self._bind_mutation(ga, self.validation_mutation_rate_raw, spec)
-        return ga
-
 
 def _build_section(cls, data: dict, *, context: str = ""):
     known = {f.name for f in fields(cls)}
-    for key in data:
+    for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in {context or cls.__name__}")
+        if type(value) is bool:  # no field is a flag; a YAML true would pass as 1
+            raise ConfigError(f"{key} in {context or cls.__name__} must not be a "
+                              f"boolean, got {value!r}")
     try:
         return cls(**data)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {context or cls.__name__}: {exc}") from exc
 
@@ -195,10 +216,9 @@ def load_config(path: str | Path) -> RunConfig:
                 "with seed + i from the top-level seed"
             )
         section = dict(section)
-        section.setdefault("population_size", 100)
         raw = section.pop("mutation_rate", None)
-        if isinstance(raw, (int, float)):
-            section["mutation_rate"] = float(raw)
+        if isinstance(raw, (int, float)):  # a bool too, which _build_section rejects
+            section["mutation_rate"] = raw
             raw = None
         if "selection" in section:
             try:
@@ -232,7 +252,7 @@ def load_config(path: str | Path) -> RunConfig:
     for required in ("problem", "dimension"):
         if required not in data:
             raise ConfigError(f"missing required key {required!r}")
-    cfg = _build_section(
+    return _build_section(
         RunConfig,
         {**data, "ga": ga, "sqp": sqp, "switch": switch,
          "validation_ga": validation_ga, "validation_switch": validation_switch,
@@ -240,19 +260,6 @@ def load_config(path: str | Path) -> RunConfig:
          "validation_mutation_rate_raw": val_raw},
         context="run config",
     )
-    try:
-        problem = cfg.make_problem()
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"bad problem {cfg.problem!r} at dimension {cfg.dimension!r}: {exc}"
-        ) from exc
-    try:  # the encoding grid every ec and hybrid run builds
-        EncodingSpec.for_bounds(problem.bounds.lower, problem.bounds.upper, cfg.precision)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad precision {cfg.precision!r}: {exc}") from exc
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +289,11 @@ def _run_ec(cfg: RunConfig, indices: list[int]) -> list[dict]:
     spec = EncodingSpec.for_bounds(
         problem.bounds.lower, problem.bounds.upper, cfg.precision
     )
-    ga = cfg.resolved_ga(spec)
     rng = RunStreams(np.random.default_rng(cfg.run_seed(i)) for i in indices)
-    engine = Engine(ga, spec.total_length, fitness_function(problem, spec), rng=rng)
+    engine = Engine(cfg.ga, spec.total_length, fitness_function(problem, spec), rng=rng)
     generations = evolve(engine, engine.random_population(), cfg.switch)
     table = []
-    for gen, pop, c, stats, states in islice(generations, ga.max_generations):
+    for gen, pop, c, stats, states in islice(generations, cfg.ga.max_generations):
         table.append(
             (
                 c.selection_term, c.crossover_term, c.mutation_term,
@@ -312,19 +318,15 @@ def _run_ec(cfg: RunConfig, indices: list[int]) -> list[dict]:
 
 def _run_hybrid(cfg: RunConfig, indices: list[int]) -> list[dict]:
     (index,) = indices  # a hybrid run ends on data-dependent conditions: one per task
-    problem = cfg.make_problem()
-    spec = EncodingSpec.for_bounds(
-        problem.bounds.lower, problem.bounds.upper, cfg.precision
-    )
     result: HybridResult = run_hybrid(
-        problem,
-        cfg.resolved_ga(spec),
+        cfg.make_problem(),
+        cfg.ga,
         cfg.sqp,
         cfg.switch,
         cfg.run_seed(index),
         precision=cfg.precision,
         validation_criteria=cfg.validation_switch,
-        validation_ga=cfg.resolved_validation(spec),
+        validation_ga=cfg.validation_ga,
     )
     rows = [
         (r.phase, r.step, r.best, r.mean, r.evaluations) for r in result.trace

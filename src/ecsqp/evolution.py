@@ -76,7 +76,7 @@ class SelectionMethod(enum.Enum):
 class GAConfig:
     """Numerical parameters of one evolutionary run."""
 
-    population_size: int
+    population_size: int = 100
     crossover_rate: float = 1.0
     mutation_rate: float = 0.01
     selection: SelectionMethod = SelectionMethod.BINARY_TOURNAMENT

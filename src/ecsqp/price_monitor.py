@@ -8,6 +8,12 @@ the crossover term's per-child contributions provides a convergence signal:
 the population has converged once the width of that envelope stays below a
 threshold.
 
+An operator's transmission term is the mean of its per-slot stage deltas,
+``LineageRecord.stage_deltas("crossover")`` or ``("mutation")``; it equals
+``sum_i z_i * dq_i / (N * z_bar)`` because each parent's slots carry its
+children.  The selection stage's deltas are exactly zero: selected copies
+keep their parent's fitness.
+
 Every term is computed per run: for a stack of runs (see
 :mod:`ecsqp.evolution`) each function takes the stacked lineage and returns
 one value per run, bitwise the value of that run alone.
@@ -15,7 +21,6 @@ one value per run, bitwise the value of that run alone.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,9 +32,7 @@ __all__ = [
     "ConvergenceState",
     "OperatorContribution",
     "SMOOTHING_WINDOW",
-    "Stage",
     "decompose_generation",
-    "operator_term",
     "selection_term",
     "sigma_width",
     "update_convergence",
@@ -38,12 +41,6 @@ __all__ = [
 DECOMPOSITION_RTOL = 1e-9
 #: consecutive envelope widths at or below the threshold that declare convergence
 SMOOTHING_WINDOW = 3
-
-
-class Stage(enum.Enum):
-    SELECTION = "selection"
-    CROSSOVER = "crossover"
-    MUTATION = "mutation"
 
 
 def _any(mask) -> bool:
@@ -84,18 +81,6 @@ def _stage_moments(deltas: np.ndarray):
     return mean, np.sqrt(np.maximum(var, 0.0))
 
 
-def operator_term(lineage: LineageRecord, stage: Stage):
-    """Mean-fitness change attributed to one operator stage.
-
-    Equals ``sum_i z_i * dq_i / (N * z_bar)`` where ``dq_i`` is the change in
-    parent i's mean offspring fitness across the stage; computed as the mean
-    of the per-slot stage deltas, which is identical because each parent's
-    slots carry its children.  The selection stage is exactly zero: selected
-    copies keep their parent's fitness.
-    """
-    return _stage_moments(lineage.stage_deltas(stage.value))[0]
-
-
 def sigma_width(sigma):
     """Width of the +/- sigma envelope around an operator term: 2*sigma.
 
@@ -134,8 +119,8 @@ def decompose_generation(
     """
     parents, offspring = lineage.parent_stats, lineage.offspring_stats
     sel = selection_term(lineage.selection_stage_z(), lineage.parent_fitness)
-    xo, xo_sigma = _stage_moments(lineage.stage_deltas(Stage.CROSSOVER.value))
-    mut, mut_sigma = _stage_moments(lineage.stage_deltas(Stage.MUTATION.value))
+    xo, xo_sigma = _stage_moments(lineage.stage_deltas("crossover"))
+    mut, mut_sigma = _stage_moments(lineage.stage_deltas("mutation"))
     total = offspring.mean - parents.mean
     parts = sel + xo + mut
     # |total - parts| > tol * max(|total|, |parts|, |parent mean|, 1), as one

@@ -33,7 +33,7 @@ from ecsqp.evolution import (
 from ecsqp.fdcheck import fd_gradient, fd_hessian, max_relative_error
 from ecsqp.hybrid import SwitchCriteria, run_hybrid
 from ecsqp.local_search import BoundBox, SQPConfig, ipm_qp_solve, sqp_run
-from ecsqp.price_monitor import Stage, decompose_generation, operator_term, selection_term
+from ecsqp.price_monitor import decompose_generation, selection_term
 
 RUNS = 100
 BASE_SEED = 0
@@ -115,7 +115,7 @@ def test_criterion_2_lemma_tests():
         pop = engine.random_population()
         for _ in range(3):
             pop, lineage, _ = engine.step(pop)
-            if operator_term(lineage, Stage.SELECTION) != 0.0:
+            if np.any(lineage.stage_deltas("selection") != 0.0):
                 selection_terms_zero = False
             if cfg.crossover_rate == 1.0:
                 term = selection_term(

@@ -67,24 +67,14 @@ class TestLoadConfig:
         path = tmp_path / "ec.yaml"
         path.write_text(BASE_CONFIG + "mode: ec\nvalidation_ga:\n  population_size: 40\n")
         cfg = cli_io.replace(load_config(path), mode="hybrid")
-        problem = cfg.make_problem()
-        spec = EncodingSpec.for_bounds(
-            problem.bounds.lower, problem.bounds.upper, cfg.precision
-        )
-        ga = cfg.resolved_validation(spec)
+        ga = cfg.validation_ga
         assert ga.population_size == 40
         assert ga.mutation_rate == pytest.approx(1 / 34)
         assert cfg.validation_switch.max_generations == 800
 
     def test_mutation_rate_binding(self, config_file):
         cfg = load_config(config_file)
-        problem = cfg.make_problem()
-        from ecsqp.encoding import EncodingSpec
-
-        spec = EncodingSpec.for_bounds(
-            problem.bounds.lower, problem.bounds.upper, cfg.precision
-        )
-        assert cfg.resolved_ga(spec).mutation_rate == pytest.approx(1 / 34)
+        assert cfg.ga.mutation_rate == pytest.approx(1 / 34)
 
     def test_unknown_problem_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -109,6 +99,43 @@ class TestLoadConfig:
         path.write_text("problem: ackley\n")
         with pytest.raises(ConfigError, match="dimension"):
             load_config(path)
+
+
+class TestRunConfigInCode:
+    """A ``RunConfig`` built in code, or changed by ``replace``, is checked and
+    bound as one loaded from a file."""
+
+    def test_unknown_problem_rejected(self):
+        with pytest.raises(ConfigError, match="ackley"):
+            RunConfig(problem="sphere", dimension=2)
+
+    def test_precision_without_a_grid_rejected(self):
+        with pytest.raises(ConfigError, match="precision"):
+            RunConfig(problem="ackley", dimension=2, precision=-1.0)
+
+    def test_replace_checks_again(self):
+        cfg = RunConfig(problem="ackley", dimension=2)
+        with pytest.raises(ConfigError, match="ackley"):
+            replace(cfg, problem="sphere")
+
+    def test_mutation_rate_bound_at_construction(self):
+        # the form perfbench's price-trace workload builds
+        ga = GAConfig(population_size=50, mutation_rate=0.01, max_generations=10)
+        cfg = RunConfig(problem="schwefel-max", dimension=2, precision=0.01, ga=ga,
+                        mutation_rate_raw="1/l", mode="ec")
+        assert cfg.ga.mutation_rate == 1 / 34
+        assert replace(cfg, mode="hybrid").ga.mutation_rate == 1 / 34
+
+    def test_default_validation_rate_binds_to_the_problems_length(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("problem: ackley\ndimension: 3\n")
+        cfg = load_config(path)
+        problem = cfg.make_problem()
+        length = EncodingSpec.for_bounds(
+            problem.bounds.lower, problem.bounds.upper, cfg.precision
+        ).total_length
+        assert length != 34
+        assert cfg.validation_ga.mutation_rate == 1 / length
 
 
 class TestRunBatch:
@@ -287,7 +314,7 @@ def run_alone(cfg: RunConfig, index: int) -> dict:
     with the rows, best, evaluations and converged_at of a batch record."""
     problem = cfg.make_problem()
     spec = EncodingSpec.for_bounds(problem.bounds.lower, problem.bounds.upper, cfg.precision)
-    ga = replace(cfg.resolved_ga(spec), rng_seed=cfg.run_seed(index))
+    ga = replace(cfg.ga, rng_seed=cfg.run_seed(index))
     engine = Engine(ga, spec.total_length, fitness_function(problem, spec))
     rows = []
     generations = evolve(engine, engine.random_population(), cfg.switch)
@@ -451,6 +478,9 @@ class TestCli:
         {"precision": "abc"}, {"precision": "-1"},
         {"seed": "abc"}, {"seed": "1.5"}, {"seed": "-3"}, {"seed": "true"},
         {"repetitions": "2.5"}, {"repetitions": "true"},
+        {"precision": "true"}, {"ga": "{max_generations: true}"},
+        {"ga": "{mutation_rate: true}"}, {"ga": "{crossover_rate: true}"},
+        {"switch": "{stall_window: true}"}, {"sqp": "{max_iter: true}"},
     ], ids=lambda entry: ",".join(f"{k}={v}" for k, v in entry.items()))
     @pytest.mark.parametrize("mode", ["ec", "hybrid", "sqp"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, entry, mode):

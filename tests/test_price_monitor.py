@@ -14,9 +14,7 @@ from ecsqp.price_monitor import (
     DECOMPOSITION_RTOL,
     ConvergenceState,
     OperatorContribution,
-    Stage,
     decompose_generation,
-    operator_term,
     selection_term,
     sigma_width,
     update_convergence,
@@ -59,11 +57,11 @@ class TestSelectionTerm:
 class TestOperatorTerm:
     def test_selection_stage_always_zero(self):
         lin = lineage_from([0, 1, 1, 2], [4.0, 2.0, 9.0])
-        assert operator_term(lin, Stage.SELECTION) == 0.0
+        assert lin.stage_deltas("selection").mean() == 0.0
 
     def test_verbatim_copies_zero(self):
         lin = lineage_from([0, 1], [4.0, 2.0], crossed=[False, False])
-        assert operator_term(lin, Stage.CROSSOVER) == 0.0
+        assert lin.stage_deltas("crossover").mean() == 0.0
 
     def test_hand_computed_crossover_shift(self):
         # both parents' offspring means rise by 1: (2*1 + 2*1)/(2*2) = 1
@@ -71,7 +69,7 @@ class TestOperatorTerm:
             [0, 0, 1, 1], [5.0, 3.0],
             f_xo=[6.0, 6.0, 4.0, 4.0],
         )
-        assert operator_term(lin, Stage.CROSSOVER) == pytest.approx(1.0)
+        assert lin.stage_deltas("crossover").mean() == pytest.approx(1.0)
 
 
 class TestOperatorSigma:
@@ -83,13 +81,13 @@ class TestOperatorSigma:
         lin = lineage_from([0, 1], [4.0, 2.0], f_xo=[5.0, 1.0])
         # deltas {+1, -1} with normalization 2: E = 0, E[d^2] = 1, sigma = 1
         assert decompose_generation(lin, 1).crossover_sigma == pytest.approx(1.0)
-        assert operator_term(lin, Stage.CROSSOVER) == pytest.approx(0.0)
+        assert lin.stage_deltas("crossover").mean() == pytest.approx(0.0)
 
     def test_constant_deltas(self):
         lin = lineage_from([0, 1, 2], [4.0, 2.0, 6.0],
                            f_xo=[4.5, 2.5, 6.5])
         assert decompose_generation(lin, 1).crossover_sigma == pytest.approx(0.0, abs=1e-12)
-        assert operator_term(lin, Stage.CROSSOVER) == pytest.approx(0.5)
+        assert lin.stage_deltas("crossover").mean() == pytest.approx(0.5)
 
 
 class TestSigmaWidth:
@@ -180,8 +178,8 @@ class TestDecompositionIdentity:
             for gen in range(1, 11):
                 pop, lineage, _ = eng.step(pop)
                 c = decompose_generation(lineage, gen)
-                assert c.crossover_term == operator_term(lineage, Stage.CROSSOVER)
-                assert c.mutation_term == operator_term(lineage, Stage.MUTATION)
+                assert c.crossover_term == lineage.stage_deltas("crossover").mean()
+                assert c.mutation_term == lineage.stage_deltas("mutation").mean()
                 for sigma, stage in ((c.crossover_sigma, "crossover"),
                                      (c.mutation_sigma, "mutation")):
                     assert sigma == pytest.approx(np.std(lineage.stage_deltas(stage)),
@@ -210,7 +208,7 @@ class TestLemmas:
         pop = eng.random_population()
         for _ in range(10):
             pop, lineage, _ = eng.step(pop)
-            assert operator_term(lineage, Stage.SELECTION) == 0.0
+            assert lineage.stage_deltas("selection").mean() == 0.0
 
     def test_lemma2_full_crossover_covariance_exactly_zero(self):
         rng = np.random.default_rng(6)
@@ -298,8 +296,8 @@ def reference_stage_moments(deltas):
 def reference_decompose_generation(lineage, generation):
     counts = np.bincount(lineage.slot_parent, minlength=lineage.population_size)
     sel = reference_selection_term(counts.astype(np.int64), lineage.parent_fitness)
-    xo, xo_sigma = reference_stage_moments(lineage.stage_deltas(Stage.CROSSOVER.value))
-    mut, mut_sigma = reference_stage_moments(lineage.stage_deltas(Stage.MUTATION.value))
+    xo, xo_sigma = reference_stage_moments(lineage.stage_deltas("crossover"))
+    mut, mut_sigma = reference_stage_moments(lineage.stage_deltas("mutation"))
     parent_mean = float(lineage.parent_fitness.mean())
     total = float(lineage.fitness_after_mutation.mean() - parent_mean)
     parts = sel + xo + mut
