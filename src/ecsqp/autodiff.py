@@ -62,7 +62,7 @@ class ADDomainError(ValueError):
 def _require(op: str, ok, value) -> None:
     """Raise :class:`ADDomainError` at the first element of ``value`` where
     ``ok`` fails."""
-    if not np.all(ok):
+    if ok is not True and not np.all(ok):
         raise ADDomainError(op, float(np.ravel(value)[~np.ravel(ok)][0]))
 
 
@@ -73,7 +73,8 @@ class Hessian:
     A sum joins the low-rank parts side by side; once ``k`` would pass ``n``
     the form folds into its ``k = n`` version, :meth:`from_dense` of the
     matrix.  Instances are treated as immutable.  ``np.asarray`` gives the
-    dense matrix; ``H @ s`` costs O(nk).
+    dense matrix; ``H @ s`` costs O(nk).  Arithmetic builds its results with
+    :meth:`_new`, which skips the checks of the constructor.
     """
 
     __slots__ = ("d", "U", "C")
@@ -88,6 +89,13 @@ class Hessian:
         if U.shape[1] > n:
             d, U, C = _split(_dense(d, U, C))
         self.d, self.U, self.C = d, U, C
+
+    @classmethod
+    def _new(cls, d: np.ndarray, U: np.ndarray, C: np.ndarray) -> "Hessian":
+        """Hessian of parts already typed and shaped, with ``k <= n``."""
+        H = cls.__new__(cls)
+        H.d, H.U, H.C = d, U, C
+        return H
 
     @classmethod
     def from_dense(cls, H) -> "Hessian":
@@ -124,33 +132,36 @@ class Hessian:
         return Hessian(self.d + a, self.U, self.C)
 
     def plus_low_rank(self, V: np.ndarray, B: np.ndarray) -> "Hessian":
-        """This matrix plus ``V B V^T``: the columns of ``V`` join ``U``."""
+        """This matrix plus ``V B V^T`` (``V`` of n float rows, ``B``
+        symmetric): the columns of ``V`` join ``U``."""
         if not V.shape[1]:
             return self
-        if not self.k:
-            return Hessian(self.d, V, B)
-        k, m = self.k, V.shape[1]
-        C = np.zeros((k + m, k + m))
-        C[:k, :k] = self.C
-        C[k:, k:] = B
-        return Hessian(self.d, np.hstack([self.U, V]), C)
+        U, C = V, B
+        if self.k:
+            k, m = self.k, V.shape[1]
+            C = np.zeros((k + m, k + m))
+            C[:k, :k] = self.C
+            C[k:, k:] = B
+            U = np.concatenate([self.U, V], axis=1)
+        # the checked constructor folds a k > n form
+        return Hessian(self.d, U, C) if U.shape[1] > self.n else Hessian._new(self.d, U, C)
 
     def __add__(self, other):
         if not isinstance(other, Hessian):
             return NotImplemented
         if other.n != self.n:
             raise ValueError(f"cannot add {self!r} and {other!r}")
-        return Hessian(self.d + other.d, self.U, self.C).plus_low_rank(other.U, other.C)
+        return Hessian._new(self.d + other.d, self.U, self.C).plus_low_rank(other.U, other.C)
 
     def __neg__(self):
-        return Hessian(-self.d, self.U, -self.C)
+        return Hessian._new(-self.d, self.U, -self.C)
 
     def __mul__(self, c):
         try:
             c = float(c)
         except TypeError:
             return NotImplemented
-        return Hessian(self.d * c, self.U, self.C * c)
+        return Hessian._new(self.d * c, self.U, self.C * c)
 
     __rmul__ = __mul__
 
@@ -159,7 +170,7 @@ class Hessian:
             c = float(c)
         except TypeError:
             return NotImplemented
-        return Hessian(self.d / c, self.U, self.C / c)
+        return Hessian._new(self.d / c, self.U, self.C / c)
 
 
 def _dense(d: np.ndarray, U: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -186,7 +197,8 @@ class ADScalar:
     """Value, gradient and Hessian of one scalar intermediate quantity.
 
     Instances are treated as immutable; operations allocate fresh arrays and
-    may share operand arrays that pass through unchanged.
+    may share operand arrays that pass through unchanged.  Arithmetic builds
+    its results with :meth:`_new`, unchecked, unless a foreign number joins.
     """
 
     __slots__ = ("value", "grad", "hess", "nonsmooth")
@@ -200,6 +212,14 @@ class ADScalar:
         if self.grad.ndim != 1 or not isinstance(hess, Hessian) or hess.n != self.n:
             raise ValueError("gradient/Hessian shapes inconsistent")
 
+    @classmethod
+    def _new(cls, value, grad, hess, nonsmooth: bool) -> "ADScalar":
+        """Node of fields already typed and shaped: a float value (an array
+        for an ADVector), a float gradient and a matching Hessian."""
+        node = cls.__new__(cls)
+        node.value, node.grad, node.hess, node.nonsmooth = value, grad, hess, nonsmooth
+        return node
+
     @property
     def n(self) -> int:
         return self.grad.shape[0]
@@ -208,11 +228,6 @@ class ADScalar:
         return f"{type(self).__name__}(value={self.value}, n={self.n})"
 
     # -- helpers ----------------------------------------------------------
-
-    @staticmethod
-    def _plus_outer(hess: Hessian, u: np.ndarray, c) -> Hessian:
-        """``hess + c u u^T``."""
-        return hess.plus_low_rank(u[:, None], np.array([[float(c)]]))
 
     @staticmethod
     def _plus_sym_outer(hess: Hessian, u: np.ndarray, v: np.ndarray) -> Hessian:
@@ -228,8 +243,8 @@ class ADScalar:
 
     def _chain(self, value, d1, d2) -> "ADScalar":
         """Apply a scalar map with derivatives ``d1``, ``d2`` at this node."""
-        hess = self._plus_outer(self.hess * d1, self.grad, d2)
-        return type(self)(value, d1 * self.grad, hess, self.nonsmooth)
+        hess = (self.hess * d1).plus_low_rank(self.grad[:, None], np.array([[float(d2)]]))
+        return ADScalar._new(float(value), d1 * self.grad, hess, self.nonsmooth)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -239,8 +254,8 @@ class ADScalar:
             if not isinstance(other, Real):
                 return NotImplemented
             return type(self)(self.value + other, self.grad, self.hess, self.nonsmooth)
-        return type(self)(self.value + b.value, self.grad + b.grad,
-                          self.hess + b.hess, self.nonsmooth or b.nonsmooth)
+        return type(self)._new(self.value + b.value, self.grad + b.grad,
+                               self.hess + b.hess, self.nonsmooth or b.nonsmooth)
 
     __radd__ = __add__
 
@@ -251,7 +266,7 @@ class ADScalar:
         return -self + other
 
     def __neg__(self):
-        return type(self)(-self.value, -self.grad, -self.hess, self.nonsmooth)
+        return type(self)._new(-self.value, -self.grad, -self.hess, self.nonsmooth)
 
     def __mul__(self, other):
         b = self._coerce(other)
@@ -259,12 +274,12 @@ class ADScalar:
             if not isinstance(other, Real):
                 return NotImplemented
             c = float(other)
-            return type(self)(self.value * c, self.grad * c, self.hess * c, self.nonsmooth)
+            return type(self)._new(self.value * c, self.grad * c, self.hess * c, self.nonsmooth)
         hess = self._plus_sym_outer(
             b.value * self.hess + self.value * b.hess, self.grad, b.grad
         )
         grad = b.value * self.grad + self.value * b.grad
-        return type(self)(self.value * b.value, grad, hess, self.nonsmooth or b.nonsmooth)
+        return type(self)._new(self.value * b.value, grad, hess, self.nonsmooth or b.nonsmooth)
 
     __rmul__ = __mul__
 
@@ -276,13 +291,13 @@ class ADScalar:
             if other == 0:
                 raise ADDomainError("div", 0.0)
             c = float(other)
-            return type(self)(self.value / c, self.grad / c, self.hess / c, self.nonsmooth)
+            return type(self)._new(self.value / c, self.grad / c, self.hess / c, self.nonsmooth)
         _require("div", b.value != 0.0, b.value)
         # from a = v b: Hv = (Ha - v Hb - gv gb^T - gb gv^T) / b
         v = self.value / b.value
         grad = (self.grad - v * b.grad) / b.value
         hess = self._plus_sym_outer(self.hess + (-v) * b.hess, -grad, b.grad) / b.value
-        return type(self)(v, grad, hess, self.nonsmooth or b.nonsmooth)
+        return type(self)._new(v, grad, hess, self.nonsmooth or b.nonsmooth)
 
     def __rtruediv__(self, other):
         if not isinstance(other, Real):
@@ -321,10 +336,6 @@ class ADVector(ADScalar):
     __slots__ = ()
 
     @staticmethod
-    def _plus_outer(hess: np.ndarray, u: np.ndarray, c) -> np.ndarray:
-        return hess + c * (u * u)
-
-    @staticmethod
     def _plus_sym_outer(hess: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return hess + u * v + v * u
 
@@ -335,6 +346,10 @@ class ADVector(ADScalar):
         self.nonsmooth = nonsmooth
         if self.value.ndim != 1 or not self.value.shape == self.grad.shape == self.hess.shape:
             raise ValueError("value/gradient/Hessian diagonals must be 1-D of one length")
+
+    def _chain(self, value, d1, d2) -> "ADVector":
+        return ADVector._new(value, d1 * self.grad, self.hess * d1 + d2 * (self.grad * self.grad),
+                             self.nonsmooth)
 
     @property
     def shape(self) -> tuple[int]:
@@ -353,7 +368,8 @@ class ADVector(ADScalar):
     def sum(self, axis: int = -1) -> ADScalar:
         if axis not in (0, -1):
             raise ValueError(f"an ADVector has one axis; got axis={axis!r}")
-        return ADScalar(np.sum(self.value), self.grad, Hessian(self.hess), self.nonsmooth)
+        hess = Hessian._new(self.hess, np.zeros((self.n, 0)), np.zeros((0, 0)))
+        return ADScalar._new(float(self.value.sum()), self.grad, hess, self.nonsmooth)
 
     def mean(self, axis: int = -1) -> ADScalar:
         return self.sum(axis) / self.n

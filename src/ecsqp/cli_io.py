@@ -25,7 +25,7 @@ Hybrid and sqp runs end on data-dependent conditions and run one per task.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import math
 import os
 import sys
@@ -35,7 +35,6 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .benchmarks import BenchmarkProblem, get_problem, list_problems
 from .encoding import EncodingSpec
@@ -79,22 +78,27 @@ class ConfigError(ValueError):
     """Unusable run configuration."""
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that rejects a mapping repeating a key."""
+@functools.cache
+def _unique_key_loader() -> type:
+    """``yaml.SafeLoader`` that rejects a repeated mapping key; built on first use."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        seen = []  # a list: an unhashable key is left for the base class to reject
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue  # merged keys may be overridden
-            key = self.construct_object(key_node, deep=deep)
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    f"found duplicate key {key!r}", key_node.start_mark,
-                )
-            seen.append(key)
-        return super().construct_mapping(node, deep)
+    class _UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = []  # a list: an unhashable key is left for the base class to reject
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # merged keys may be overridden
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.append(key)
+            return super().construct_mapping(node, deep)
+
+    return _UniqueKeyLoader
 
 
 #: validation-round defaults for hybrid mode: a larger per-bit population with
@@ -172,7 +176,10 @@ class RunConfig:
                 raw = 1.0 / spec.total_length
             ga = getattr(self, name)
             if raw is not None and ga is not None:
-                object.__setattr__(self, name, replace(ga, mutation_rate=float(raw)))
+                try:
+                    object.__setattr__(self, name, replace(ga, mutation_rate=float(raw)))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad {name} mutation rate {raw!r}: {exc}") from exc
 
     def run_seed(self, index: int) -> int:
         return self.seed + index
@@ -186,9 +193,10 @@ def _build_section(cls, data: dict, *, context: str = ""):
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in {context or cls.__name__}")
-        if type(value) is bool:  # no field is a flag; a YAML true would pass as 1
-            raise ConfigError(f"{key} in {context or cls.__name__} must not be a "
-                              f"boolean, got {value!r}")
+        # no field is a flag; a YAML true would pass as 1, alone or in a list
+        if type(value) is bool or (type(value) is list and bool in map(type, value)):
+            raise ConfigError(f"{key} in {context or cls.__name__} must not be or hold "
+                              f"a boolean, got {value!r}")
     try:
         return cls(**data)
     except ConfigError:
@@ -199,9 +207,10 @@ def _build_section(cls, data: dict, *, context: str = ""):
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run-configuration file."""
+    import yaml  # on first use, as the process pool below: each takes milliseconds
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=_UniqueKeyLoader)
+            data = yaml.load(fh, Loader=_unique_key_loader())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
@@ -434,6 +443,7 @@ def run_batch(cfg: RunConfig, out_dir: str | None, jobs: int = 1) -> dict:
     else:
         tasks = [[i] for i in indices]
     if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             done = pool.map(_execute, [cfg] * len(tasks), tasks, [out_dir] * len(tasks))
             outcomes = [o for task in done for o in task]

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import ADScalar, ADVector, Hessian, evaluate
+from .autodiff import ADScalar, ADVector, Hessian, _dense, _split, evaluate
 
 __all__ = [
     "BoundBox",
@@ -68,6 +68,14 @@ class BoundBox:
             raise ValueError("need lower < upper elementwise")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    @classmethod
+    def _new(cls, lower: np.ndarray, upper: np.ndarray) -> "BoundBox":
+        """Box of 1-D float bounds of one length, ``lower < upper`` known."""
+        box = cls.__new__(cls)
+        object.__setattr__(box, "lower", lower)
+        object.__setattr__(box, "upper", upper)
+        return box
 
     @property
     def dimension(self) -> int:
@@ -140,63 +148,67 @@ def _structured(H) -> Hessian:
     return H if isinstance(H, Hessian) else Hessian.from_dense(H)
 
 
-def _positive_split(W: Hessian) -> Hessian:
-    """``W`` split with a positive diagonal part.
+def _positive_split(W: Hessian, shift=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts ``(d, U, C)`` of ``W + diag(shift)`` with ``d`` positive.
 
-    A ``W`` whose diagonal part is not positive is re-split as its ``k = n``
-    form, whose diagonal part is ``diag(W)``.  That is positive whenever
-    ``W`` is positive definite; when it is not, ``W`` is not positive
-    definite and :class:`numpy.linalg.LinAlgError` is raised before the
-    dense matrix is formed.
+    The shift (a number or an n-vector) joins the diagonal part as ``W.d +
+    shift``; no :class:`Hessian` is built.  A matrix whose diagonal part is
+    not positive is re-split as its ``k = n`` form, whose diagonal part is
+    the matrix diagonal.  That is positive whenever the matrix is positive
+    definite; when it is not, the matrix is not positive definite and
+    :class:`numpy.linalg.LinAlgError` is raised before the dense matrix is
+    formed.
     """
-    if np.all(W.d > 0.0):
-        return W
-    if not np.all(W.d + ((W.U @ W.C) * W.U).sum(axis=1) > 0.0):
+    d, U, C = W.d if shift is None else W.d + shift, W.U, W.C
+    if (d > 0.0).all():
+        return d, U, C
+    if not (d + ((U @ C) * U).sum(axis=1) > 0.0).all():
         raise np.linalg.LinAlgError("diagonal not positive: matrix not positive definite")
-    return Hessian.from_dense(W)
+    return _split(_dense(d, U, C))
 
 
-def _positive_definite(W: Hessian) -> bool:
-    """Whether ``W = A + U C U^T`` (``A`` diagonal) is positive definite.
+def _positive_definite(W: Hessian, shift=None) -> bool:
+    """Whether ``W + diag(shift) = A + U C U^T`` (``A`` diagonal) is PD.
 
-    With ``A^{-1/2} U = Q R`` (``R`` is ``k x k``), ``W`` is congruent to
-    ``I + Q R C R^T Q^T``, which is positive definite exactly when the
+    With ``A^{-1/2} U = Q R`` (``R`` is ``k x k``), the matrix is congruent
+    to ``I + Q R C R^T Q^T``, which is positive definite exactly when the
     symmetric capacitance matrix ``I + R C R^T`` is (Cholesky succeeds).
     """
     try:
-        W = _positive_split(W)
+        d, U, C = _positive_split(W, shift)
     except np.linalg.LinAlgError:
         return False
-    if W.k:
-        R = np.linalg.qr(W.U / np.sqrt(W.d)[:, None], mode="r")
+    if U.shape[1]:
+        R = np.linalg.qr(U / np.sqrt(d)[:, None], mode="r")
         try:
-            np.linalg.cholesky(np.eye(W.k) + R @ W.C @ R.T)
+            np.linalg.cholesky(np.eye(U.shape[1]) + R @ C @ R.T)
         except np.linalg.LinAlgError:
             return False
     return True
 
 
-def _factor(W: Hessian) -> Callable[[np.ndarray], np.ndarray]:
-    """Solver of ``W x = b`` for ``W = A + U C U^T`` by Sherman-Morrison-Woodbury.
+def _factor(W: Hessian, shift=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver of ``(W + diag(shift)) x = b`` by Sherman-Morrison-Woodbury.
 
-    With ``A`` the positive diagonal part from :func:`_positive_split`,
+    With ``A`` the positive diagonal part of ``A + U C U^T`` from
+    :func:`_positive_split`,
     ``x = A^{-1} b - A^{-1} U y`` where ``y`` solves the ``k x k``
     capacitance system ``(I + C U^T A^{-1} U) y = C U^T A^{-1} b``.  The
     split, ``A^{-1} U`` and the capacitance matrix are built once, here, and
     shared by every right-hand side.  Raises
-    :class:`numpy.linalg.LinAlgError` here when the diagonal of ``W`` is not
+    :class:`numpy.linalg.LinAlgError` here when the diagonal is not
     positive, and from the returned solver when the capacitance system is
     singular.
     """
-    W = _positive_split(W)
-    if not W.k:
-        return lambda b: b / W.d
-    AiU = W.U / W.d[:, None]
-    K = np.eye(W.k) + W.C @ (W.U.T @ AiU)
+    d, U, C = _positive_split(W, shift)
+    if not U.shape[1]:
+        return lambda b: b / d
+    AiU = U / d[:, None]
+    K = np.eye(U.shape[1]) + C @ (U.T @ AiU)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = b / W.d
-        return x - AiU @ np.linalg.solve(K, W.C @ (W.U.T @ x))
+        x = b / d
+        return x - AiU @ np.linalg.solve(K, C @ (U.T @ x))
 
     return solve
 
@@ -213,8 +225,7 @@ def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
     """
     hess = _structured(hess)
     if hess.k:
-        positive_definite = lambda lam: _positive_definite(
-            hess if lam == 0.0 else hess.plus_diagonal(lam))
+        positive_definite = lambda lam: _positive_definite(hess, None if lam == 0.0 else lam)
     else:
         lowest = float(hess.d.min(initial=np.inf))
         positive_definite = lambda lam: lowest + lam > 0.0
@@ -317,7 +328,7 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     H = _structured(H)
     lb, ub = box.lower, box.upper
-    if not (np.all(lb < 0.0) and np.all(ub > 0.0)):
+    if not ((lb < 0.0).all() and (ub > 0.0).all()):
         raise ValueError("step box must contain 0 strictly (interior start)")
 
     def fallback() -> np.ndarray:
@@ -330,35 +341,37 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     n, s = g.shape[0], np.zeros_like(g)
     t = np.concatenate([-lb, ub])  # slacks s - lb, ub - s
     z = 1.0 / t
-    tol, last = 1e-12 * (1.0 + float(np.max(np.abs(g)))), math.inf
+    tol, last = 1e-12 * (1.0 + float(np.abs(g).max())), math.inf
     floored = False  # a predictor's target has reached CENTRAL_PATH_END
     for _ in range(100):
         r = g + H @ s - z[:n] + z[n:]  # dual residual
-        rnorm = float(np.max(np.abs(r)))
+        rnorm = float(np.abs(r).max())
         tz = t * z
-        centred = np.max(np.abs(tz - CENTRAL_PATH_END)) <= 1e-3 * CENTRAL_PATH_END
-        if centred and (rnorm <= tol or rnorm >= last):
-            break
+        if (rnorm <= tol or rnorm >= last) and (
+                np.abs(tz - CENTRAL_PATH_END).max() <= 1e-3 * CENTRAL_PATH_END):
+            break  # centred, with a residual that is small or no longer falls
         last = rnorm
-
-        def newton(c: np.ndarray):  # the step moving t * z by c to first order, its length
-            ds = solve(c[:n] / t[:n] - c[n:] / t[n:] - r)
-            dt = np.concatenate([ds, -ds])
-            dz = (c - z * dt) / t
-            nearest = min(_step_to_zero(t, dt), _step_to_zero(z, dz))
-            return ds, dt, dz, min(1.0, BOUNDARY_FRACTION * nearest)
-
+        zt, tz_joined = z / t, np.concatenate([t, z])
+        # the affine-scaling predictor (none on the floor), then the
+        # corrector: each is the step moving t * z by c to first order
+        predict = not floored
+        c = -tz if predict else CENTRAL_PATH_END - tz
         try:
-            solve = _factor(H.plus_diagonal(z[:n] / t[:n] + z[n:] / t[n:]))
-            if not floored:
-                _, dt, dz, alpha = newton(-tz)  # affine-scaling predictor
+            solve = _factor(H, zt[:n] + zt[n:])
+            while True:
+                ct = c / t
+                ds = solve(ct[:n] - ct[n:] - r)
+                dt = np.concatenate([ds, -ds])
+                dz = (c - z * dt) / t
+                nearest = _step_to_zero(tz_joined, np.concatenate([dt, dz]))
+                alpha = min(1.0, BOUNDARY_FRACTION * nearest)
+                if not predict:
+                    break
+                predict = False
                 mu = float(t @ z) / t.size
                 target = mu * (float((t + alpha * dt) @ (z + alpha * dz)) / t.size / mu) ** 3
                 floored = target <= CENTRAL_PATH_END
-            if floored:  # the corrector is plain centring on the floor
-                ds, dt, dz, alpha = newton(CENTRAL_PATH_END - tz)
-            else:
-                ds, dt, dz, alpha = newton(target - tz - dt * dz)
+                c = CENTRAL_PATH_END - tz if floored else target - tz - dt * dz
         except np.linalg.LinAlgError:
             return fallback()
         s = s + alpha * ds
@@ -425,21 +438,23 @@ def sqp_run(
     warnings: list[str] = []
     trace: list[NewtonIterate] = []
     f, grad, hess = sweep(x)
+    gnorm = float(np.abs(grad).max())
     prev_gnorm: float | None = None
     prev_dnorm: float | None = None
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
-        if not all(np.all(np.isfinite(a)) for a in (f, grad, hess.d, hess.U, hess.C)):
+        if not (math.isfinite(f) and np.isfinite(grad).all() and np.isfinite(hess.d).all()
+                and np.isfinite(hess.U).all() and np.isfinite(hess.C).all()):
             raise ValueError("objective value, gradient or Hessian not finite")
-        gnorm = float(np.max(np.abs(grad)))
         if gnorm <= cfg.grad_tol:
             stop_reason = "grad_tol"
             break
 
-        step_box = None if box is None else BoundBox(box.lower - x, box.upper - x)
+        # unchecked: ipm_qp_solve requires lower < 0 < upper, hence lower < upper
+        step_box = None if box is None else BoundBox._new(box.lower - x, box.upper - x)
         d, lam = _search_direction(grad, hess, step_box)
 
-        dnorm = float(np.linalg.norm(d))
+        dnorm = math.sqrt(d.dot(d))  # np.linalg.norm's sum of squares
         if dnorm <= cfg.step_tol:
             stop_reason = "step_tol"
             break
@@ -477,6 +492,7 @@ def sqp_run(
         )
         x = x + alpha * d
         f, grad, hess = f_new, grad_new, hess_new
+        gnorm = float(np.abs(grad).max())
         trace.append(
             NewtonIterate(
                 iteration=k,
@@ -486,7 +502,7 @@ def sqp_run(
                 direction=d,
                 alpha=alpha,
                 lambda_used=lam,
-                grad_norm=float(np.max(np.abs(grad))),
+                grad_norm=gnorm,
                 step_norm=dnorm,
                 wolfe_ok=wolfe_ok,
                 evaluations=evals,

@@ -1,7 +1,11 @@
 """Configuration parsing, batch execution, CSV schemas and the CLI surface."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from itertools import islice
 
 import numpy as np
@@ -24,6 +28,8 @@ from ecsqp.hybrid import SwitchCriteria, evolve, fitness_function
 from ecsqp.local_search import BoundBox
 from ecsqp.price_monitor import SMOOTHING_WINDOW, sigma_width
 
+
+SRC = str(Path(cli_io.__file__).resolve().parent.parent)
 
 BASE_CONFIG = """
 problem: schwefel-max
@@ -125,6 +131,14 @@ class TestRunConfigInCode:
                         mutation_rate_raw="1/l", mode="ec")
         assert cfg.ga.mutation_rate == 1 / 34
         assert replace(cfg, mode="hybrid").ga.mutation_rate == 1 / 34
+
+    def test_mutation_rate_out_of_range_is_a_config_error(self):
+        # GAConfig's own ValueError, raised while binding the rate into ga
+        with pytest.raises(ConfigError, match="mutation rate"):
+            RunConfig(problem="ackley", dimension=2, mutation_rate_raw=2.0)
+        with pytest.raises(ConfigError, match="mutation rate"):
+            RunConfig(problem="ackley", dimension=2, validation_ga=GAConfig(),
+                      validation_mutation_rate_raw=-0.5)
 
     def test_default_validation_rate_binds_to_the_problems_length(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -492,6 +506,24 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--mode", mode, "--jobs", "1",
                      "--runs", "1", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_boolean_in_a_precision_list_exit_two(self, tmp_path, capsys):
+        # numpy would read the true as a grid step of 1 in the first variable
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: schwefel-max\ndimension: 2\nprecision: [true, 0.01]\n")
+        with pytest.raises(ConfigError, match="precision.*boolean"):
+            load_config(bad)
+        assert main(["run", "--config", str(bad), "--mode", "ec", "--jobs", "1",
+                     "--runs", "1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_import_leaves_yaml_and_process_pools_unloaded(self):
+        # both load on first use: by load_config and by run_batch with jobs > 1
+        code = ("import sys, ecsqp.cli_io; "
+                "print(sorted({'yaml', 'concurrent.futures'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--runs", "0")])
     def test_malformed_override_exit_two(self, config_file, tmp_path, capsys, flag, value):

@@ -643,6 +643,32 @@ class TestSqpRun:
         assert res.stop_reason in ("delta_stall", "grad_tol", "step_tol")
 
 
+INF = math.inf
+# (problem, start seed) -> f.hex(), evaluations, stop reason and each
+# iteration's lambda_used of sqp_run at n=100 from a uniform start in the box.
+# Ackley's k = 3 Hessian climbs the shift ladder and every direction comes
+# from the IPM; Rastrigin's diagonal Hessian exhausts the ladder (lambda inf,
+# the cut-back steepest-descent fallback) before it reaches a convex region.
+N100_PINS = {
+    ("ackley", 0): ("0x1.34d8c7f9d579cp+4", 30, "grad_tol",
+                    [1.0] * 4 + [10.0] * 22 + [1.0, 0.0, INF]),
+    ("ackley", 1): ("0x1.30bc3fdb1f192p+4", 9, "grad_tol", [1.0] * 4 + [0.0] * 3 + [INF]),
+    ("ackley", 2): ("0x1.2e2da7217bd83p+4", 9, "grad_tol", [1.0] * 4 + [0.0] * 3 + [INF]),
+    ("rastrigin", 0): ("0x1.f0fa806eda19fp+9", 16, "step_tol", [INF] * 6 + [0.0] * 6),
+    ("rastrigin", 1): ("0x1.ac53c327f1e94p+9", 11, "grad_tol", [INF] * 4 + [0.0] * 4),
+    ("rastrigin", 2): ("0x1.b0cde789ee6b4p+9", 10, "grad_tol", [INF] * 4 + [0.0] * 4),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(N100_PINS))
+def test_n100_run_pinned(name, seed):
+    p = get_problem(name, 100)
+    x0 = np.random.default_rng(seed).uniform(p.bounds.lower, p.bounds.upper)
+    res = sqp_run(p.fn, x0, p.bounds, SQPConfig())
+    got = (res.f.hex(), res.evaluations, res.stop_reason, [it.lambda_used for it in res.trace])
+    assert got == N100_PINS[name, seed]
+
+
 class TestConvergenceRate:
     def test_q_quadratic_on_quartic_perturbed_quadratic(self, rng):
         # f(x) = 0.5 (x-a)'Q(x-a) + sum gamma_i (x_i-a_i)^4, minimizer exactly a
