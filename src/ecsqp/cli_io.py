@@ -503,8 +503,17 @@ class ADCheckReport:
 def ad_check(
     problem_name: str, dimension: int, samples: int = 100, seed: int = 0
 ) -> ADCheckReport:
-    """Compare AD gradients/Hessians against central finite differences."""
-    problem = get_problem(problem_name, dimension)
+    """Compare AD gradients/Hessians against central finite differences.
+
+    An unknown problem, a dimension the problem does not take, or fewer than
+    one sample raises :class:`ConfigError`.
+    """
+    if samples < 1:
+        raise ConfigError(f"samples must be positive, got {samples}")
+    try:
+        problem = get_problem(problem_name, dimension)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(exc.args[0]) from exc
     rng = np.random.default_rng(seed)
     box = problem.bounds
     plain = problem.evaluate  # plain floats, independent of the AD path
@@ -589,8 +598,8 @@ def _cmd_run(args, force_mode: str | None = None) -> int:
 def _cmd_ad_check(args) -> int:
     try:
         report = ad_check(args.problem, args.dimension, args.samples, args.seed)
-    except KeyError as exc:
-        print(f"config error: {exc.args[0]}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(
         f"{report.problem} n={report.dimension}, {report.samples} samples: "

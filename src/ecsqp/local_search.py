@@ -1,13 +1,15 @@
 """Newton/SQP line-search minimizer with exact Hessians.
 
 The solver takes full Newton steps computed from automatic-differentiation
-Hessians, certifies step lengths with the Wolfe conditions, and handles
-variable bounds by solving each quadratic subproblem with a Mehrotra
-primal-dual interior-point method (Mehrotra 1992) from the log-barrier
-central point of weight 1 to that of weight 1e-8 (a singular system gives a
-cut-back Newton step).  Indefinite Hessians are repaired with an escalating
-Levenberg-style diagonal shift; if that fails the step falls back to steepest
-descent.
+Hessians and certifies step lengths with the Wolfe conditions.  Indefinite
+Hessians are repaired with an escalating Levenberg-style diagonal shift; if
+that fails the step falls back to steepest descent.  Under variable bounds a
+Newton step that stays within the boundary fraction of every bound is the
+exact minimizer of its quadratic subproblem and is taken as it is; only a
+step that would pass that fraction goes to a Mehrotra primal-dual
+interior-point method (Mehrotra 1992), which solves the subproblem from the
+log-barrier central point of weight 1 to that of weight 1e-8 (a singular
+system gives a cut-back Newton step).
 
 Every linear system has the form ``W = diag(a) + U C U^T`` of the AD
 :class:`~ecsqp.autodiff.Hessian` plus a diagonal, and is solved by
@@ -386,18 +388,28 @@ def _search_direction(
     """Regularized Newton direction of ``0.5 d^T H d + g^T d`` and its shift.
 
     ``H + lambda I`` is the first rung of :func:`regularize_hessian`'s ladder
-    that is positive definite.  Without ``step_box`` the direction solves
-    ``(H + lambda I) d = -g``; with it, :func:`ipm_qp_solve` minimizes the
-    model over the step box.  An exhausted ladder, or a direction that does
-    not point downhill, falls back to steepest descent with ``lambda = inf``,
-    cut back to :data:`BOUNDARY_FRACTION` of the way to the step box.
+    that is positive definite.  The direction solves ``(H + lambda I) d =
+    -g``.  With ``step_box``, that step is kept when it goes at most
+    :data:`BOUNDARY_FRACTION` of the way to every bound: the shifted model
+    is strictly convex, so the step is then its exact minimizer over the
+    box.  Otherwise, or when the system cannot be solved,
+    :func:`ipm_qp_solve` minimizes the model over the step box.  An
+    exhausted ladder, or a direction that does not point downhill, falls
+    back to steepest descent with ``lambda = inf``, cut back to
+    :data:`BOUNDARY_FRACTION` of the way to the step box.
     """
     shifted, lam = regularize_hessian(hess, LAMBDA_MIN)
     if shifted is not None:
         if step_box is None:
             d = _factor(shifted)(-grad)
         else:
-            d = ipm_qp_solve(grad, shifted, step_box)
+            try:  # the model's exact minimizer when it stays clear of the bounds
+                d = _factor(shifted)(-grad)
+            except np.linalg.LinAlgError:
+                d = None
+            if d is None or _fraction_to_boundary(
+                    np.zeros_like(d), d, step_box.lower, step_box.upper) < 1.0:
+                d = ipm_qp_solve(grad, shifted, step_box)
         if d @ grad < 0.0:
             return d, lam
     frac = 1.0 if step_box is None else _fraction_to_boundary(
@@ -415,9 +427,10 @@ def sqp_run(
 
     ``objective`` maps the variables, one ADVector, to an ADScalar; each
     point evaluation is one forward sweep yielding value, gradient and
-    Hessian.  With ``box`` given, search directions come from the
-    interior-point quadratic subproblem and all iterates stay strictly
-    feasible; without it, plain regularized Newton directions are used.
+    Hessian.  Search directions are regularized Newton steps.  With ``box``
+    given, a step that would pass the boundary fraction of the box is
+    replaced by the interior-point solution of the quadratic subproblem, and
+    all iterates stay strictly feasible.
     A value, gradient or Hessian that is not finite at the start point or an
     accepted iterate raises :class:`ValueError`; a trial point of the line
     search with a NaN value is only rejected.

@@ -211,7 +211,7 @@ class TestRunBatch:
         )
 
     @pytest.mark.parametrize("mode, expected", [
-        ("sqp", "b2b8da217ab9d2c55cfda828b4ece7e65329e9be2c4628d645af4e5d787ca22a"),
+        ("sqp", "8d2bb7bb35961a16ff602cafcab16cb38f7c0a2d12e2efeec766c338859089f7"),
         ("hybrid", "17c785b1262b176be16c76f0772227cb79a154787d1406ea72d7f60642fa9bb0"),
     ])
     def test_seeded_mode_output_pinned(self, tmp_path, mode, expected):
@@ -583,3 +583,15 @@ class TestCli:
         assert main(["ad-check", "--problem", "rastrigin", "--dimension", "2",
                      "--samples", "5"]) == 0
         assert "rel-err" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--problem", "ackley", "--dimension", "0"], "dimension must be positive"),
+        (["--problem", "schwefel-max", "--dimension", "3"], "dimension 2"),
+        (["--problem", "rastrigin", "--dimension", "2", "--samples", "0"],
+         "samples must be positive"),
+    ])
+    def test_ad_check_config_error_exit_two(self, capsys, flags, message):
+        assert main(["ad-check", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and message in captured.err
+        assert captured.out == ""

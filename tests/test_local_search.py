@@ -407,17 +407,21 @@ def ipm_two_solves(g, H, box, targets=None):
 
 
 def captured_subproblems(monkeypatch, name, starts):
-    """The (g, H, box) of every IPM call of bounded sqp_run runs at n=100."""
+    """The (g, H + lambda I, step box) of every direction of bounded sqp_run
+    runs at n=100 whose shift ladder succeeds: each box subproblem, whether
+    the Newton step or the IPM solved it."""
     problem = get_problem(name, 100)
     seen = []
-    solver = local_search.ipm_qp_solve
+    direction = local_search._search_direction
 
-    def record(g, H, box):
-        seen.append((g, H, box))
-        return solver(g, H, box)
+    def record(grad, hess, step_box):
+        shifted, _ = regularize_hessian(hess, LAMBDA_MIN)
+        if shifted is not None:
+            seen.append((grad, shifted, step_box))
+        return direction(grad, hess, step_box)
 
     with monkeypatch.context() as patch:
-        patch.setattr(local_search, "ipm_qp_solve", record)
+        patch.setattr(local_search, "_search_direction", record)
         for seed in starts:
             x0 = np.random.default_rng(seed).uniform(problem.bounds.lower, problem.bounds.upper)
             sqp_run(problem.fn, x0, problem.bounds, SQPConfig())
@@ -646,16 +650,17 @@ class TestSqpRun:
 INF = math.inf
 # (problem, start seed) -> f.hex(), evaluations, stop reason and each
 # iteration's lambda_used of sqp_run at n=100 from a uniform start in the box.
-# Ackley's k = 3 Hessian climbs the shift ladder and every direction comes
-# from the IPM; Rastrigin's diagonal Hessian exhausts the ladder (lambda inf,
-# the cut-back steepest-descent fallback) before it reaches a convex region.
+# Ackley's k = 3 Hessian climbs the shift ladder, and its Newton steps stay
+# inside the step box's boundary fraction, so no direction needs the IPM;
+# Rastrigin's diagonal Hessian exhausts the ladder (lambda inf, the cut-back
+# steepest-descent fallback) before it reaches a convex region.
 N100_PINS = {
-    ("ackley", 0): ("0x1.34d8c7f9d579cp+4", 30, "grad_tol",
-                    [1.0] * 4 + [10.0] * 22 + [1.0, 0.0, INF]),
-    ("ackley", 1): ("0x1.30bc3fdb1f192p+4", 9, "grad_tol", [1.0] * 4 + [0.0] * 3 + [INF]),
-    ("ackley", 2): ("0x1.2e2da7217bd83p+4", 9, "grad_tol", [1.0] * 4 + [0.0] * 3 + [INF]),
-    ("rastrigin", 0): ("0x1.f0fa806eda19fp+9", 16, "step_tol", [INF] * 6 + [0.0] * 6),
-    ("rastrigin", 1): ("0x1.ac53c327f1e94p+9", 11, "grad_tol", [INF] * 4 + [0.0] * 4),
+    ("ackley", 0): ("0x1.34d8c7f9d5734p+4", 29, "grad_tol",
+                    [1.0] * 4 + [10.0] * 22 + [1.0, 0.0]),
+    ("ackley", 1): ("0x1.30bc3fdb1f165p+4", 8, "grad_tol", [1.0] * 4 + [0.0] * 3),
+    ("ackley", 2): ("0x1.2e2da7217bd65p+4", 8, "grad_tol", [1.0] * 4 + [0.0] * 3),
+    ("rastrigin", 0): ("0x1.f0fa806eda1a0p+9", 16, "step_tol", [INF] * 6 + [0.0] * 6),
+    ("rastrigin", 1): ("0x1.ac53c327f1e95p+9", 11, "grad_tol", [INF] * 4 + [0.0] * 4),
     ("rastrigin", 2): ("0x1.b0cde789ee6b4p+9", 10, "grad_tol", [INF] * 4 + [0.0] * 4),
 }
 
@@ -667,6 +672,77 @@ def test_n100_run_pinned(name, seed):
     res = sqp_run(p.fn, x0, p.bounds, SQPConfig())
     got = (res.f.hex(), res.evaluations, res.stop_reason, [it.lambda_used for it in res.trace])
     assert got == N100_PINS[name, seed]
+
+
+def counted_ipm_calls(monkeypatch, *args):
+    """``_search_direction(*args)`` and the number of IPM calls it made."""
+    solver = local_search.ipm_qp_solve
+    calls = 0
+
+    def counting_ipm(*a):
+        nonlocal calls
+        calls += 1
+        return solver(*a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(local_search, "ipm_qp_solve", counting_ipm)
+        out = _search_direction(*args)
+    return out, calls
+
+
+class TestBoundedDirection:
+    def test_interior_newton_step_skips_the_ipm(self, rng, monkeypatch):
+        for _ in range(20):
+            H = random_structured(rng, 10, 3)
+            g = rng.normal(size=10) * 0.1
+            box = BoundBox(np.full(10, -10.0), np.full(10, 10.0))
+            (d, lam), calls = counted_ipm_calls(monkeypatch, g, H, box)
+            assert calls == 0 and lam == 0.0
+            np.testing.assert_array_equal(d, _factor(H)(-g))
+
+    def test_step_past_the_boundary_fraction_is_the_ipm_step(self, rng, monkeypatch):
+        for _ in range(20):
+            H = random_structured(rng, 10, 3)
+            g = rng.normal(size=10) * 0.1
+            newton = _factor(H)(-g)
+            # one bound at 0.995 of the Newton step's largest entry: just past it
+            i = int(np.argmax(np.abs(newton)))
+            lb, ub = np.full(10, -10.0), np.full(10, 10.0)
+            (lb if newton[i] < 0 else ub)[i] = BOUNDARY_FRACTION * newton[i]
+            box = BoundBox(lb, ub)
+            assert _fraction_to_boundary(np.zeros(10), newton, lb, ub) < 1.0
+            (d, lam), calls = counted_ipm_calls(monkeypatch, g, H, box)
+            assert calls == 1 and lam == 0.0
+            np.testing.assert_array_equal(d, ipm_qp_solve(g, H, box))
+
+    def test_unsolvable_newton_system_reaches_the_ipm_and_its_fallback(self, monkeypatch):
+        # every Woodbury factor fails: the Newton step, the IPM's systems and
+        # its fallback's Newton step; the IPM's cut-back steepest descent keeps
+        # the ladder's lambda, where _search_direction's own fallback is inf
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular")
+
+        g = np.array([1.0, -2.0])
+        box = BoundBox(np.full(2, -0.5), np.full(2, 0.5))
+        monkeypatch.setattr(local_search, "_factor", singular)
+        (d, lam), calls = counted_ipm_calls(monkeypatch, g, np.eye(2), box)
+        assert calls == 1 and lam == 0.0
+        np.testing.assert_array_equal(d, -BOUNDARY_FRACTION * 0.25 * g)
+
+    def test_newton_step_is_no_worse_than_the_ipm_on_the_pinned_starts(self, monkeypatch):
+        # at n=10 Ackley's polish near the kink has Hessian eigenvalues up to
+        # 4e15, where both solves are at rounding level; at n=100 they are not
+        shortcuts = 0
+        for name, seed in sorted(N100_PINS):
+            for g, H, box in captured_subproblems(monkeypatch, name, (seed,)):
+                newton = _factor(H)(-g)
+                if _fraction_to_boundary(np.zeros_like(g), newton, box.lower, box.upper) < 1.0:
+                    continue
+                shortcuts += 1
+                model = lambda v: g @ v + 0.5 * (v @ (H @ v))
+                ipm = model(ipm_qp_solve(g, H, box))
+                assert model(newton) <= ipm + 1e-12 * abs(ipm)
+        assert shortcuts > 0
 
 
 class TestConvergenceRate:
