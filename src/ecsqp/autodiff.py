@@ -72,19 +72,26 @@ class Hessian:
 
     A sum joins the low-rank parts side by side; once ``k`` would pass ``n``
     the form folds into its ``k = n`` version, :meth:`from_dense` of the
-    matrix.  Instances are treated as immutable.  ``np.asarray`` gives the
+    matrix.  ``Hessian(d)`` is diagonal; ``U`` and ``C`` are given together.
+    Instances are treated as immutable.  ``np.asarray`` gives the
     dense matrix; ``H @ s`` costs O(nk).  Arithmetic builds its results with
     :meth:`_new`, which skips the checks of the constructor.
     """
 
     __slots__ = ("d", "U", "C")
 
-    def __init__(self, d, U: np.ndarray | None = None, C: np.ndarray | None = None):
+    def __init__(self, d, U=None, C=None):
         d = np.asarray(d, dtype=float)
+        if d.ndim != 1:
+            raise ValueError("need d of length n, U of n rows and a k x k C")
         n = d.shape[0]
+        if (U is None) != (C is None):
+            raise ValueError("give both U and C, or neither")
         if U is None:
-            U, C = np.zeros((n, 0)), np.zeros((0, 0))
-        if d.ndim != 1 or U.shape[0] != n or C.shape != (U.shape[1], U.shape[1]):
+            U, C = _empty_low_rank(n)
+        else:
+            U, C = np.asarray(U, dtype=float), np.asarray(C, dtype=float)
+        if U.ndim != 2 or U.shape[0] != n or C.shape != (U.shape[1], U.shape[1]):
             raise ValueError("need d of length n, U of n rows and a k x k C")
         if U.shape[1] > n:
             d, U, C = _split(_dense(d, U, C))
@@ -157,10 +164,11 @@ class Hessian:
         return Hessian._new(-self.d, self.U, -self.C)
 
     def __mul__(self, c):
-        try:
-            c = float(c)
-        except TypeError:
-            return NotImplemented
+        if type(c) is not float:
+            try:
+                c = float(c)
+            except TypeError:
+                return NotImplemented
         return Hessian._new(self.d * c, self.U, self.C * c)
 
     __rmul__ = __mul__
@@ -191,6 +199,20 @@ def _split(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PLAIN = (float, int)  # number types exactly, taken before the ``Real`` ABC test
+_EMPTY_LOW_RANK: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _empty_low_rank(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``(n, 0)`` ``U`` and ``(0, 0)`` ``C`` of a ``k = 0``
+    Hessian, one pair per ``n``."""
+    pair = _EMPTY_LOW_RANK.get(n)
+    if pair is None:
+        pair = np.zeros((n, 0)), np.zeros((0, 0))
+        for part in pair:
+            part.flags.writeable = False
+        _EMPTY_LOW_RANK[n] = pair
+    return pair
 
 
 class ADScalar:
@@ -198,7 +220,8 @@ class ADScalar:
 
     Instances are treated as immutable; operations allocate fresh arrays and
     may share operand arrays that pass through unchanged.  Arithmetic builds
-    its results with :meth:`_new`, unchecked, unless a foreign number joins.
+    its results with :meth:`_new`, unchecked; only a sum with a number that
+    is not exactly a ``float`` or ``int`` goes through the constructor.
     """
 
     __slots__ = ("value", "grad", "hess", "nonsmooth")
@@ -242,18 +265,27 @@ class ADScalar:
         return None
 
     def _chain(self, value, d1, d2) -> "ADScalar":
-        """Apply a scalar map with derivatives ``d1``, ``d2`` at this node."""
-        hess = (self.hess * d1).plus_low_rank(self.grad[:, None], np.array([[float(d2)]]))
+        """Apply a scalar map with derivatives ``d1``, ``d2`` at this node:
+        the Hessian ``d1 H + d2 g g^T`` appends the gradient ``g`` to ``U``."""
+        H, c, k = self.hess, float(d1), self.hess.k
+        C = np.zeros((k + 1, k + 1))
+        np.multiply(H.C, c, out=C[:k, :k])
+        C[k, k] = d2
+        U = np.concatenate([H.U, self.grad[:, None]], axis=1) if k else self.grad[:, None]
+        # the checked constructor folds a k > n form
+        hess = (Hessian if k == self.n else Hessian._new)(H.d * c, U, C)
         return ADScalar._new(float(value), d1 * self.grad, hess, self.nonsmooth)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        if type(other) in _PLAIN:  # the value stays a float (array)
+            return type(self)._new(self.value + other, self.grad, self.hess, self.nonsmooth)
+        if isinstance(other, Real):  # the checked constructor converts the value
+            return type(self)(self.value + other, self.grad, self.hess, self.nonsmooth)
         b = self._coerce(other)
         if b is None:
-            if not isinstance(other, Real):
-                return NotImplemented
-            return type(self)(self.value + other, self.grad, self.hess, self.nonsmooth)
+            return NotImplemented
         return type(self)._new(self.value + b.value, self.grad + b.grad,
                                self.hess + b.hess, self.nonsmooth or b.nonsmooth)
 
@@ -269,12 +301,12 @@ class ADScalar:
         return type(self)._new(-self.value, -self.grad, -self.hess, self.nonsmooth)
 
     def __mul__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            if not isinstance(other, Real):
-                return NotImplemented
+        if type(other) in _PLAIN or isinstance(other, Real):
             c = float(other)
             return type(self)._new(self.value * c, self.grad * c, self.hess * c, self.nonsmooth)
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
         hess = self._plus_sym_outer(
             b.value * self.hess + self.value * b.hess, self.grad, b.grad
         )
@@ -284,14 +316,14 @@ class ADScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            if not isinstance(other, Real):
-                return NotImplemented
+        if type(other) in _PLAIN or isinstance(other, Real):
             if other == 0:
                 raise ADDomainError("div", 0.0)
             c = float(other)
             return type(self)._new(self.value / c, self.grad / c, self.hess / c, self.nonsmooth)
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
         _require("div", b.value != 0.0, b.value)
         # from a = v b: Hv = (Ha - v Hb - gv gb^T - gb gv^T) / b
         v = self.value / b.value
@@ -368,15 +400,17 @@ class ADVector(ADScalar):
     def sum(self, axis: int = -1) -> ADScalar:
         if axis not in (0, -1):
             raise ValueError(f"an ADVector has one axis; got axis={axis!r}")
-        hess = Hessian._new(self.hess, np.zeros((self.n, 0)), np.zeros((0, 0)))
+        hess = Hessian._new(self.hess, *_empty_low_rank(self.n))
         return ADScalar._new(float(self.value.sum()), self.grad, hess, self.nonsmooth)
 
     def mean(self, axis: int = -1) -> ADScalar:
         return self.sum(axis) / self.n
 
 
-def _unary(name: str, fns: tuple) -> Callable:
-    value_fn, d1_fn, d2_fn, domain = fns
+def _unary(name: str, value_fn: Callable, chain_fn: Callable, domain=None) -> Callable:
+    """Elementary function: ``value_fn`` of a plain number or array, and
+    for an AD node at value ``v`` the chain rule with ``chain_fn(v) =
+    (value, d1, d2)``, which evaluates a map that the three share once."""
 
     def op(x):
         if not isinstance(x, ADScalar):
@@ -384,20 +418,32 @@ def _unary(name: str, fns: tuple) -> Callable:
         v = x.value
         if domain is not None:
             _require(name, domain(v), v)
-        return x._chain(value_fn(v), d1_fn(v), d2_fn(v))
+        return x._chain(*chain_fn(v))
 
     op.__name__ = name
     op.__doc__ = f"{name} of an AD node, elementwise over a plain number or array."
     return op
 
 
-sin = _unary("sin", (np.sin, np.cos, lambda v: -np.sin(v), None))
-cos = _unary("cos", (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), None))
-exp = _unary("exp", (np.exp, np.exp, np.exp, None))
-log = _unary(
-    "log",
-    (np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), lambda v: v > 0.0),
-)
+def _sin_chain(v):
+    s, c = np.sin(v), np.cos(v)
+    return s, c, -s
+
+
+def _cos_chain(v):
+    c, s = np.cos(v), np.sin(v)
+    return c, -s, -c
+
+
+def _exp_chain(v):
+    e = np.exp(v)
+    return e, e, e
+
+
+sin = _unary("sin", np.sin, _sin_chain)
+cos = _unary("cos", np.cos, _cos_chain)
+exp = _unary("exp", np.exp, _exp_chain)
+log = _unary("log", np.log, lambda v: (np.log(v), 1.0 / v, -1.0 / (v * v)), lambda v: v > 0.0)
 
 
 def _kinked(x: ADScalar, value, d1, d2, kink) -> ADScalar:
@@ -423,6 +469,8 @@ def sqrt(x):
     v = x.value
     _require("sqrt", v >= 0.0, v)
     s = np.sqrt(v)
+    if not isinstance(x, ADVector) and v > 0.0:  # a scalar off the kink
+        return x._chain(s, 0.5 / s, -0.25 / (v * s))
     kink = v == 0.0
     d1 = 0.5 / np.where(kink, 1.0, s)
     d2 = -0.25 / np.where(kink, 1.0, v * s)

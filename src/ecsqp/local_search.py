@@ -150,6 +150,11 @@ def _structured(H) -> Hessian:
     return H if isinstance(H, Hessian) else Hessian.from_dense(H)
 
 
+def _low_rank_diagonal(U: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The diagonal of ``U C U^T``."""
+    return ((U @ C) * U).sum(axis=1)
+
+
 def _positive_split(W: Hessian, shift=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The parts ``(d, U, C)`` of ``W + diag(shift)`` with ``d`` positive.
 
@@ -164,7 +169,7 @@ def _positive_split(W: Hessian, shift=None) -> tuple[np.ndarray, np.ndarray, np.
     d, U, C = W.d if shift is None else W.d + shift, W.U, W.C
     if (d > 0.0).all():
         return d, U, C
-    if not (d + ((U @ C) * U).sum(axis=1) > 0.0).all():
+    if not (d + _low_rank_diagonal(U, C) > 0.0).all():
         raise np.linalg.LinAlgError("diagonal not positive: matrix not positive definite")
     return _split(_dense(d, U, C))
 
@@ -221,22 +226,36 @@ def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
 
     ``hess`` is a :class:`Hessian` or a dense array (its ``k = n`` form).
     Returns ``(shifted_matrix, lambda)`` or ``(None, inf)`` if the ladder cap
-    is exceeded.  A diagonal ``hess`` (``k = 0``) is decided on one number:
-    rounding is monotone, so ``d + lambda`` is positive exactly when
-    ``min(d) + lambda`` is.
+    is exceeded; ``lambda_min`` must be positive with a finite cap
+    ``REGULARIZATION_LADDER_CAP * lambda_min``.  Rounding is monotone, so
+    ``d + lambda`` is positive exactly when ``min(d) + lambda`` is: a
+    diagonal ``hess`` (``k = 0``) is decided on that one number.  For
+    ``k > 0`` the elementwise tests of :func:`_positive_split`, ``d + lambda
+    > 0`` and ``d + lambda + diag(U C U^T) > 0``, are made for every rung at
+    once; a rung that fails both is not positive definite, and only the
+    others go to :func:`_positive_definite`, from the smallest up.
     """
+    if not (lambda_min > 0.0 and math.isfinite(REGULARIZATION_LADDER_CAP * lambda_min)):
+        raise ValueError(
+            f"lambda_min must be positive with a finite ladder cap, got {lambda_min!r}")
     hess = _structured(hess)
+    rungs, lam = [0.0], lambda_min
+    while lam <= REGULARIZATION_LADDER_CAP * lambda_min:
+        rungs.append(lam)
+        lam *= 10.0
     if hess.k:
-        positive_definite = lambda lam: _positive_definite(hess, None if lam == 0.0 else lam)
+        shifted = hess.d + np.array(rungs)[:, None]
+        split_ok = (shifted > 0.0).all(axis=1) | (
+            shifted + _low_rank_diagonal(hess.U, hess.C) > 0.0).all(axis=1)
+        chosen = (lam for lam, ok in zip(rungs, split_ok)
+                  if ok and _positive_definite(hess, None if lam == 0.0 else lam))
     else:
         lowest = float(hess.d.min(initial=np.inf))
-        positive_definite = lambda lam: lowest + lam > 0.0
-    lam = 0.0
-    while not positive_definite(lam):
-        lam = lambda_min if lam == 0.0 else lam * 10.0
-        if lam > REGULARIZATION_LADDER_CAP * lambda_min:
-            return None, math.inf
-    return (hess if lam == 0.0 else hess.plus_diagonal(lam)), lam
+        chosen = (lam for lam in rungs if lowest + lam > 0.0)
+    lam = next(chosen, None)
+    if lam is None:
+        return None, math.inf
+    return (hess if lam == 0.0 else Hessian._new(hess.d + lam, hess.U, hess.C)), lam
 
 
 def wolfe_line_search(
@@ -294,9 +313,11 @@ def _fraction_to_boundary(
     s: np.ndarray, p: np.ndarray, lb: np.ndarray, ub: np.ndarray
 ) -> float:
     """Largest step fraction along ``p``, at most 1, that keeps ``s`` strictly
-    inside [lb, ub]: :data:`BOUNDARY_FRACTION` of the way to the nearest bound."""
+    inside [lb, ub]: :data:`BOUNDARY_FRACTION` of the way to the nearest bound.
+    A NaN entry of ``p`` gives NaN."""
     ratio = np.divide(np.where(p < 0, lb, ub) - s, p, out=np.full_like(p, np.inf), where=p != 0)
-    return min(1.0, BOUNDARY_FRACTION * float(ratio.min(initial=np.inf)))
+    frac = BOUNDARY_FRACTION * float(ratio.min(initial=np.inf))
+    return 1.0 if frac >= 1.0 else frac
 
 
 def _step_to_zero(v: np.ndarray, dv: np.ndarray) -> float:
@@ -392,10 +413,10 @@ def _search_direction(
     -g``.  With ``step_box``, that step is kept when it goes at most
     :data:`BOUNDARY_FRACTION` of the way to every bound: the shifted model
     is strictly convex, so the step is then its exact minimizer over the
-    box.  Otherwise, or when the system cannot be solved,
-    :func:`ipm_qp_solve` minimizes the model over the step box.  An
-    exhausted ladder, or a direction that does not point downhill, falls
-    back to steepest descent with ``lambda = inf``, cut back to
+    box.  Otherwise, or when the system cannot be solved or its solution
+    has a NaN entry, :func:`ipm_qp_solve` minimizes the model over the step
+    box.  An exhausted ladder, or a direction that does not point downhill,
+    falls back to steepest descent with ``lambda = inf``, cut back to
     :data:`BOUNDARY_FRACTION` of the way to the step box.
     """
     shifted, lam = regularize_hessian(hess, LAMBDA_MIN)
@@ -408,7 +429,7 @@ def _search_direction(
             except np.linalg.LinAlgError:
                 d = None
             if d is None or _fraction_to_boundary(
-                    np.zeros_like(d), d, step_box.lower, step_box.upper) < 1.0:
+                    np.zeros_like(d), d, step_box.lower, step_box.upper) != 1.0:
                 d = ipm_qp_solve(grad, shifted, step_box)
         if d @ grad < 0.0:
             return d, lam

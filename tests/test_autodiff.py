@@ -1,9 +1,12 @@
 """Forward-mode AD: propagation rules, worked values, invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsqp import autodiff as ad
 from ecsqp.autodiff import ADDomainError, ADScalar, ADVector, Hessian, evaluate
@@ -404,6 +407,20 @@ class TestStructuredHessian:
         np.testing.assert_allclose(np.asarray(H.plus_diagonal(3.0)), dense + 3.0 * np.eye(n),
                                    rtol=1e-14, atol=1e-14)
 
+    def test_constructor_converts_and_checks_u_and_c(self):
+        d = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="both U and C"):
+            Hessian(d, np.ones((3, 1)))
+        with pytest.raises(ValueError, match="both U and C"):
+            Hessian(d, None, np.ones((1, 1)))
+        H = Hessian([1, 2, 3], [[1], [0], [2]], [[3]])
+        assert H.U.dtype == H.C.dtype == float and H.k == 1
+        np.testing.assert_array_equal(np.asarray(H), np.diag(d) + 3.0 * np.outer([1, 0, 2], [1, 0, 2]))
+        with pytest.raises(ValueError):
+            Hessian(d, np.ones(3), np.ones((1, 1)))  # a 1-D U
+        with pytest.raises(ValueError):
+            Hessian(2.0)
+
     def test_inconsistent_shapes_raise(self):
         with pytest.raises(ValueError):
             Hessian(np.zeros(3), np.zeros((3, 2)), np.zeros((3, 3)))
@@ -411,3 +428,86 @@ class TestStructuredHessian:
             Hessian(np.zeros(3)) + Hessian(np.zeros(2))
         with pytest.raises(ValueError):
             Hessian.from_dense(np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the scalar fast paths against the generic routes
+# ---------------------------------------------------------------------------
+
+
+def scalar_node(seed: int, value: float) -> ADScalar:
+    """An ADScalar at ``value`` with a random gradient and a random Hessian
+    of ``0 <= k <= n`` columns (``k = n`` folds on the next chain step)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(0, n + 1))
+    C = rng.normal(size=(k, k))
+    hess = Hessian(rng.normal(size=n), rng.normal(size=(n, k)), C + C.T)
+    return ADScalar(value, rng.normal(size=n), hess)
+
+
+def chained_by_blocks(x: ADScalar, value, d1, d2) -> ADScalar:
+    """The chain rule through the generic Hessian operations: scale, then
+    append the gradient column with ``plus_low_rank``."""
+    hess = (x.hess * float(d1)).plus_low_rank(x.grad[:, None], np.array([[float(d2)]]))
+    return ADScalar(value, d1 * x.grad, hess, x.nonsmooth)
+
+
+def assert_same_bits(got: ADScalar, want: ADScalar) -> None:
+    assert type(got) is type(want)
+    assert float(got.value).hex() == float(want.value).hex()
+    for a, b in ((got.grad, want.grad), (got.hess.d, want.hess.d),
+                 (got.hess.U, want.hess.U), (got.hess.C, want.hess.C)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.nonsmooth == want.nonsmooth
+
+
+# each elementary map's (value, d1, d2), every map evaluated on its own
+SEPARATE_MAPS = {
+    "sqrt": lambda v: (np.sqrt(v), 0.5 / np.sqrt(v), -0.25 / (v * np.sqrt(v))),
+    "exp": lambda v: (np.exp(v), np.exp(v), np.exp(v)),
+    "cos": lambda v: (np.cos(v), -np.sin(v), -np.cos(v)),
+    "log": lambda v: (np.log(v), 1.0 / v, -1.0 / (v * v)),
+}
+# a Fraction has no signed zero, so -0.0 + Fraction(0) is 0.0 where -0.0 + 0.0
+# is -0.0: numbers are drawn without the sign of a zero
+VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+PLAIN = VALUES | st.integers(-1000, 1000)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp overflows to inf on both routes
+class TestScalarFastPaths:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), value=st.floats(1e-150, 1e150),
+           name=st.sampled_from(sorted(SEPARATE_MAPS)))
+    def test_elementary_maps_match_the_generic_chain(self, seed, value, name):
+        x = scalar_node(seed, value)
+        assert_same_bits(getattr(ad, name)(x), chained_by_blocks(x, *SEPARATE_MAPS[name](value)))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), value=VALUES, c=PLAIN)
+    def test_plain_operand_matches_a_foreign_one(self, seed, value, c):
+        # np.float64 and Fraction take the generic route: the Real ABC test
+        # and, for a sum, the public constructor
+        x = scalar_node(seed, value)
+        for foreign in (np.float64(c), Fraction(c)):
+            assert_same_bits(x + c, x + foreign)
+            assert_same_bits(c + x, foreign + x)
+            assert_same_bits(x - c, x - foreign)
+            assert_same_bits(c - x, foreign - x)
+            assert_same_bits(x * c, x * foreign)
+            assert_same_bits(c * x, foreign * x)
+            if c != 0:
+                assert_same_bits(x / c, x / foreign)
+
+    def test_sqrt_at_the_kink_keeps_the_flag(self):
+        x = scalar_node(5, 0.0)
+        out = ad.sqrt(x)
+        assert out.nonsmooth and out.value == 0.0
+        assert not out.grad.any() and not np.asarray(out.hess).any()
+
+    def test_sum_shares_one_read_only_empty_low_rank_part(self):
+        a, b = variables([1.0, 2.0]).sum(), (variables([3.0, 4.0]) * 2.0).sum()
+        assert a.hess.k == b.hess.k == 0
+        assert a.hess.U is b.hess.U and a.hess.C is b.hess.C
+        assert not a.hess.U.flags.writeable and not a.hess.C.flags.writeable

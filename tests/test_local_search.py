@@ -562,6 +562,143 @@ class TestDiagonalLadder:
         assert regularize_hessian(Hessian(d), LAMBDA_MIN) == (None, math.inf)
 
 
+def nonzero_rungs(lambda_min):
+    """The ladder's shifts after 0, up to the cap."""
+    lam, out = lambda_min, []
+    while lam <= REGULARIZATION_LADDER_CAP * lambda_min:
+        out.append(lam)
+        lam *= 10.0
+    return out
+
+
+class TestLowRankLadder:
+    """The k > 0 ladder, which decides the rungs failing both elementwise
+    tests of ``_positive_split`` at once, against the rung loop."""
+
+    def assert_same(self, hess, lambda_min):
+        got, lam = regularize_hessian(hess, lambda_min)
+        want, want_lam = ladder_by_rungs(hess, lambda_min)
+        assert lam == want_lam
+        if want is None:
+            assert got is None and lam == math.inf
+            return lam
+        assert (got is hess) == (want is hess)
+        np.testing.assert_array_equal(got.d, want.d)
+        assert got.U is hess.U and got.C is hess.C
+        return lam
+
+    def structured(self, rng, n, k, scale):
+        U = rng.normal(size=(n, k))
+        C = rng.normal(size=(k, k))
+        d = rng.uniform(-1.0, 1.0, n) * scale
+        return Hessian(d, U, C + C.T)
+
+    def test_matches_the_rung_loop_bitwise(self, rng):
+        lams = set()
+        for lambda_min in (LAMBDA_MIN, 1e-3, 0.37):
+            for _ in range(300):
+                n = int(rng.integers(1, 41))
+                k = int(rng.integers(1, n + 1))
+                hess = self.structured(rng, n, k, 10.0 ** rng.uniform(-8, 3))
+                lams.add(self.assert_same(hess, lambda_min))
+        assert {0.0, math.inf} < lams  # some shifted, some not, some exhausted
+
+    def test_dense_resplit_rung(self, rng):
+        # d + lambda is not positive at entry 0, the full diagonal is: the
+        # matrix diag(1, 3) is positive definite with no shift
+        hess = Hessian(np.array([-1.0, 3.0]), np.array([[1.0], [0.0]]), np.array([[2.0]]))
+        assert self.assert_same(hess, LAMBDA_MIN) == 0.0
+        resplit = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            U = rng.normal(size=(n, 2))
+            C = np.diag(rng.uniform(0.5, 3.0, 2))
+            full = ((U @ C) * U).sum(axis=1)
+            d = rng.uniform(0.1, 2.0, n)
+            d[0] = -rng.uniform(0.0, 1.5) * full[0]  # full diagonal may stay positive
+            lam = self.assert_same(Hessian(d, U, C), LAMBDA_MIN)
+            resplit += lam < -d[0] and lam < math.inf
+        assert resplit > 0
+
+    def test_rung_neighbours_and_the_cap(self, rng):
+        # entry i of the matrix is decoupled (U[i] = 0), so its eigenvalue is
+        # d[i] = -lam, one ulp either side of it, or past the cap; a second
+        # entry puts the same value on the full diagonal through U C U^T
+        for lambda_min in (LAMBDA_MIN, 0.37):
+            rungs = nonzero_rungs(lambda_min)
+            for lam in rungs + [2.0 * rungs[-1]]:
+                for low in (-lam, np.nextafter(-lam, 0.0), np.nextafter(-lam, -np.inf)):
+                    n = 12
+                    U = rng.normal(size=(n, 2))
+                    U[3] = 0.0
+                    C = np.diag(rng.uniform(0.5, 3.0, 2))
+                    d = rng.uniform(0.1, 5.0, n)
+                    d[3] = low
+                    self.assert_same(Hessian(d, U, C), lambda_min)
+                    full = ((U @ C) * U).sum(axis=1)
+                    d[3], d[5] = 1.0, low - full[5]
+                    self.assert_same(Hessian(d, U, C), lambda_min)
+            d = np.full(5, -2.0 * rungs[-1])
+            assert regularize_hessian(Hessian(d, np.eye(5)[:, :2], np.eye(2)),
+                                      lambda_min) == (None, math.inf)
+
+    def test_ackley_shift_of_one_makes_one_definiteness_test(self, monkeypatch):
+        # the parent's rung loop made 8 calls here: lambda = 0, 1e-6, ..., 1
+        problem = get_problem("ackley", 100)
+        x = np.random.default_rng(0).uniform(problem.bounds.lower, problem.bounds.upper)
+        _, _, hess = ad.evaluate(problem.fn, x)
+        test = local_search._positive_definite
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return test(*args)
+
+        monkeypatch.setattr(local_search, "_positive_definite", counting)
+        shifted, lam = regularize_hessian(hess, LAMBDA_MIN)
+        assert hess.k == 3 and lam == 1.0 and calls == 1
+        monkeypatch.setattr(local_search, "_positive_definite", test)
+        want, want_lam = ladder_by_rungs(hess, LAMBDA_MIN)
+        assert want_lam == lam
+        np.testing.assert_array_equal(shifted.d, want.d)
+
+    @pytest.mark.parametrize("lambda_min", [0.0, math.nan, -1e-6, math.inf, 1e301])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_bad_lambda_min_raises(self, lambda_min, k):
+        # not positive definite, so a zero or NaN lambda_min, or one whose cap
+        # 1e8 * lambda_min overflows, would climb forever
+        hess = Hessian(np.array([-1.0, 2.0, 3.0]), np.eye(3)[:, :k], np.eye(k))
+        with pytest.raises(ValueError, match="lambda_min"):
+            regularize_hessian(hess, lambda_min)
+
+
+class TestNanNewtonStep:
+    def test_fraction_to_boundary_is_not_one_for_a_nan_entry(self):
+        ones = np.ones(2)
+        frac = _fraction_to_boundary(np.zeros(2), np.array([math.nan, 1.0]), -ones, ones)
+        assert frac != 1.0 and math.isnan(frac)
+        assert _fraction_to_boundary(np.zeros(2), np.array([math.inf, 1.0]), -ones, ones) == 0.0
+
+    def test_nan_newton_step_goes_to_the_ipm(self, monkeypatch):
+        factor = local_search._factor
+        solves = []
+
+        def nan_first_solve(*args):
+            solve = factor(*args)
+            if not solves:  # the Newton step of _search_direction
+                solves.append(1)
+                return lambda b: np.full_like(b, math.nan)
+            return solve
+
+        g = np.array([1.0, -2.0])
+        box = BoundBox(np.full(2, -10.0), np.full(2, 10.0))
+        monkeypatch.setattr(local_search, "_factor", nan_first_solve)
+        (d, lam), calls = counted_ipm_calls(monkeypatch, g, np.eye(2), box)
+        assert calls == 1 and lam == 0.0
+        np.testing.assert_array_equal(d, ipm_qp_solve(g, np.eye(2), box))
+
+
 class TestSqpRun:
     @pytest.mark.parametrize("bounded", [False, True])
     def test_nonfinite_start_raises_at_first_sweep(self, bounded):
