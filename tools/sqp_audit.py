@@ -34,7 +34,10 @@ from ecsqp.benchmarks import get_problem
 from ecsqp.local_search import SQPConfig, sqp_run
 
 PROBLEMS = ("ackley", "rastrigin")
-COUNTED = ("ipm_qp_solve", "_positive_definite", "qr")
+#: (owner, attribute) of each counted call; the calls go through these names
+COUNTED = ((local_search, "ipm_qp_solve"), (local_search, "_positive_definite"),
+           (np.linalg, "qr"))
+NAMES = [attr for _, attr in COUNTED]
 
 
 def starts(seed: int, count: int, problems: dict) -> list[tuple[str, np.ndarray]]:
@@ -75,14 +78,12 @@ def main(argv: list[str] | None = None) -> int:
 
     problems = {name: get_problem(name, 100) for name in PROBLEMS}
     calls: Counter = Counter()
-    patched = [(local_search, "ipm_qp_solve"), (local_search, "_positive_definite"),
-               (np.linalg, "qr")]
-    originals = [getattr(owner, attr) for owner, attr in patched]
-    for (owner, attr), fn in zip(patched, originals):
+    originals = [getattr(owner, attr) for owner, attr in COUNTED]
+    for (owner, attr), fn in zip(COUNTED, originals):
         setattr(owner, attr, counting(calls, attr, fn))
     digest = hashlib.sha256()
     try:
-        print("start f_hex sweeps iterations " + " ".join(f"{c}_calls" for c in COUNTED))
+        print("start f_hex sweeps iterations " + " ".join(f"{c}_calls" for c in NAMES))
         for seed in args.seed:
             totals: Counter = Counter()
             for label, x0 in starts(seed, args.starts, problems):
@@ -90,16 +91,16 @@ def main(argv: list[str] | None = None) -> int:
                 problem = problems[label.split("/")[0]]
                 result = sqp_run(problem.fn, x0, problem.bounds, SQPConfig())
                 row = Counter(sweeps=result.evaluations, iterations=len(result.trace),
-                              **{c: calls[c] for c in COUNTED})
+                              **{c: calls[c] for c in NAMES})
                 totals.update(row)
                 print(f"seed={seed}/{label} {result.f.hex()} {row['sweeps']} "
-                      f"{row['iterations']} " + " ".join(str(row[c]) for c in COUNTED))
+                      f"{row['iterations']} " + " ".join(str(row[c]) for c in NAMES))
                 for line in trace_lines(f"seed={seed}/{label}", result):
                     digest.update(line.encode() + b"\n")
             print(f"seed={seed}/total - {totals['sweeps']} {totals['iterations']} "
-                  + " ".join(str(totals[c]) for c in COUNTED))
+                  + " ".join(str(totals[c]) for c in NAMES))
     finally:
-        for (owner, attr), fn in zip(patched, originals):
+        for (owner, attr), fn in zip(COUNTED, originals):
             setattr(owner, attr, fn)
     print(f"trace-sha256 {digest.hexdigest()}")
     return 0
