@@ -88,7 +88,7 @@ class Hessian:
         if (U is None) != (C is None):
             raise ValueError("give both U and C, or neither")
         if U is None:
-            U, C = _empty_low_rank(n)
+            U, C = np.zeros((n, 0)), np.zeros((0, 0))
         else:
             U, C = np.asarray(U, dtype=float), np.asarray(C, dtype=float)
         if U.ndim != 2 or U.shape[0] != n or C.shape != (U.shape[1], U.shape[1]):
@@ -200,19 +200,6 @@ def _split(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PLAIN = (float, int)  # number types exactly, taken before the ``Real`` ABC test
-_EMPTY_LOW_RANK: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _empty_low_rank(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only ``(n, 0)`` ``U`` and ``(0, 0)`` ``C`` of a ``k = 0``
-    Hessian, one pair per ``n``."""
-    pair = _EMPTY_LOW_RANK.get(n)
-    if pair is None:
-        pair = np.zeros((n, 0)), np.zeros((0, 0))
-        for part in pair:
-            part.flags.writeable = False
-        _EMPTY_LOW_RANK[n] = pair
-    return pair
 
 
 class ADScalar:
@@ -220,8 +207,7 @@ class ADScalar:
 
     Instances are treated as immutable; operations allocate fresh arrays and
     may share operand arrays that pass through unchanged.  Arithmetic builds
-    its results with :meth:`_new`, unchecked; only a sum with a number that
-    is not exactly a ``float`` or ``int`` goes through the constructor.
+    its results with :meth:`_new`, unchecked.
     """
 
     __slots__ = ("value", "grad", "hess", "nonsmooth")
@@ -279,10 +265,9 @@ class ADScalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if type(other) in _PLAIN:  # the value stays a float (array)
-            return type(self)._new(self.value + other, self.grad, self.hess, self.nonsmooth)
-        if isinstance(other, Real):  # the checked constructor converts the value
-            return type(self)(self.value + other, self.grad, self.hess, self.nonsmooth)
+        if type(other) in _PLAIN or isinstance(other, Real):
+            return type(self)._new(self.value + float(other), self.grad, self.hess,
+                                   self.nonsmooth)
         b = self._coerce(other)
         if b is None:
             return NotImplemented
@@ -400,7 +385,7 @@ class ADVector(ADScalar):
     def sum(self, axis: int = -1) -> ADScalar:
         if axis not in (0, -1):
             raise ValueError(f"an ADVector has one axis; got axis={axis!r}")
-        hess = Hessian._new(self.hess, *_empty_low_rank(self.n))
+        hess = Hessian._new(self.hess, np.zeros((self.n, 0)), np.zeros((0, 0)))
         return ADScalar._new(float(self.value.sum()), self.grad, hess, self.nonsmooth)
 
     def mean(self, axis: int = -1) -> ADScalar:

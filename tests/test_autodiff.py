@@ -488,7 +488,6 @@ class TestScalarFastPaths:
     @given(seed=st.integers(0, 2**32 - 1), value=VALUES, c=PLAIN)
     def test_plain_operand_matches_a_foreign_one(self, seed, value, c):
         # np.float64 and Fraction take the generic route: the Real ABC test
-        # and, for a sum, the public constructor
         x = scalar_node(seed, value)
         for foreign in (np.float64(c), Fraction(c)):
             assert_same_bits(x + c, x + foreign)
@@ -505,9 +504,3 @@ class TestScalarFastPaths:
         out = ad.sqrt(x)
         assert out.nonsmooth and out.value == 0.0
         assert not out.grad.any() and not np.asarray(out.hess).any()
-
-    def test_sum_shares_one_read_only_empty_low_rank_part(self):
-        a, b = variables([1.0, 2.0]).sum(), (variables([3.0, 4.0]) * 2.0).sum()
-        assert a.hess.k == b.hess.k == 0
-        assert a.hess.U is b.hess.U and a.hess.C is b.hess.C
-        assert not a.hess.U.flags.writeable and not a.hess.C.flags.writeable

@@ -1,4 +1,5 @@
-"""Smoke test of ``tools/sqp_audit.py`` on two ``sqp-n100`` starts.
+"""Smoke test of ``tools/sqp_audit.py`` on the two ``sqp-n100`` starts of a
+0-second pass.
 
 The tool is loaded by path and its ``main`` run in this process.
 """
@@ -25,7 +26,7 @@ def sqp_audit():
 
 def test_two_starts(sqp_audit, capsys):
     counted = (local_search.ipm_qp_solve, local_search._positive_definite, np.linalg.qr)
-    assert sqp_audit.main(["--seed", "4242", "--starts", "2"]) == 0
+    assert sqp_audit.main(["--seed", "4242", "--seconds", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert (local_search.ipm_qp_solve, local_search._positive_definite, np.linalg.qr) == counted
 
@@ -50,5 +51,5 @@ def test_two_starts(sqp_audit, capsys):
     # Rastrigin's is diagonal and decided in closed form
     assert rows[0][3] > 0 and rows[1][3] == 0 == rows[1][4]
 
-    assert sqp_audit.main(["--seed", "4242", "--starts", "2"]) == 0
+    assert sqp_audit.main(["--seed", "4242", "--seconds", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == digest

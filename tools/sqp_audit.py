@@ -4,11 +4,10 @@
     PYTHONPATH=src python3 tools/sqp_audit.py --seed 4242 20261 777
 
 For each ``--seed`` the starts are those of the ``sqp-n100`` benchmark
-workload: ``--starts`` start seeds (90 by default, the count a 30-second
-pass runs) drawn with ``numpy.random.default_rng(seed).integers(0, 2**31)``,
-alternating Ackley and Rastrigin at n=100, each start point uniform in the
-problem's box from its own start seed.  Every start runs ``sqp_run`` with the
-default :class:`~ecsqp.local_search.SQPConfig`.
+workload, taken from ``SqpN100.cases`` in ``perfbench/workloads.py``: the
+starts of a ``--seconds`` pass (30 by default, 90 starts), alternating
+Ackley and Rastrigin at n=100.  Every start runs through the workload's own
+``run``, so with the default :class:`~ecsqp.local_search.SQPConfig`.
 
 One line per start gives its label, the final ``f.hex()``, the objective
 sweeps, the iterations, and the calls of ``ipm_qp_solve``,
@@ -18,37 +17,38 @@ and the last line is the SHA-256 of the full trace of every start of every
 seed: the final ``f``, sweeps and stop reason, and per iterate its ``f``,
 shift ``lambda_used``, step length and the sum of its ``x``, all as
 ``float.hex()``.  Two checkouts with the same hash took the same steps bit
-for bit.  Only the package and numpy are used.
+for bit.  Only the package, numpy and ``perfbench/workloads.py`` are used.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 import ecsqp.local_search as local_search
-from ecsqp.benchmarks import get_problem
-from ecsqp.local_search import SQPConfig, sqp_run
 
-PROBLEMS = ("ackley", "rastrigin")
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 #: (owner, attribute) of each counted call; the calls go through these names
 COUNTED = ((local_search, "ipm_qp_solve"), (local_search, "_positive_definite"),
            (np.linalg, "qr"))
 NAMES = [attr for _, attr in COUNTED]
 
 
-def starts(seed: int, count: int, problems: dict) -> list[tuple[str, np.ndarray]]:
-    """The ``sqp-n100`` workload's labelled start points for ``seed``."""
-    out = []
-    for i, start_seed in enumerate(np.random.default_rng(seed).integers(0, 2**31, size=count)):
-        name = PROBLEMS[i % 2]
-        box = problems[name].bounds
-        x0 = np.random.default_rng(int(start_seed)).uniform(box.lower, box.upper)
-        out.append((f"{name}/start={int(start_seed)}", x0))
-    return out
+def sqp_n100():
+    """The ``sqp-n100`` workload of ``perfbench/workloads.py``."""
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+        spec.loader.exec_module(module)
+    return module.SqpN100()
 
 
 def counting(calls: Counter, name: str, fn):
@@ -70,13 +70,11 @@ def trace_lines(label: str, result) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, nargs="+", default=[4242])
-    parser.add_argument("--starts", type=int, default=90,
-                        help="starts per seed (default 90, a 30-second pass)")
+    parser.add_argument("--seconds", type=float, default=30.0,
+                        help="run the starts of a pass of this length (default 30: 90 starts)")
     args = parser.parse_args(argv)
-    if args.starts < 1:
-        parser.error("--starts must be at least 1")
 
-    problems = {name: get_problem(name, 100) for name in PROBLEMS}
+    workload = sqp_n100()
     calls: Counter = Counter()
     originals = [getattr(owner, attr) for owner, attr in COUNTED]
     for (owner, attr), fn in zip(COUNTED, originals):
@@ -86,10 +84,9 @@ def main(argv: list[str] | None = None) -> int:
         print("start f_hex sweeps iterations " + " ".join(f"{c}_calls" for c in NAMES))
         for seed in args.seed:
             totals: Counter = Counter()
-            for label, x0 in starts(seed, args.starts, problems):
+            for case in workload.cases(seed, args.seconds):
                 calls.clear()
-                problem = problems[label.split("/")[0]]
-                result = sqp_run(problem.fn, x0, problem.bounds, SQPConfig())
+                label, result = case.label, workload.run(case, lambda p: p)
                 row = Counter(sweeps=result.evaluations, iterations=len(result.trace),
                               **{c: calls[c] for c in NAMES})
                 totals.update(row)
