@@ -7,14 +7,7 @@ followed by a seeded evolutionary validation round.
 
 from .autodiff import ADDomainError, ADScalar, ADVector, evaluate
 from .benchmarks import BenchmarkProblem, Orientation, get_problem, list_problems
-from .encoding import (
-    EncodingSpec,
-    VariableSpec,
-    compute_bit_length,
-    decode,
-    encode,
-    min_population_size,
-)
+from .encoding import EncodingSpec, VariableSpec, compute_bit_length, decode, encode
 from .evolution import Engine, FitnessStats, GAConfig, Population, SelectionMethod
 from .hybrid import HybridResult, SwitchCriteria, SwitchReason, run_hybrid
 from .local_search import BoundBox, SQPConfig, SQPResult, sqp_run
@@ -50,7 +43,6 @@ __all__ = [
     "evaluate",
     "get_problem",
     "list_problems",
-    "min_population_size",
     "run_hybrid",
     "sqp_run",
 ]

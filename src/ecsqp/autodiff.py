@@ -59,6 +59,11 @@ class ADDomainError(ValueError):
         self.value = value
 
 
+#: what float arithmetic raises where a derivative leaves the float range: a
+#: power of a tiny value that underflows to zero as a divisor, or overflows
+_RANGE_ERRORS = (ZeroDivisionError, OverflowError)
+
+
 def _require(op: str, ok, value) -> None:
     """Raise :class:`ADDomainError` at the first element of ``value`` where
     ``ok`` fails."""
@@ -321,7 +326,10 @@ class ADScalar:
             return NotImplemented
         _require("div", self.value != 0.0, self.value)
         c, v = float(other), self.value
-        return self._chain(c / v, -c / (v * v), 2.0 * c / (v * v * v))
+        try:
+            return self._chain(c / v, -c / (v * v), 2.0 * c / (v * v * v))
+        except _RANGE_ERRORS:
+            raise ADDomainError("div", v) from None
 
     def __pow__(self, p):
         if isinstance(p, bool) or not isinstance(p, Real):
@@ -333,11 +341,17 @@ class ADScalar:
                 return self * 0.0 + 1.0
             if k < 0:
                 _require("powi", v != 0.0, v)
-            d2 = 0.0 if k == 1 else k * (k - 1) * v ** (k - 2)
-            return self._chain(v**k, k * v ** (k - 1), d2)
+            try:
+                d2 = 0.0 if k == 1 else k * (k - 1) * v ** (k - 2)
+                return self._chain(v**k, k * v ** (k - 1), d2)
+            except _RANGE_ERRORS:
+                raise ADDomainError("powi", v) from None
         _require("powf", v > 0.0, v)
         p = float(p)
-        return self._chain(v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+        try:
+            return self._chain(v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+        except _RANGE_ERRORS:
+            raise ADDomainError("powf", v) from None
 
 
 class ADVector(ADScalar):
@@ -403,7 +417,10 @@ def _unary(name: str, value_fn: Callable, chain_fn: Callable, domain=None) -> Ca
         v = x.value
         if domain is not None:
             _require(name, domain(v), v)
-        return x._chain(*chain_fn(v))
+        try:
+            return x._chain(*chain_fn(v))
+        except _RANGE_ERRORS:
+            raise ADDomainError(name, v) from None
 
     op.__name__ = name
     op.__doc__ = f"{name} of an AD node, elementwise over a plain number or array."

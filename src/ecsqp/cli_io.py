@@ -31,7 +31,6 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .benchmarks import BenchmarkProblem, get_problem, list_problems
 from .encoding import EncodingSpec
 from .evolution import Engine, GAConfig, RunStreams, SelectionMethod
 from .fdcheck import fd_gradient, fd_hessian, max_relative_error
-from .hybrid import HybridResult, SwitchCriteria, evolve, fitness_function, run_hybrid
+from .hybrid import SwitchCriteria, SwitchReason, fitness_function, ga_phase, run_hybrid
 from .local_search import SQPConfig, sqp_run
 from .price_monitor import sigma_width
 # unused here, but perfbench/tracing.py rebinds these names on this module
@@ -300,18 +299,17 @@ def _run_ec(cfg: RunConfig, indices: list[int]) -> list[dict]:
     )
     rng = RunStreams(np.random.default_rng(cfg.run_seed(i)) for i in indices)
     engine = Engine(cfg.ga, spec.total_length, fitness_function(problem, spec), rng=rng)
-    generations = evolve(engine, engine.random_population(), cfg.switch)
-    table = []
-    for gen, pop, c, stats, states in islice(generations, cfg.ga.max_generations):
-        table.append(
-            (
-                c.selection_term, c.crossover_term, c.mutation_term,
-                sigma_width(c.crossover_sigma), sigma_width(c.mutation_sigma),
-                stats.best, stats.mean, stats.worst,
-            )
-        )
+    cap = cfg.ga.max_generations
+    report = ga_phase(engine, engine.random_population(), cfg.switch,
+                      lambda states, hist, g: SwitchReason.MAX_GEN if g >= cap else None)
+    table = [
+        (c.selection_term, c.crossover_term, c.mutation_term,
+         sigma_width(c.crossover_sigma), sigma_width(c.mutation_sigma),
+         stats.best, stats.mean, stats.worst)
+        for c, stats, _ in report.generations[1:]
+    ]
     per_run = np.array(table).transpose(2, 0, 1).tolist()  # (runs, generations, 8)
-    final_best = (problem.sign * pop.fitness.max(axis=-1)).tolist()
+    final_best = (problem.sign * report.population.fitness.max(axis=-1)).tolist()
     return [
         {
             "index": index,
@@ -319,7 +317,7 @@ def _run_ec(cfg: RunConfig, indices: list[int]) -> list[dict]:
             "rows": [(g, *row) for g, row in enumerate(per_run[r], start=1)],
             "final_best": final_best[r],
             "evaluations": int(engine.run_evaluations[r]),
-            "converged_at": states[r].converged_at,
+            "converged_at": report.converged_at[r],
         }
         for r, index in enumerate(indices)
     ]
@@ -327,7 +325,7 @@ def _run_ec(cfg: RunConfig, indices: list[int]) -> list[dict]:
 
 def _run_hybrid(cfg: RunConfig, indices: list[int]) -> list[dict]:
     (index,) = indices  # a hybrid run ends on data-dependent conditions: one per task
-    result: HybridResult = run_hybrid(
+    result = run_hybrid(
         cfg.make_problem(),
         cfg.ga,
         cfg.sqp,
@@ -337,13 +335,10 @@ def _run_hybrid(cfg: RunConfig, indices: list[int]) -> list[dict]:
         validation_criteria=cfg.validation_switch,
         validation_ga=cfg.validation_ga,
     )
-    rows = [
-        (r.phase, r.step, r.best, r.mean, r.evaluations) for r in result.trace
-    ]
     return [{
         "index": index,
         "columns": HYBRID_COLUMNS,
-        "rows": rows,
+        "rows": result.trace,
         "final_best": result.f_star,
         "evaluations": result.evaluations["total"],
         "switch_reason": result.switch_reason.value,

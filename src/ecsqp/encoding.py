@@ -21,7 +21,6 @@ __all__ = [
     "decode",
     "decode_batch",
     "encode",
-    "min_population_size",
     "random_bits",
 ]
 
@@ -44,20 +43,6 @@ def compute_bit_length(lower: float, upper: float, precision: float) -> int:
         raise ValueError(f"precision must be positive, got {precision}")
     ratio = (upper - lower) / precision
     return max(1, math.ceil(math.log2(ratio)))
-
-
-def min_population_size(string_length: int, confidence: float) -> int:
-    """Population size below which random initialization risks missing alleles.
-
-    Returns ``ceil(1 + log2(l / -ln P))`` for a binary alphabet: the smallest
-    size at which every locus carries both allele values with probability at
-    least ``confidence``.
-    """
-    if string_length < 1:
-        raise ValueError(f"string_length must be >= 1, got {string_length}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return math.ceil(1.0 + math.log2(string_length / -math.log(confidence)))
 
 
 @dataclass(frozen=True)

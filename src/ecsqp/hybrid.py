@@ -1,20 +1,17 @@
 """Task-switching pipeline: global evolutionary search, Newton local refine,
 then a seeded evolutionary validation round.
 
-Every evolutionary run in the package goes through :func:`evolve`, one
-generator that steps an engine and tracks the per-operator decomposition and
-the crossover-envelope convergence state.  In :func:`run_hybrid` both
-evolutionary phases are one GA-phase routine, which runs :func:`evolve` until
-:func:`should_switch` fires (the crossover envelope collapsed, progress
-stalled, or the generation cap was hit) and decodes the best member.  The
-exploration phase starts it from a random population and hands its best
-point to the SQP local solver; the validation phase starts it from a
-population seeded with the refined chromosome and its bitwise complement.
-A hybrid run steps one run at a time: its phases end on data-dependent
-conditions.  ``ec`` batch mode (:mod:`ecsqp.cli_io`) runs the same
-generator to a generation cap on a stack of runs stepped together (see
-:mod:`ecsqp.evolution`).  All reporting is in the problem's native
-orientation.
+Every evolutionary run in the package is one :func:`ga_phase`: it steps an
+engine (one run, or a stack of runs stepped together), decomposes each
+generation per operator, tracks each run's crossover-envelope convergence,
+and stops when its stop rule names a :class:`SwitchReason`.  In
+:func:`run_hybrid` both evolutionary phases run it on one run under
+:func:`should_switch` (the envelope collapsed, progress stalled, or the cap
+was hit) and decode the best member: the exploration phase from a random
+population, handing its best point to the SQP local solver, and the
+validation phase from one seeded with the refined chromosome and its bitwise
+complement.  ``ec`` batch mode (:mod:`ecsqp.cli_io`) runs it on a stack under
+a cap-only rule.  All reporting is in the problem's native orientation.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from itertools import count
-from typing import Callable, Iterator
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,11 +33,12 @@ from .price_monitor import ConvergenceState, decompose_generation, sigma_width, 
 
 __all__ = [
     "HybridResult",
+    "PhaseReport",
     "PhaseTraceRow",
     "SwitchCriteria",
     "SwitchReason",
-    "evolve",
     "fitness_function",
+    "ga_phase",
     "run_hybrid",
     "should_switch",
 ]
@@ -88,8 +86,7 @@ def should_switch(
     return None
 
 
-@dataclass(frozen=True)
-class PhaseTraceRow:
+class PhaseTraceRow(NamedTuple):
     phase: str
     step: int
     best: float
@@ -111,7 +108,6 @@ class HybridResult:
     switch_reason: SwitchReason
     validation_switch_reason: SwitchReason
     trace: list[PhaseTraceRow]
-    price_rows: list
     sqp_result: SQPResult | None
     warnings: list[str] = field(default_factory=list)
 
@@ -129,22 +125,38 @@ def fitness_function(
     return fitness
 
 
-def evolve(engine: Engine, pop: Population, crit: SwitchCriteria) -> Iterator[tuple]:
-    """Step ``engine`` from ``pop`` for as long as the caller keeps drawing.
+class PhaseReport(NamedTuple):
+    """A GA phase: per generation g = 0, 1, ... a ``(contribution, stats,
+    evaluations)`` tuple (no contribution at g = 0; evaluations per run so
+    far), the last population, the stop reason and each run's ``converged_at``."""
 
-    Yields ``(generation, population, contribution, stats, states)`` for
-    generations 1, 2, ...: the new population, its operator decomposition
-    and fitness summary, and one crossover-envelope convergence state per
-    run, built from ``crit.sigma_threshold``.  For a stack of runs the
-    population, the decomposition and the summary carry a leading run axis.
+    generations: list[tuple]
+    population: Population
+    reason: SwitchReason
+    converged_at: list[int | None]
+
+
+def ga_phase(engine: Engine, pop: Population, crit: SwitchCriteria, stop: Callable) -> PhaseReport:
+    """Step ``engine`` (one run or a stack) from ``pop`` until, after some
+    generation g, ``stop(states, best_history, g)`` names a reason.
+
+    ``states`` holds one crossover-envelope convergence state per run, built
+    from ``crit.sigma_threshold``; ``best_history`` the best fitness of
+    generations 0..g.  For a stack every summary carries a run axis.
     """
     states = [ConvergenceState(threshold=crit.sigma_threshold) for _ in range(engine.runs)]
+    generations = [(None, pop.stats, engine.run_evaluations.copy())]
+    best_history = [pop.stats.best]
     for generation in count(1):
         pop, lineage, stats = engine.step(pop)
         contribution = decompose_generation(lineage, generation)
         for state, width in zip(states, np.ravel(sigma_width(contribution.crossover_sigma))):
             update_convergence(state, width, generation)
-        yield generation, pop, contribution, stats, states
+        generations.append((contribution, stats, engine.run_evaluations.copy()))
+        best_history.append(stats.best)
+        reason = stop(states, best_history, generation)
+        if reason is not None:
+            return PhaseReport(generations, pop, reason, [s.converged_at for s in states])
 
 
 def run_hybrid(
@@ -181,34 +193,27 @@ def run_hybrid(
     fitness = fitness_function(problem, spec)
     warnings: list[str] = []
     trace: list[PhaseTraceRow] = []
-    price_rows: list = []
 
-    def ga_phase(name: str, cfg: GAConfig, phase_crit: SwitchCriteria,
-                 seeds: list[np.ndarray], eval_base: int
-                 ) -> tuple[np.ndarray, float, int, SwitchReason]:
-        """Evolve a population topped up with ``seeds`` until
-        :func:`should_switch` fires.  Returns the best member decoded (elitism
-        keeps the best seen), its value, the phase's evaluations and the
-        reason; the trace and ``price_rows`` gain the phase's rows."""
+    def phase(name: str, cfg: GAConfig, phase_crit: SwitchCriteria,
+              seeds: list[np.ndarray], eval_base: int
+              ) -> tuple[np.ndarray, float, int, SwitchReason]:
+        """:func:`ga_phase` on one run topped up with ``seeds``, under :func:`should_switch`.
+        Returns the best member decoded (elitism keeps the best seen), its value,
+        the phase's evaluations and the reason; the trace gains one row per generation."""
         engine = Engine(cfg, spec.total_length, fitness, rng=rng)
-        pop = engine.seeded_population(seeds)
-        best_history = [pop.stats.best]
-        trace.append(PhaseTraceRow(name, 0, sign * best_history[0],
-                                   sign * pop.stats.mean, eval_base + engine.evaluations))
-        for generation, pop, contribution, stats, (state,) in evolve(engine, pop, phase_crit):
-            best_history.append(stats.best)
-            price_rows.append((name, contribution, stats))
-            trace.append(PhaseTraceRow(name, generation, sign * stats.best, sign * stats.mean,
-                                       eval_base + engine.evaluations))
-            reason = should_switch(state, best_history, generation, phase_crit)
-            if reason is not None:
-                break
+        report = ga_phase(engine, engine.seeded_population(seeds), phase_crit,
+                          lambda states, hist, g: should_switch(states[0], hist, g, phase_crit))
+        trace.extend(
+            PhaseTraceRow(name, g, sign * stats.best, sign * stats.mean, eval_base + int(evals))
+            for g, (_, stats, evals) in enumerate(report.generations)
+        )
+        pop = report.population
         best = np.argmax(pop.fitness)
         return (decode(pop.bits[best], spec), sign * float(pop.fitness[best]),
-                engine.evaluations, reason)
+                engine.evaluations, report.reason)
 
     # phase 1: global exploration
-    x_ec, f_ec, ec_evals, reason = ga_phase("ec", ga_cfg, crit, [], 0)
+    x_ec, f_ec, ec_evals, reason = phase("ec", ga_cfg, crit, [], 0)
 
     # phase 2: local refinement from the decoded incumbent
     objective = problem.minimand
@@ -238,7 +243,7 @@ def run_hybrid(
 
     # phase 3: seeded validation round
     seed = encode(x_sqp, spec)
-    x_val, f_val, val_evals, val_reason = ga_phase(
+    x_val, f_val, val_evals, val_reason = phase(
         "validation", validation_ga or ga_cfg, validation_criteria or crit,
         [seed, 1 - seed], ec_evals + sqp_evals,
     )
@@ -269,6 +274,6 @@ def run_hybrid(
         x_ec=x_ec, f_ec=f_ec, x_sqp=np.asarray(x_sqp, dtype=float), f_sqp=f_sqp,
         x_star=np.asarray(x_star, dtype=float), f_star=f_star,
         evaluations=evaluations, switch_reason=reason,
-        validation_switch_reason=val_reason, trace=trace, price_rows=price_rows,
+        validation_switch_reason=val_reason, trace=trace,
         sqp_result=sqp_result, warnings=warnings,
     )

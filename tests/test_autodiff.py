@@ -139,6 +139,19 @@ class TestFunctions:
         with pytest.raises(ADDomainError):
             evaluate(lambda v: ad.log(v[0]), [0.0])
 
+    @pytest.mark.parametrize("f, x", [
+        (lambda v: ad.log(v[0]), 6.9e-213),
+        (lambda v: 1.0 / v[0], 1e-160),
+        (lambda v: v[0] ** -2, 1e-160),
+        (lambda v: v[0] ** -2.5, 1e-160),
+    ], ids=["log", "reciprocal", "integer-power", "fractional-power"])
+    def test_derivative_beyond_float_range_is_a_domain_error(self, f, x):
+        # the chain rule divides by a power of x that underflows to zero, or
+        # raises one that overflows; a local phase degrades on ADDomainError
+        with pytest.raises(ADDomainError) as info:
+            evaluate(f, [x])
+        assert info.value.value == x
+
     def test_sqrt_and_abs_flag_the_origin(self):
         s = ad.sqrt(variables([0.0])[0])
         assert s.value == 0.0 and s.nonsmooth

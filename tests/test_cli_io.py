@@ -6,7 +6,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from ecsqp.cli_io import (
 )
 from ecsqp.encoding import EncodingSpec
 from ecsqp.evolution import Engine, GAConfig, SelectionMethod
-from ecsqp.hybrid import SwitchCriteria, evolve, fitness_function
+from ecsqp.hybrid import SwitchCriteria, SwitchReason, fitness_function, ga_phase
 from ecsqp.local_search import BoundBox
 from ecsqp.price_monitor import SMOOTHING_WINDOW, sigma_width
 
@@ -330,14 +329,15 @@ def run_alone(cfg: RunConfig, index: int) -> dict:
     spec = EncodingSpec.for_bounds(problem.bounds.lower, problem.bounds.upper, cfg.precision)
     ga = replace(cfg.ga, rng_seed=cfg.run_seed(index))
     engine = Engine(ga, spec.total_length, fitness_function(problem, spec))
-    rows = []
-    generations = evolve(engine, engine.random_population(), cfg.switch)
-    for gen, pop, c, stats, (state,) in islice(generations, ga.max_generations):
-        rows.append((gen, c.selection_term, c.crossover_term, c.mutation_term,
-                     sigma_width(c.crossover_sigma), sigma_width(c.mutation_sigma),
-                     stats.best, stats.mean, stats.worst))
-    return {"rows": rows, "final_best": problem.sign * float(pop.fitness.max()),
-            "evaluations": engine.evaluations, "converged_at": state.converged_at}
+    cap = ga.max_generations
+    report = ga_phase(engine, engine.random_population(), cfg.switch,
+                      lambda states, hist, g: SwitchReason.MAX_GEN if g >= cap else None)
+    rows = [(gen, c.selection_term, c.crossover_term, c.mutation_term,
+             sigma_width(c.crossover_sigma), sigma_width(c.mutation_sigma),
+             stats.best, stats.mean, stats.worst)
+            for gen, (c, stats, _) in enumerate(report.generations[1:], start=1)]
+    return {"rows": rows, "final_best": problem.sign * float(report.population.fitness.max()),
+            "evaluations": engine.evaluations, "converged_at": report.converged_at[0]}
 
 
 def stack_config(selection, scheme, runs):

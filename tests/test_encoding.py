@@ -1,6 +1,4 @@
-"""Genotype mapping: bit lengths, decoding, encoding, population sizing."""
-
-import math
+"""Genotype mapping: bit lengths, decoding, encoding."""
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from ecsqp.encoding import (
     decode,
     decode_batch,
     encode,
-    min_population_size,
     random_bits,
 )
 
@@ -57,23 +54,6 @@ class TestComputeBitLength:
             compute_bit_length(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             compute_bit_length(2.0, 1.0, 0.1)
-
-
-class TestMinPopulationSize:
-    @pytest.mark.parametrize(
-        "length,confidence,expected",
-        [(200, 0.999, 19), (10, 0.999, 15), (1, 0.5, 2)],
-    )
-    def test_direct_evaluation(self, length, confidence, expected):
-        direct = math.ceil(1.0 + math.log2(length / -math.log(confidence)))
-        assert direct == expected
-        assert min_population_size(length, confidence) == expected
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            min_population_size(0, 0.5)
-        with pytest.raises(ValueError):
-            min_population_size(10, 1.0)
 
 
 class TestDecode:

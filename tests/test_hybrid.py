@@ -7,10 +7,12 @@ from ecsqp import hybrid
 from ecsqp.autodiff import ADDomainError
 from ecsqp.benchmarks import BenchmarkProblem, Orientation, get_problem
 from ecsqp.encoding import EncodingSpec, decode, encode
-from ecsqp.evolution import GAConfig
+from ecsqp.evolution import Engine, GAConfig, RunStreams
 from ecsqp.hybrid import (
     SwitchCriteria,
     SwitchReason,
+    fitness_function,
+    ga_phase,
     run_hybrid,
     should_switch,
 )
@@ -42,6 +44,78 @@ class TestShouldSwitch:
         history = list(np.linspace(0, 10, 11))
         crit = SwitchCriteria(max_generations=100)
         assert should_switch(state, history, 10, crit) is None
+
+
+def phase_engine(rng):
+    """An engine on Schwefel-max n=2 for one run (a generator) or a stack
+    (:class:`RunStreams`)."""
+    problem = get_problem("schwefel-max", 2)
+    spec = EncodingSpec.for_bounds(problem.bounds.lower, problem.bounds.upper, 0.01)
+    ga = GAConfig(population_size=20, mutation_rate=0.05, overlap_fraction=0.1)
+    return Engine(ga, spec.total_length, fitness_function(problem, spec), rng=rng)
+
+
+def cap_at(cap):
+    return lambda states, history, g: SwitchReason.MAX_GEN if g >= cap else None
+
+
+class TestGaPhase:
+    def test_cap_stops_a_stack(self):
+        engine = phase_engine(RunStreams(np.random.default_rng(s) for s in (1, 2, 3)))
+        pop = engine.random_population()
+        start = engine.run_evaluations.copy()
+        report = ga_phase(engine, pop, SwitchCriteria(), cap_at(5))
+        assert report.reason is SwitchReason.MAX_GEN
+        assert len(report.generations) == 5 + 1
+        contribution, stats, evaluations = report.generations[0]
+        assert contribution is None and stats is pop.stats
+        # a copy: the engine has counted on since
+        np.testing.assert_array_equal(evaluations, start)
+        np.testing.assert_array_equal(start, [20, 20, 20])
+        assert all(c.generation == g for g, (c, _, _) in enumerate(report.generations) if g)
+        np.testing.assert_array_equal(report.generations[-1][2], engine.run_evaluations)
+        assert report.population.fitness.shape == (3, 20)
+        assert len(report.converged_at) == 3
+
+    def test_stop_sees_each_generations_best(self):
+        engine = phase_engine(np.random.default_rng(4))
+        seen = []
+
+        def stop(states, history, g):
+            seen.append((len(states), list(history), g))
+            return cap_at(6)(states, history, g)
+
+        report = ga_phase(engine, engine.random_population(), SwitchCriteria(), stop)
+        assert [g for _, _, g in seen] == [1, 2, 3, 4, 5, 6]
+        for runs, history, g in seen:
+            assert runs == 1
+            assert history == [stats.best for _, stats, _ in report.generations[: g + 1]]
+
+    def test_hybrid_trace_rows_are_the_phase_reports(self, monkeypatch):
+        reports = []
+
+        def spy(*args):
+            reports.append(ga_phase(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(hybrid, "ga_phase", spy)
+        problem = get_problem("ackley", 2)  # minimized: rows carry the native sign
+        ga = GAConfig(population_size=20, mutation_rate=0.05, overlap_fraction=0.1)
+        result = run_hybrid(problem, ga, SQPConfig(), SwitchCriteria(max_generations=15),
+                            rng_seed=2)
+        ec, validation = reports
+        # the validation phase counts on from the exploration and SQP phases
+        # (the polish after it comes later)
+        val_base = result.evaluations["ec"] + (
+            result.sqp_result.evaluations if result.sqp_result else 0)
+        for name, report, base in (("ec", ec, 0), ("validation", validation, val_base)):
+            rows = [r for r in result.trace if r.phase == name]
+            assert [(r.step, r.best, r.mean, r.evaluations) for r in rows] == [
+                (g, -stats.best, -stats.mean, base + int(evals))
+                for g, (_, stats, evals) in enumerate(report.generations)
+            ]
+        assert (result.switch_reason, result.validation_switch_reason) == (
+            ec.reason, validation.reason)
 
 
 def grid_sphere_problem():
