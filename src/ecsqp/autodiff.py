@@ -25,10 +25,15 @@ tagging the result with a ``nonsmooth`` flag that propagates through
 downstream arithmetic.  The elementary functions map plain numbers and numpy
 arrays elementwise with numpy, so one numpy-style objective serves both a
 sweep and a batch of points.
+
+A chain-rule step raises :class:`ADDomainError` outside its map's domain or
+where the map's value or a derivative is not finite (``exp`` overflows, a tiny
+value's power underflows to zero as a divisor): the maps run in numpy floats.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from numbers import Real
 from typing import Callable
@@ -51,17 +56,12 @@ __all__ = [
 
 
 class ADDomainError(ValueError):
-    """An elementary operation was evaluated outside its domain."""
+    """An elementary operation was evaluated outside its domain or float range."""
 
     def __init__(self, op: str, value: float):
         super().__init__(f"{op} undefined at value {value!r}")
         self.op = op
         self.value = value
-
-
-#: what float arithmetic raises where a derivative leaves the float range: a
-#: power of a tiny value that underflows to zero as a divisor, or overflows
-_RANGE_ERRORS = (ZeroDivisionError, OverflowError)
 
 
 def _require(op: str, ok, value) -> None:
@@ -255,9 +255,12 @@ class ADScalar:
             return other
         return None
 
-    def _chain(self, value, d1, d2) -> "ADScalar":
-        """Apply a scalar map with derivatives ``d1``, ``d2`` at this node:
-        the Hessian ``d1 H + d2 g g^T`` appends the gradient ``g`` to ``U``."""
+    def _chain(self, op: str, value, d1, d2) -> "ADScalar":
+        """Apply the map ``op`` of value ``value`` and derivatives ``d1``, ``d2``
+        at this node, all finite or :class:`ADDomainError` is raised: the
+        Hessian ``d1 H + d2 g g^T`` appends the gradient ``g`` to ``U``."""
+        if not (math.isfinite(value) and math.isfinite(d1) and math.isfinite(d2)):
+            raise ADDomainError(op, self.value)
         H, c, k = self.hess, float(d1), self.hess.k
         C = np.zeros((k + 1, k + 1))
         np.multiply(H.C, c, out=C[:k, :k])
@@ -317,6 +320,9 @@ class ADScalar:
         _require("div", b.value != 0.0, b.value)
         # from a = v b: Hv = (Ha - v Hb - gv gb^T - gb gv^T) / b
         v = self.value / b.value
+        # derivatives 1/b, v/b, 1/b^2, v/b^2 (up to sign, factor 2): finite if the last two are
+        r2 = 1.0 / np.square(b.value)
+        _require("div", np.isfinite(v) & np.isfinite(r2) & np.isfinite(v * r2), b.value)
         grad = (self.grad - v * b.grad) / b.value
         hess = self._plus_sym_outer(self.hess + (-v) * b.hess, -grad, b.grad) / b.value
         return type(self)._new(v, grad, hess, self.nonsmooth or b.nonsmooth)
@@ -325,33 +331,22 @@ class ADScalar:
         if not isinstance(other, Real):
             return NotImplemented
         _require("div", self.value != 0.0, self.value)
-        c, v = float(other), self.value
-        try:
-            return self._chain(c / v, -c / (v * v), 2.0 * c / (v * v * v))
-        except _RANGE_ERRORS:
-            raise ADDomainError("div", v) from None
+        c, v = float(other), np.float64(self.value)  # the array itself for an ADVector
+        return self._chain("div", c / v, -c / (v * v), 2.0 * c / (v * v * v))
 
     def __pow__(self, p):
         if isinstance(p, bool) or not isinstance(p, Real):
             return NotImplemented
-        v = self.value
-        if isinstance(p, int) or float(p).is_integer():
-            k = int(p)
-            if k == 0:
-                return self * 0.0 + 1.0
-            if k < 0:
-                _require("powi", v != 0.0, v)
-            try:
-                d2 = 0.0 if k == 1 else k * (k - 1) * v ** (k - 2)
-                return self._chain(v**k, k * v ** (k - 1), d2)
-            except _RANGE_ERRORS:
-                raise ADDomainError("powi", v) from None
-        _require("powf", v > 0.0, v)
-        p = float(p)
-        try:
-            return self._chain(v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
-        except _RANGE_ERRORS:
-            raise ADDomainError("powf", v) from None
+        v, p = np.float64(self.value), float(p)  # v the array itself for an ADVector
+        if p == 0.0:
+            return self * 0.0 + 1.0
+        if p.is_integer():  # undefined only at 0 to a negative power
+            op, ok = "powi", p > 0.0 or v != 0.0
+        else:
+            op, ok = "powf", v > 0.0
+        _require(op, ok, v)
+        d2 = 0.0 if p == 1.0 else p * (p - 1.0) * v ** (p - 2.0)
+        return self._chain(op, v**p, p * v ** (p - 1.0), d2)
 
 
 class ADVector(ADScalar):
@@ -378,7 +373,9 @@ class ADVector(ADScalar):
         if self.value.ndim != 1 or not self.value.shape == self.grad.shape == self.hess.shape:
             raise ValueError("value/gradient/Hessian diagonals must be 1-D of one length")
 
-    def _chain(self, value, d1, d2) -> "ADVector":
+    def _chain(self, op: str, value, d1, d2) -> "ADVector":
+        if not math.isfinite((value + d1 + d2).sum()):  # or a sum of finite ones overflowed
+            _require(op, np.isfinite(value) & np.isfinite(d1) & np.isfinite(d2), self.value)
         return ADVector._new(value, d1 * self.grad, self.hess * d1 + d2 * (self.grad * self.grad),
                              self.nonsmooth)
 
@@ -417,10 +414,7 @@ def _unary(name: str, value_fn: Callable, chain_fn: Callable, domain=None) -> Ca
         v = x.value
         if domain is not None:
             _require(name, domain(v), v)
-        try:
-            return x._chain(*chain_fn(v))
-        except _RANGE_ERRORS:
-            raise ADDomainError(name, v) from None
+        return x._chain(name, *chain_fn(np.float64(v)))
 
     op.__name__ = name
     op.__doc__ = f"{name} of an AD node, elementwise over a plain number or array."
@@ -448,11 +442,11 @@ exp = _unary("exp", np.exp, _exp_chain)
 log = _unary("log", np.log, lambda v: (np.log(v), 1.0 / v, -1.0 / (v * v)), lambda v: v > 0.0)
 
 
-def _kinked(x: ADScalar, value, d1, d2, kink) -> ADScalar:
-    """``x._chain(value, d1, d2)`` with zero derivative fields where ``kink``
+def _kinked(x: ADScalar, op: str, value, d1, d2, kink) -> ADScalar:
+    """``x._chain(op, value, d1, d2)`` with zero derivative fields where ``kink``
     holds (all of an ADScalar, per element of an ADVector), flagged
     ``nonsmooth``."""
-    out = x._chain(value, d1, d2)
+    out = x._chain(op, value, d1, d2)
     if np.any(kink):
         out.grad = np.where(kink, 0.0, out.grad)
         if isinstance(out, ADVector):
@@ -472,11 +466,11 @@ def sqrt(x):
     _require("sqrt", v >= 0.0, v)
     s = np.sqrt(v)
     if not isinstance(x, ADVector) and v > 0.0:  # a scalar off the kink
-        return x._chain(s, 0.5 / s, -0.25 / (v * s))
+        return x._chain("sqrt", s, 0.5 / s, -0.25 / (v * s))
     kink = v == 0.0
     d1 = 0.5 / np.where(kink, 1.0, s)
     d2 = -0.25 / np.where(kink, 1.0, v * s)
-    return _kinked(x, s, d1, d2, kink)
+    return _kinked(x, "sqrt", s, d1, d2, kink)
 
 
 def fabs(x):
@@ -485,7 +479,7 @@ def fabs(x):
     if not isinstance(x, ADScalar):
         return np.abs(x)
     v = x.value
-    return _kinked(x, np.abs(v), np.sign(v), 0.0, v == 0.0)
+    return _kinked(x, "fabs", np.abs(v), np.sign(v), 0.0, v == 0.0)
 
 
 def evaluate(f: Callable[[ADVector], ADScalar], x0) -> tuple[float, np.ndarray, Hessian]:

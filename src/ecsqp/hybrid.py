@@ -1,5 +1,5 @@
 """Task-switching pipeline: global evolutionary search, Newton local refine,
-then a seeded evolutionary validation round.
+a seeded evolutionary validation round, then a Newton polish of its best.
 
 Every evolutionary run in the package is one :func:`ga_phase`: it steps an
 engine (one run, or a stack of runs stepped together), decomposes each
@@ -109,6 +109,7 @@ class HybridResult:
     validation_switch_reason: SwitchReason
     trace: list[PhaseTraceRow]
     sqp_result: SQPResult | None
+    polish_result: SQPResult | None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -173,8 +174,8 @@ def run_hybrid(
 
     The encoding grid is derived from the problem bounds and ``precision``.
     A local phase that fails with an AD domain error, a singular system or a
-    failed line search degrades gracefully: the evolutionary solution is
-    kept and a warning recorded.  Any other exception raises.
+    failed line search degrades gracefully: the incumbent is kept and a
+    warning recorded.  Any other exception raises.
 
     The validation round reuses the exploration settings unless
     ``validation_criteria``/``validation_ga`` override them; the two phases
@@ -184,6 +185,10 @@ def run_hybrid(
     improves on the refined solution, its best point receives a final local
     polish with absolute tolerances: the validation population only carries
     grid projections, and the polish restores sub-grid precision.
+
+    The trace has a row per generation of a GA phase (``ec``, ``validation``)
+    and per iterate of an SQP phase (``sqp``, ``polish``), plus a closing row at
+    an SQP phase's total when sweeps follow its last iterate.
     """
     spec = EncodingSpec.for_bounds(
         problem.bounds.lower, problem.bounds.upper, precision
@@ -212,34 +217,38 @@ def run_hybrid(
         return (decode(pop.bits[best], spec), sign * float(pop.fitness[best]),
                 engine.evaluations, report.reason)
 
+    def local(name: str, x0: np.ndarray, stopping: str, eval_base: int,
+              failed: str) -> SQPResult | None:
+        """:func:`sqp_run` from ``x0`` under ``stopping``, adding its trace rows
+        (see above); a local failure returns None with the warning ``failed``."""
+        try:
+            result = sqp_run(problem.minimand, x0, problem.bounds,
+                             replace(sqp_cfg, stopping=stopping))
+        except _LOCAL_FAILURES as exc:
+            warnings.append(failed.format(exc))
+            return None
+        rows = [(it.iteration, it.f, it.evaluations) for it in result.trace]
+        if not rows or rows[-1][2] < result.evaluations:
+            rows.append((len(rows), result.f, result.evaluations))
+        trace.extend(PhaseTraceRow(name, step, -sign * f, math.nan, eval_base + evals)
+                     for step, f, evals in rows)
+        return result
+
     # phase 1: global exploration
     x_ec, f_ec, ec_evals, reason = phase("ec", ga_cfg, crit, [], 0)
 
     # phase 2: local refinement from the decoded incumbent
-    objective = problem.minimand
-    sqp_cfg_local = (
-        replace(sqp_cfg, stopping="delta") if sqp_cfg.stopping is None else sqp_cfg
-    )
-    sqp_result: SQPResult | None = None
     x_sqp, f_sqp = x_ec, f_ec
-    sqp_evals = 0
-    try:
-        sqp_result = sqp_run(objective, x_ec, problem.bounds, sqp_cfg_local)
-        candidate = sqp_result.x
+    sqp_result = local("sqp", x_ec, sqp_cfg.stopping or "delta", ec_evals,
+                       "local phase failed ({}); kept x_ec")
+    if sqp_result is not None:
         f_candidate = -sign * sqp_result.f
         if sign * f_candidate >= sign * f_ec:
-            x_sqp, f_sqp = candidate, f_candidate
+            x_sqp, f_sqp = sqp_result.x, f_candidate
         else:
             warnings.append("local phase lost ground (boundary projection); kept x_ec")
         warnings.extend(sqp_result.warnings)
-        sqp_evals = sqp_result.evaluations
-        for it in sqp_result.trace:
-            trace.append(
-                PhaseTraceRow("sqp", it.iteration, -sign * it.f,
-                              math.nan, ec_evals + it.evaluations)
-            )
-    except _LOCAL_FAILURES as exc:
-        warnings.append(f"local phase failed ({exc}); kept x_ec")
+    sqp_evals = sqp_result.evaluations if sqp_result else 0
 
     # phase 3: seeded validation round
     seed = encode(x_sqp, spec)
@@ -248,21 +257,17 @@ def run_hybrid(
         [seed, 1 - seed], ec_evals + sqp_evals,
     )
 
+    # phase 4: a validation best that beat the refined point is polished
+    x_star, f_star, polish_result = x_sqp, f_sqp, None
     if sign * f_val > sign * f_sqp:
         x_star, f_star = x_val, f_val
-        try:
-            polish = sqp_run(
-                objective, x_val, problem.bounds,
-                replace(sqp_cfg_local, stopping="absolute"),
-            )
-            sqp_evals += polish.evaluations
-            f_polish = -sign * polish.f
+        polish_result = local("polish", x_val, "absolute", ec_evals + sqp_evals + val_evals,
+                              "final polish failed ({}); kept validation best")
+        if polish_result is not None:
+            sqp_evals += polish_result.evaluations
+            f_polish = -sign * polish_result.f
             if sign * f_polish > sign * f_star:
-                x_star, f_star = polish.x, f_polish
-        except _LOCAL_FAILURES as exc:
-            warnings.append(f"final polish failed ({exc}); kept validation best")
-    else:
-        x_star, f_star = x_sqp, f_sqp
+                x_star, f_star = polish_result.x, f_polish
 
     evaluations = {
         "ec": ec_evals,
@@ -275,5 +280,5 @@ def run_hybrid(
         x_star=np.asarray(x_star, dtype=float), f_star=f_star,
         evaluations=evaluations, switch_reason=reason,
         validation_switch_reason=val_reason, trace=trace,
-        sqp_result=sqp_result, warnings=warnings,
+        sqp_result=sqp_result, polish_result=polish_result, warnings=warnings,
     )

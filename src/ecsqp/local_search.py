@@ -452,9 +452,9 @@ def sqp_run(
     given, a step that would pass the boundary fraction of the box is
     replaced by the interior-point solution of the quadratic subproblem, and
     all iterates stay strictly feasible.
-    A value, gradient or Hessian that is not finite at the start point or an
-    accepted iterate raises :class:`ValueError`; a trial point of the line
-    search with a NaN value is only rejected.
+    Any sweep raises :class:`~ecsqp.autodiff.ADDomainError` where a chain-rule map
+    leaves its domain or float range.  Other non-finite results raise :class:`ValueError`
+    at the start point or an accepted iterate; a NaN line-search trial is only rejected.
     """
     cfg = cfg or SQPConfig()
     stopping = cfg.stopping or "absolute"

@@ -152,6 +152,35 @@ class TestFunctions:
             evaluate(f, [x])
         assert info.value.value == x
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's inf on the way
+    @pytest.mark.parametrize("f, x, op, value", [
+        (lambda v: ad.sqrt(v[0]), [1e-300, 1.0], "sqrt", 1e-300),
+        (lambda v: ad.sqrt(v).sum(), [1.0, 1e-300], "sqrt", 1e-300),
+        (lambda v: ad.log(v).sum(), [6.9e-213, 1.0], "log", 6.9e-213),
+        (lambda v: (1.0 / v).sum(), [1e-160, 1.0], "div", 1e-160),
+        (lambda v: ad.exp(v[0]), [710.0, 1.0], "exp", 710.0),
+        (lambda v: ad.exp(v).sum(), [1.0, 710.0], "exp", 710.0),
+        (lambda v: v[0] / v[1], [1.0, 1e-160], "div", 1e-160),
+        (lambda v: ((v + 1.0) / v).sum(), [1.0, 1e-160], "div", 1e-160),
+    ], ids=["sqrt", "vector-sqrt", "vector-log", "vector-reciprocal", "exp", "vector-exp",
+            "quotient", "vector-quotient"])
+    def test_map_leaving_the_float_range_is_a_domain_error(self, f, x, op, value):
+        # scalar and vector nodes alike: a non-finite value or derivative of
+        # the map raises at its input instead of entering the Hessian
+        with pytest.raises(ADDomainError) as info:
+            evaluate(f, x)
+        assert (info.value.op, info.value.value) == (op, value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ackley_near_the_origin_is_a_domain_error(self):
+        # sqrt of mean(x^2) = 1e-320: its second derivative divides by an
+        # underflowed 0
+        with pytest.raises(ADDomainError) as info:
+            evaluate(ackley, np.full(10, 1e-160))
+        assert info.value.op == "sqrt"
+        value, grad, hess = evaluate(ackley, np.full(10, 1e-100))
+        assert np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(np.asarray(hess)).all()
+
     def test_sqrt_and_abs_flag_the_origin(self):
         s = ad.sqrt(variables([0.0])[0])
         assert s.value == 0.0 and s.nonsmooth
@@ -488,14 +517,22 @@ VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False).map(lambda 
 PLAIN = VALUES | st.integers(-1000, 1000)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp overflows to inf on both routes
+# at extreme values a map overflows or divides by zero in numpy floats
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestScalarFastPaths:
     @settings(max_examples=200, deadline=None, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), value=st.floats(1e-150, 1e150),
+    @given(seed=st.integers(0, 2**32 - 1),
+           value=st.floats(0.0, exclude_min=True, allow_infinity=False),
            name=st.sampled_from(sorted(SEPARATE_MAPS)))
     def test_elementary_maps_match_the_generic_chain(self, seed, value, name):
         x = scalar_node(seed, value)
-        assert_same_bits(getattr(ad, name)(x), chained_by_blocks(x, *SEPARATE_MAPS[name](value)))
+        maps = SEPARATE_MAPS[name](np.float64(value))
+        if not np.isfinite(maps).all():
+            with pytest.raises(ADDomainError) as info:
+                getattr(ad, name)(x)
+            assert info.value.value == value
+        else:
+            assert_same_bits(getattr(ad, name)(x), chained_by_blocks(x, *maps))
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), value=VALUES, c=PLAIN)

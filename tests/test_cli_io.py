@@ -211,7 +211,7 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("mode, expected", [
         ("sqp", "8d2bb7bb35961a16ff602cafcab16cb38f7c0a2d12e2efeec766c338859089f7"),
-        ("hybrid", "17c785b1262b176be16c76f0772227cb79a154787d1406ea72d7f60642fa9bb0"),
+        ("hybrid", "3a8b3e36bcac2135bc9269e6d8a3917069e8ed1043a252d5f6be95536f7bd365"),
     ])
     def test_seeded_mode_output_pinned(self, tmp_path, mode, expected):
         # SHA-256 of a seeded `run --mode` batch's whole output directory

@@ -172,6 +172,44 @@ class TestRunHybrid:
         assert result.sqp_result is None and result.evaluations["sqp"] == 0
         assert any(w.startswith("local phase failed (sqrt") for w in result.warnings)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's inf on the way
+    def test_refine_degrades_where_a_derivative_leaves_the_float_range(self):
+        # every point maps to Ackley at 1e-160 * 1, where sqrt's second
+        # derivative is not finite: the refine's first sweep raises
+        ackley = get_problem("ackley", 10)
+
+        def fn(x):
+            return ackley.fn(x * 0.0 + 1e-160)
+
+        problem = BenchmarkProblem("ackley-at-1e-160", 10, ackley.bounds, ackley.orientation,
+                                   0.0, None, fn, fn)
+        result = run_hybrid(problem, self.GA, SQPConfig(), SwitchCriteria(max_generations=5),
+                            rng_seed=3, validation_criteria=SwitchCriteria(max_generations=2))
+        np.testing.assert_array_equal(result.x_sqp, result.x_ec)
+        assert result.sqp_result is None and result.evaluations["sqp"] == 0
+        assert any(w.startswith("local phase failed (sqrt undefined") for w in result.warnings)
+
+    def test_polish_rows_end_the_trace(self):
+        problem = get_problem("ackley", 2)
+        ga = GAConfig(population_size=20, mutation_rate=0.05, overlap_fraction=0.1)
+        val_ga = GAConfig(population_size=40, mutation_rate=0.02, overlap_fraction=0.1,
+                          mutation_scheme="per-bit")
+        result = run_hybrid(problem, ga, SQPConfig(), SwitchCriteria(max_generations=10),
+                            rng_seed=5, validation_criteria=SwitchCriteria(max_generations=20),
+                            validation_ga=val_ga)
+        polish = result.polish_result
+        assert polish is not None and polish.stop_reason == "line_search_failure"
+        ev = result.evaluations
+        assert ev["sqp"] == result.sqp_result.evaluations + polish.evaluations
+        rows = [r for r in result.trace if r.phase == "polish"]
+        assert result.trace[-len(rows):] == rows
+        # a row per iterate, then a closing row for the sweeps of the failed
+        # line search, at the phase's final point and the run's total
+        assert [r.step for r in rows] == list(range(len(polish.trace) + 1))
+        assert [r.evaluations for r in rows[:-1]] == [
+            ev["total"] - polish.evaluations + it.evaluations for it in polish.trace]
+        assert (rows[-1].best, rows[-1].evaluations) == (result.f_star, ev["total"])
+
     def test_phase_monotonicity_maximization(self):
         problem = get_problem("schwefel-max", 2)
         ga = GAConfig(population_size=50, mutation_rate=1 / 34, rng_seed=5,
@@ -293,7 +331,7 @@ class TestRunHybrid:
                                       validation_criteria=SwitchCriteria(max_generations=20),
                                       validation_ga=val_ga))
         a, b = results
-        assert {r.phase for r in a.trace} == {"ec", "sqp", "validation"}
+        assert {r.phase for r in a.trace} == {"ec", "sqp", "validation", "polish"}
         assert a.f_star == b.f_star
         assert a.evaluations == b.evaluations
         np.testing.assert_equal(
