@@ -188,14 +188,18 @@ class RunConfig:
 
 
 def _build_section(cls, data: dict, *, context: str = ""):
-    known = {f.name for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls)}
     for key, value in data.items():
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in {context or cls.__name__}")
         # no field is a flag; a YAML true would pass as 1, alone or in a list
         if type(value) is bool or (type(value) is list and bool in map(type, value)):
             raise ConfigError(f"{key} in {context or cls.__name__} must not be or hold "
                               f"a boolean, got {value!r}")
+        # a count written as 20.0 would pass here and fail every run in range()
+        if type(defaults[key]) is int and type(value) is not int:
+            raise ConfigError(f"{key} in {context or cls.__name__} must be an integer, "
+                              f"got {value!r}")
     try:
         return cls(**data)
     except ConfigError:

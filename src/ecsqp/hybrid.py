@@ -247,7 +247,6 @@ def run_hybrid(
             x_sqp, f_sqp = sqp_result.x, f_candidate
         else:
             warnings.append("local phase lost ground (boundary projection); kept x_ec")
-        warnings.extend(sqp_result.warnings)
     sqp_evals = sqp_result.evaluations if sqp_result else 0
 
     # phase 3: seeded validation round

@@ -14,14 +14,13 @@ system gives a cut-back Newton step).
 Every linear system has the form ``W = diag(a) + U C U^T`` of the AD
 :class:`~ecsqp.autodiff.Hessian` plus a diagonal, and is solved by
 Sherman-Morrison-Woodbury through a ``k x k`` capacitance system in O(nk^2)
-(Nocedal & Wright, *Numerical Optimization*, 2nd ed., Springer 2006).  A
-dense matrix from a caller is the ``k = n`` case.
+(Nocedal & Wright, *Numerical Optimization*, 2nd ed., Springer 2006).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -142,12 +141,6 @@ class SQPResult:
     trace: list[NewtonIterate]
     stop_reason: str
     evaluations: int = 0
-    warnings: list[str] = field(default_factory=list)
-
-
-def _structured(H) -> Hessian:
-    """``H`` as a :class:`Hessian`; a dense array becomes its ``k = n`` form."""
-    return H if isinstance(H, Hessian) else Hessian.from_dense(H)
 
 
 def _low_rank_diagonal(U: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -220,11 +213,10 @@ def _factor(W: Hessian, shift=None) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
+def regularize_hessian(hess: Hessian, lambda_min: float) -> tuple[Hessian | None, float]:
     """Smallest diagonal shift from {0, lambda_min, 10*lambda_min, ...} that
     makes the matrix positive definite.
 
-    ``hess`` is a :class:`Hessian` or a dense array (its ``k = n`` form).
     Returns ``(shifted_matrix, lambda)`` or ``(None, inf)`` if the ladder cap
     is exceeded; ``lambda_min`` must be positive with a finite cap
     ``REGULARIZATION_LADDER_CAP * lambda_min``.  Rounding is monotone, so
@@ -238,7 +230,6 @@ def regularize_hessian(hess, lambda_min: float) -> tuple[Hessian | None, float]:
     if not (lambda_min > 0.0 and math.isfinite(REGULARIZATION_LADDER_CAP * lambda_min)):
         raise ValueError(
             f"lambda_min must be positive with a finite ladder cap, got {lambda_min!r}")
-    hess = _structured(hess)
     rungs, lam = [0.0], lambda_min
     while lam <= REGULARIZATION_LADDER_CAP * lambda_min:
         rungs.append(lam)
@@ -309,26 +300,24 @@ def wolfe_line_search(
     raise LineSearchError("no step with sufficient decrease found")
 
 
-def _fraction_to_boundary(
-    s: np.ndarray, p: np.ndarray, lb: np.ndarray, ub: np.ndarray
-) -> float:
-    """Largest step fraction along ``p``, at most 1, that keeps ``s`` strictly
-    inside [lb, ub]: :data:`BOUNDARY_FRACTION` of the way to the nearest bound.
-    A NaN entry of ``p`` gives NaN."""
-    ratio = np.divide(np.where(p < 0, lb, ub) - s, p, out=np.full_like(p, np.inf), where=p != 0)
-    frac = BOUNDARY_FRACTION * float(ratio.min(initial=np.inf))
-    return 1.0 if frac >= 1.0 else frac
-
-
 def _step_to_zero(v: np.ndarray, dv: np.ndarray) -> float:
     """Step at which ``v + step * dv`` (``v > 0``) first reaches zero; ``inf``
-    when no entry decreases.  The same bits as the lower-bound ratio
-    ``(0 - v) / dv`` of :func:`_fraction_to_boundary`."""
+    when no entry decreases.  A NaN entry of ``dv`` is skipped."""
     falling = dv < 0
     return -float((v[falling] / dv[falling]).max(initial=-np.inf))
 
 
-def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
+def _fraction_to_boundary(p: np.ndarray, box: BoundBox) -> float:
+    """Largest step fraction along ``p``, at most 1, that keeps the step
+    strictly inside ``box`` (which contains 0): :data:`BOUNDARY_FRACTION` of
+    the way to the nearest bound.  The slacks ``[-lower, upper]`` fall along
+    ``[p, -p]``, so this is :func:`_step_to_zero`'s rule, and a NaN entry of
+    ``p`` is skipped."""
+    nearest = _step_to_zero(np.concatenate([-box.lower, box.upper]), np.concatenate([p, -p]))
+    return min(1.0, BOUNDARY_FRACTION * nearest)
+
+
+def ipm_qp_solve(g: np.ndarray, H: Hessian, box: BoundBox) -> np.ndarray:
     """Approximate minimizer of ``g^T s + 0.5 s^T H s`` over step bounds.
 
     ``box`` bounds the step itself and must contain 0 strictly.  Mehrotra's
@@ -339,17 +328,17 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
     centres, so an active bound keeps a slack of about ``CENTRAL_PATH_END /
     z_i``.  It stops there once the dual residual is below ``1e-12`` of the
     gradient scale or no longer falls (as with an ill-conditioned ``H``).
-    Each iteration factors ``H + diag(z/t)`` once (Woodbury; ``H`` is a
-    :class:`Hessian` or a dense array) for its predictor and corrector
+    ``H`` is the :class:`Hessian` of :func:`~ecsqp.autodiff.evaluate` (or
+    one built with :meth:`Hessian.from_dense`).  Each iteration factors
+    ``H + diag(z/t)`` once (Woodbury) for its predictor and corrector
     solves; once a predictor's target is on the ``CENTRAL_PATH_END`` floor,
     the later iterations skip the predictor and take the plain centring
-    step.  Each step goes
-    :data:`BOUNDARY_FRACTION` of the way to the nearest zero of ``t`` or
-    ``z``.  A system that cannot be solved (singular, or a diagonal that is
-    not positive) gives ``-H^{-1} g`` (or ``-g``) cut back to that fraction.
+    step.  Each step goes :data:`BOUNDARY_FRACTION` of the way to the
+    nearest zero of ``t`` or ``z``.  A system that cannot be solved
+    (singular, or a diagonal that is not positive) gives ``-H^{-1} g`` (or
+    ``-g``) cut back by :func:`_fraction_to_boundary`.
     """
     g = np.asarray(g, dtype=float)
-    H = _structured(H)
     lb, ub = box.lower, box.upper
     if not ((lb < 0.0).all() and (ub > 0.0).all()):
         raise ValueError("step box must contain 0 strictly (interior start)")
@@ -359,7 +348,7 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
             d = _factor(H)(-g)
         except np.linalg.LinAlgError:
             d = -g
-        return _fraction_to_boundary(np.zeros_like(d), d, lb, ub) * d
+        return _fraction_to_boundary(d, box) * d
 
     n, s = g.shape[0], np.zeros_like(g)
     t = np.concatenate([-lb, ub])  # slacks s - lb, ub - s
@@ -404,7 +393,7 @@ def ipm_qp_solve(g: np.ndarray, H, box: BoundBox) -> np.ndarray:
 
 
 def _search_direction(
-    grad: np.ndarray, hess, step_box: BoundBox | None
+    grad: np.ndarray, hess: Hessian, step_box: BoundBox | None
 ) -> tuple[np.ndarray, float]:
     """Regularized Newton direction of ``0.5 d^T H d + g^T d`` and its shift.
 
@@ -414,27 +403,25 @@ def _search_direction(
     :data:`BOUNDARY_FRACTION` of the way to every bound: the shifted model
     is strictly convex, so the step is then its exact minimizer over the
     box.  Otherwise, or when the system cannot be solved or its solution
-    has a NaN entry, :func:`ipm_qp_solve` minimizes the model over the step
-    box.  An exhausted ladder, or a direction that does not point downhill,
-    falls back to steepest descent with ``lambda = inf``, cut back to
-    :data:`BOUNDARY_FRACTION` of the way to the step box.
+    has a NaN entry (tested here, as :func:`_fraction_to_boundary` skips
+    NaN entries), :func:`ipm_qp_solve` minimizes the model over the step
+    box.  An exhausted ladder, a direction that does not point downhill,
+    or an unsolvable system without a step box falls back to steepest
+    descent with ``lambda = inf``, cut back to :data:`BOUNDARY_FRACTION` of
+    the way to the step box.
     """
     shifted, lam = regularize_hessian(hess, LAMBDA_MIN)
     if shifted is not None:
-        if step_box is None:
+        try:
             d = _factor(shifted)(-grad)
-        else:
-            try:  # the model's exact minimizer when it stays clear of the bounds
-                d = _factor(shifted)(-grad)
-            except np.linalg.LinAlgError:
-                d = None
-            if d is None or _fraction_to_boundary(
-                    np.zeros_like(d), d, step_box.lower, step_box.upper) != 1.0:
-                d = ipm_qp_solve(grad, shifted, step_box)
+        except np.linalg.LinAlgError:
+            d = np.full_like(grad, math.nan)  # no Newton step: routed as a NaN one
+        if step_box is not None and (
+                np.isnan(d).any() or _fraction_to_boundary(d, step_box) != 1.0):
+            d = ipm_qp_solve(grad, shifted, step_box)
         if d @ grad < 0.0:
             return d, lam
-    frac = 1.0 if step_box is None else _fraction_to_boundary(
-        np.zeros_like(grad), -grad, step_box.lower, step_box.upper)
+    frac = 1.0 if step_box is None else _fraction_to_boundary(-grad, step_box)
     return -grad * frac, math.inf
 
 
@@ -469,7 +456,6 @@ def sqp_run(
         evals += 1
         return evaluate(objective, point)
 
-    warnings: list[str] = []
     trace: list[NewtonIterate] = []
     f, grad, hess = sweep(x)
     gnorm = float(np.abs(grad).max())
@@ -515,7 +501,6 @@ def sqp_run(
         try:
             alpha = wolfe_line_search(phi, dphi)
         except LineSearchError:
-            warnings.append(f"line search failed at iteration {k}")
             stop_reason = "line_search_failure"
             break
 
@@ -542,7 +527,4 @@ def sqp_run(
                 evaluations=evals,
             )
         )
-    return SQPResult(
-        x=x, f=f, trace=trace, stop_reason=stop_reason, evaluations=evals,
-        warnings=warnings,
-    )
+    return SQPResult(x=x, f=f, trace=trace, stop_reason=stop_reason, evaluations=evals)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import brute_force_decomposition
 from ecsqp import autodiff as ad
-from ecsqp.autodiff import evaluate
+from ecsqp.autodiff import Hessian, evaluate
 from ecsqp.benchmarks import get_problem
 from ecsqp.encoding import (
     EncodingSpec,
@@ -476,7 +476,7 @@ def test_criterion_9_invariant_suites():
         H = A @ A.T + 0.3 * np.eye(m)
         g = rng.normal(size=m) * 10
         lb, ub = -rng.uniform(0.1, 2, m), rng.uniform(0.1, 2, m)
-        s = ipm_qp_solve(g, H, BoundBox(lb, ub))
+        s = ipm_qp_solve(g, Hessian.from_dense(H), BoundBox(lb, ub))
         feasible &= bool(np.all(s > lb) and np.all(s < ub))
 
     deterministic = True

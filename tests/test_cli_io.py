@@ -495,6 +495,8 @@ class TestCli:
         {"precision": "true"}, {"ga": "{max_generations: true}"},
         {"ga": "{mutation_rate: true}"}, {"ga": "{crossover_rate: true}"},
         {"switch": "{stall_window: true}"}, {"sqp": "{max_iter: true}"},
+        {"ga": "{population_size: 20.0}"}, {"switch": "{stall_window: 5.0}"},
+        {"validation_switch": "{stall_window: 5.0}"}, {"sqp": "{max_iter: 20.0}"},
     ], ids=lambda entry: ",".join(f"{k}={v}" for k, v in entry.items()))
     @pytest.mark.parametrize("mode", ["ec", "hybrid", "sqp"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, entry, mode):

@@ -53,7 +53,7 @@ def random_spd(rng, n, spread=2.0):
 
 class TestNewtonDirection:
     def test_identity_hessian(self):
-        d, lam = _search_direction(np.array([3.0, -4.0]), np.eye(2), None)
+        d, lam = _search_direction(np.array([3.0, -4.0]), Hessian.from_dense(np.eye(2)), None)
         np.testing.assert_allclose(d, [-3.0, 4.0])
         assert lam == 0.0
 
@@ -63,22 +63,22 @@ class TestNewtonDirection:
             b = rng.normal(size=3)
             x = rng.normal(size=3)
             grad = Q @ x - b
-            d, lam = _search_direction(grad, Q, None)
+            d, lam = _search_direction(grad, Hessian.from_dense(Q), None)
             x_star = np.linalg.solve(Q, b)  # independent solve
             np.testing.assert_allclose(x + d, x_star, atol=1e-9)
             assert lam == 0.0
 
     def test_indefinite_hessian_regularized_to_descent(self):
-        d, lam = _search_direction(np.array([1.0, 0.0]), -np.eye(2), None)
+        d, lam = _search_direction(np.array([1.0, 0.0]), Hessian.from_dense(-np.eye(2)), None)
         assert d @ np.array([1.0, 0.0]) < 0.0
         assert 0 < lam < math.inf
 
     def test_zero_gradient_returns_zero_step(self):
-        d, lam = _search_direction(np.zeros(2), np.eye(2), None)
+        d, lam = _search_direction(np.zeros(2), Hessian.from_dense(np.eye(2)), None)
         assert not d.any()
 
     def test_regularize_ladder_gives_up(self):
-        H = np.array([[-1e12]])
+        H = Hessian.from_dense(np.array([[-1e12]]))
         H_pd, lam = regularize_hessian(H, 1e-6)
         assert H_pd is None and lam == math.inf
 
@@ -125,18 +125,18 @@ class TestIpmQpSolve:
             H = random_spd(rng, 3, spread=1.0)
             g = rng.normal(size=3)
             box = BoundBox(np.full(3, -50.0), np.full(3, 50.0))
-            s = ipm_qp_solve(g, H, box)
+            s = ipm_qp_solve(g, Hessian.from_dense(H), box)
             np.testing.assert_allclose(s, np.linalg.solve(H, -g), atol=1e-6)
 
     def test_active_upper_bound_one_dim(self):
         # analytic constrained minimizer of -10 s + s^2 on [-1, 1] is s = 1
-        s = ipm_qp_solve(np.array([-10.0]), np.array([[2.0]]),
+        s = ipm_qp_solve(np.array([-10.0]), Hessian.from_dense(np.array([[2.0]])),
                          BoundBox(np.array([-1.0]), np.array([1.0])))
         assert abs(s[0] - 1.0) < 1e-3
         assert -1.0 < s[0] < 1.0  # strictly interior
 
     def test_zero_gradient_stays_near_origin(self):
-        s = ipm_qp_solve(np.zeros(2), np.eye(2),
+        s = ipm_qp_solve(np.zeros(2), Hessian.from_dense(np.eye(2)),
                          BoundBox(np.full(2, -1.0), np.full(2, 1.0)))
         assert np.max(np.abs(s)) < 1e-6
 
@@ -147,7 +147,7 @@ class TestIpmQpSolve:
             g = rng.normal(size=n) * 10
             lb = -rng.uniform(0.1, 2.0, size=n)
             ub = rng.uniform(0.1, 2.0, size=n)
-            s = ipm_qp_solve(g, H, BoundBox(lb, ub))
+            s = ipm_qp_solve(g, Hessian.from_dense(H), BoundBox(lb, ub))
             assert np.all(s > lb) and np.all(s < ub)
 
     def test_ill_conditioned_subproblem_stops_stalled_centring(self, monkeypatch):
@@ -178,7 +178,7 @@ class TestIpmQpSolve:
     def test_singular_hessian_falls_back_to_steepest_descent(self):
         # H + mu*D is exactly singular at s = 0, mu = 1, and so is H itself
         g = np.array([1.0, 1.0])
-        H = np.diag([-2.0, 0.0])
+        H = Hessian.from_dense(np.diag([-2.0, 0.0]))
         box = BoundBox(np.full(2, -1.0), np.full(2, 1.0))
         s = ipm_qp_solve(g, H, box)
         np.testing.assert_array_equal(s, -0.995 * g)  # -g cut to the boundary fraction
@@ -204,7 +204,7 @@ class TestIpmQpSolve:
             if structured:
                 H = random_structured(rng, n, int(rng.integers(0, n + 1)))
             else:
-                H = random_spd(rng, n, spread=0.5)
+                H = Hessian.from_dense(random_spd(rng, n, spread=0.5))
             g = rng.normal(size=n) * 5.0
             lb, ub = -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
             best = box_qp_by_enumeration(g, np.asarray(H), lb, ub)
@@ -303,7 +303,7 @@ class TestWoodburySolve:
             assert H_pd.k == 3
             box = BoundBox(problem.bounds.lower - x, problem.bounds.upper - x)
             structured = ipm_qp_solve(g, H_pd, box)
-            dense = ipm_qp_solve(g, np.asarray(H_pd), box)
+            dense = ipm_qp_solve(g, Hessian.from_dense(np.asarray(H_pd)), box)
             # both stop on the same residual tolerance, not on the same bits
             scale = np.max(np.abs(dense))
             np.testing.assert_allclose(structured, dense, rtol=0.0, atol=1e-7 * scale)
@@ -328,17 +328,17 @@ def test_fraction_to_boundary_is_bitwise_the_two_mask_form(rng):
     for trial in range(5000):
         lb = -rng.uniform(0.1, 2.0, n)
         ub = rng.uniform(0.1, 2.0, n)
-        s = rng.uniform(0.9 * lb, 0.9 * ub)
         p = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
         p[rng.random(n) < 0.2] = 0.0
         if trial % 50 == 0:
             p[:] = 0.0
-        assert _fraction_to_boundary(s, p, lb, ub) == fraction_to_boundary_two_masks(s, p, lb, ub)
+        assert (_fraction_to_boundary(p, BoundBox(lb, ub))
+                == fraction_to_boundary_two_masks(np.zeros(n), p, lb, ub))
 
 
 def test_step_to_zero_is_bitwise_the_concatenated_rule(rng):
     # the IPM's step length over [t, z] taken half by half, against one
-    # _fraction_to_boundary pass over their concatenation
+    # two-mask pass over their concatenation, whose upper bounds never bind
     for trial in range(2000):
         m = int(rng.integers(1, 200))
         t, z = rng.uniform(1e-9, 3.0, m), rng.uniform(1e-9, 3.0, m)
@@ -348,8 +348,8 @@ def test_step_to_zero_is_bitwise_the_concatenated_rule(rng):
             dt[:] = np.abs(dt)
             dz[:] = np.abs(dz)
         nearest = min(_step_to_zero(t, dt), _step_to_zero(z, dz))
-        joined = _fraction_to_boundary(np.concatenate([t, z]), np.concatenate([dt, dz]),
-                                       0.0, np.inf)
+        joined = fraction_to_boundary_two_masks(np.concatenate([t, z]), np.concatenate([dt, dz]),
+                                                np.zeros(2 * m), np.full(2 * m, np.inf))
         assert min(1.0, BOUNDARY_FRACTION * nearest) == joined
 
 
@@ -358,7 +358,6 @@ def ipm_two_solves(g, H, box, targets=None):
     its own in every iteration, on or off the centring floor (the oracle).
     Each predictor's centring target is appended to ``targets``."""
     g = np.asarray(g, dtype=float)
-    H = H if isinstance(H, Hessian) else Hessian.from_dense(H)
     lb, ub = box.lower, box.upper
 
     def fallback():
@@ -366,7 +365,7 @@ def ipm_two_solves(g, H, box, targets=None):
             d = _factor(H)(-g)
         except np.linalg.LinAlgError:
             d = -g
-        return _fraction_to_boundary(np.zeros_like(d), d, lb, ub) * d
+        return _fraction_to_boundary(d, box) * d
 
     n, s = g.shape[0], np.zeros_like(g)
     t = np.concatenate([-lb, ub])
@@ -386,7 +385,8 @@ def ipm_two_solves(g, H, box, targets=None):
             dt = np.concatenate([ds, -ds])
             dz = (c - z * dt) / t
             tz, dtz = np.concatenate([t, z]), np.concatenate([dt, dz])
-            return ds, dt, dz, _fraction_to_boundary(tz, dtz, 0.0, np.inf)
+            return ds, dt, dz, fraction_to_boundary_two_masks(
+                tz, dtz, np.zeros_like(tz), np.full_like(tz, np.inf))
 
         try:
             _, dt, dz, alpha = newton(-t * z)
@@ -674,11 +674,29 @@ class TestLowRankLadder:
 
 
 class TestNanNewtonStep:
-    def test_fraction_to_boundary_is_not_one_for_a_nan_entry(self):
-        ones = np.ones(2)
-        frac = _fraction_to_boundary(np.zeros(2), np.array([math.nan, 1.0]), -ones, ones)
-        assert frac != 1.0 and math.isnan(frac)
-        assert _fraction_to_boundary(np.zeros(2), np.array([math.inf, 1.0]), -ones, ones) == 0.0
+    @pytest.mark.parametrize("bad, fraction", [(math.nan, 1.0), (math.inf, 0.0)])
+    def test_newton_step_with_a_nonfinite_entry_goes_to_the_ipm(self, monkeypatch, bad,
+                                                                fraction):
+        # the boundary rule skips a NaN entry, so only the NaN test routes it
+        step = np.array([bad, 0.5])
+        factor = local_search._factor
+        solves = []
+
+        def bad_first_solve(*args):
+            solve = factor(*args)
+            if not solves:  # the Newton step of _search_direction
+                solves.append(1)
+                return lambda b: step.copy()
+            return solve
+
+        g = np.array([1.0, -2.0])
+        H = Hessian.from_dense(np.eye(2))
+        box = BoundBox(np.full(2, -10.0), np.full(2, 10.0))
+        assert _fraction_to_boundary(step, box) == fraction
+        monkeypatch.setattr(local_search, "_factor", bad_first_solve)
+        (d, lam), calls = counted_ipm_calls(monkeypatch, g, H, box)
+        assert calls == 1 and lam == 0.0
+        np.testing.assert_array_equal(d, ipm_qp_solve(g, H, box))
 
     def test_nan_newton_step_goes_to_the_ipm(self, monkeypatch):
         factor = local_search._factor
@@ -694,9 +712,9 @@ class TestNanNewtonStep:
         g = np.array([1.0, -2.0])
         box = BoundBox(np.full(2, -10.0), np.full(2, 10.0))
         monkeypatch.setattr(local_search, "_factor", nan_first_solve)
-        (d, lam), calls = counted_ipm_calls(monkeypatch, g, np.eye(2), box)
+        (d, lam), calls = counted_ipm_calls(monkeypatch, g, Hessian.from_dense(np.eye(2)), box)
         assert calls == 1 and lam == 0.0
-        np.testing.assert_array_equal(d, ipm_qp_solve(g, np.eye(2), box))
+        np.testing.assert_array_equal(d, ipm_qp_solve(g, Hessian.from_dense(np.eye(2)), box))
 
 
 class TestSqpRun:
@@ -847,7 +865,7 @@ class TestBoundedDirection:
             lb, ub = np.full(10, -10.0), np.full(10, 10.0)
             (lb if newton[i] < 0 else ub)[i] = BOUNDARY_FRACTION * newton[i]
             box = BoundBox(lb, ub)
-            assert _fraction_to_boundary(np.zeros(10), newton, lb, ub) < 1.0
+            assert _fraction_to_boundary(newton, box) < 1.0
             (d, lam), calls = counted_ipm_calls(monkeypatch, g, H, box)
             assert calls == 1 and lam == 0.0
             np.testing.assert_array_equal(d, ipm_qp_solve(g, H, box))
@@ -862,9 +880,24 @@ class TestBoundedDirection:
         g = np.array([1.0, -2.0])
         box = BoundBox(np.full(2, -0.5), np.full(2, 0.5))
         monkeypatch.setattr(local_search, "_factor", singular)
-        (d, lam), calls = counted_ipm_calls(monkeypatch, g, np.eye(2), box)
+        (d, lam), calls = counted_ipm_calls(monkeypatch, g, Hessian.from_dense(np.eye(2)), box)
         assert calls == 1 and lam == 0.0
         np.testing.assert_array_equal(d, -BOUNDARY_FRACTION * 0.25 * g)
+
+    def test_unsolvable_newton_system_without_a_box_is_steepest_descent(self, monkeypatch):
+        # no box, so no IPM: the direction is -g with lambda = inf, and so is
+        # every direction of sqp_run; on sum(x^2) the step halves onto 0
+        def singular(b):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(local_search, "_factor", lambda *args: singular)
+        g = np.array([1.0, -2.0])
+        d, lam = _search_direction(g, Hessian.from_dense(np.eye(2)), None)
+        np.testing.assert_array_equal(d, -g)
+        assert lam == math.inf
+        res = sqp_run(lambda v: (v * v).sum(), [1.0, -2.0], None, SQPConfig())
+        assert [(it.lambda_used, it.alpha) for it in res.trace] == [(math.inf, 0.5)]
+        assert res.stop_reason == "grad_tol" and not res.x.any()
 
     def test_newton_step_is_no_worse_than_the_ipm_on_the_pinned_starts(self, monkeypatch):
         # at n=10 Ackley's polish near the kink has Hessian eigenvalues up to
@@ -873,7 +906,7 @@ class TestBoundedDirection:
         for name, seed in sorted(N100_PINS):
             for g, H, box in captured_subproblems(monkeypatch, name, (seed,)):
                 newton = _factor(H)(-g)
-                if _fraction_to_boundary(np.zeros_like(g), newton, box.lower, box.upper) < 1.0:
+                if _fraction_to_boundary(newton, box) < 1.0:
                     continue
                 shortcuts += 1
                 model = lambda v: g @ v + 0.5 * (v @ (H @ v))
