@@ -123,10 +123,6 @@ class Hessian:
     def k(self) -> int:
         return self.U.shape[1]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
     def __repr__(self) -> str:
         return f"Hessian(n={self.n}, k={self.k})"
 
@@ -138,10 +134,6 @@ class Hessian:
         if self.k:
             out = out + self.U @ (self.C @ (self.U.T @ s))
         return out
-
-    def plus_diagonal(self, a) -> "Hessian":
-        """This matrix plus ``diag(a)`` (``a`` a number or an n-vector)."""
-        return Hessian(self.d + a, self.U, self.C)
 
     def plus_low_rank(self, V: np.ndarray, B: np.ndarray) -> "Hessian":
         """This matrix plus ``V B V^T`` (``V`` of n float rows, ``B``

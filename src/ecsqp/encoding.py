@@ -35,14 +35,16 @@ def compute_bit_length(lower: float, upper: float, precision: float) -> int:
 
     At least one bit is always allocated, so degenerate ranges that would fit
     in zero bits still produce a usable field.  When the ratio is an exact
-    power of two the smaller admissible ``l`` is returned.
+    power of two the smaller admissible ``l`` is returned.  ``math.log2`` can
+    round a ratio just above ``2**l`` down to ``l``; that case gets ``l + 1``.
     """
     if not lower < upper:
         raise ValueError(f"need lower < upper, got [{lower}, {upper}]")
     if not precision > 0:
         raise ValueError(f"precision must be positive, got {precision}")
     ratio = (upper - lower) / precision
-    return max(1, math.ceil(math.log2(ratio)))
+    l = max(1, math.ceil(math.log2(ratio)))
+    return l + 1 if ratio > 2**l else l
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,6 @@ class VariableSpec:
             raise ValueError(
                 f"bit_length {l} exceeds {MAX_BIT_LENGTH}, the widest field "
                 "decoded exactly in float64"
-            )
-        ratio = (self.upper - self.lower) / self.precision
-        if ratio > 2**l:  # math.log2 can round an inexact ratio down
-            raise ValueError(
-                f"bit_length {l} inconsistent with range/precision (ratio {ratio})"
             )
         object.__setattr__(self, "bit_length", l)
 

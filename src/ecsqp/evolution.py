@@ -74,7 +74,11 @@ class SelectionMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Numerical parameters of one evolutionary run."""
+    """Numerical parameters of one evolutionary run, checked at construction.
+
+    ``selection`` may be given as its value string (``"roulette-wheel"``); the
+    counts must be ``int``s.
+    """
 
     population_size: int = 100
     crossover_rate: float = 1.0
@@ -86,9 +90,17 @@ class GAConfig:
     mutation_scheme: str = "per-chromosome"  # or "per-bit"
 
     def __post_init__(self) -> None:
+        try:  # a member is its own value
+            object.__setattr__(self, "selection", SelectionMethod(self.selection))
+        except ValueError:
+            names = ", ".join(m.value for m in SelectionMethod)
+            raise ValueError(
+                f"unknown selection {self.selection!r}; options: {names}"
+            ) from None
+        # type() rather than isinstance(): a count must not be a float or a bool
         n = self.population_size
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"population size must be even and >= 2, got {n}")
+        if type(n) is not int or n < 2 or n % 2 != 0:
+            raise ValueError(f"population_size must be an even integer >= 2, got {n!r}")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError(f"crossover rate must be in [0, 1], got {self.crossover_rate}")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -99,8 +111,10 @@ class GAConfig:
             )
         if self.overlap_fraction * n < 1.0:
             raise ValueError("overlap_fraction * population_size must be >= 1")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be positive")
+        if type(self.max_generations) is not int or self.max_generations < 1:
+            raise ValueError(
+                f"max_generations must be a positive integer, got {self.max_generations!r}"
+            )
         if self.mutation_scheme not in ("per-chromosome", "per-bit"):
             raise ValueError(f"unknown mutation scheme {self.mutation_scheme!r}")
 

@@ -65,8 +65,10 @@ class SwitchCriteria:
     def __post_init__(self) -> None:
         if self.sigma_threshold <= 0 or self.stall_epsilon < 0:
             raise ValueError("thresholds must be positive")
-        if self.stall_window < 1 or self.max_generations < 1:
-            raise ValueError("windows must be positive")
+        for name in ("stall_window", "max_generations"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a float or a bool is no count
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def should_switch(

@@ -111,8 +111,8 @@ class SQPConfig:
     def __post_init__(self) -> None:
         if self.grad_tol <= 0 or self.step_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if type(self.max_iter) is not int or self.max_iter < 1:  # a float or a bool is no count
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if self.stopping not in (None, "absolute", "delta"):
             raise ValueError(f"unknown stopping regime {self.stopping!r}")
 
@@ -280,14 +280,10 @@ def wolfe_line_search(
             if dphi(alpha) >= c2 * g0:
                 return alpha
             best = alpha
-            if hi is None:
-                if alpha >= 1.0:
-                    break  # cannot expand past the unit-step cap
-                alpha = min(1.0, 2.0 * alpha)
-            else:
-                if hi - alpha <= 1e-12:
-                    break
-                alpha = 0.5 * (alpha + hi)
+            # hi is None only at the unit step, which cannot expand past its cap
+            if hi is None or hi - alpha <= 1e-12:
+                break
+            alpha = 0.5 * (alpha + hi)
         else:
             hi = alpha
             denom = 2.0 * (f_a - phi0 - g0 * alpha)

@@ -69,7 +69,7 @@ class TestArithmetic:
     def test_constant_objective_has_zero_derivatives(self):
         value, grad, hess = evaluate(lambda v: 4.0, [1.0, 2.0])
         assert value == 4.0
-        assert not grad.any() and not np.asarray(hess).any() and hess.shape == (2, 2)
+        assert not grad.any() and not np.asarray(hess).any() and np.asarray(hess).shape == (2, 2)
 
     def test_self_difference_vanishes(self):
         a = variables([3.7, 0.0])[0]
@@ -440,14 +440,12 @@ class TestStructuredHessian:
         np.testing.assert_array_equal(again.d, np.diag(dense))
         np.testing.assert_array_equal(np.asarray(again), dense)
 
-    def test_scaling_and_shift(self, rng):
+    def test_scaling(self, rng):
         n = 4
         H = Hessian(rng.normal(size=n), rng.normal(size=(n, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]))
         dense = np.asarray(H)
         np.testing.assert_allclose(np.asarray(-2.5 * H), -2.5 * dense, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(np.asarray(H / 4.0), dense / 4.0, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(np.asarray(H.plus_diagonal(3.0)), dense + 3.0 * np.eye(n),
-                                   rtol=1e-14, atol=1e-14)
 
     def test_constructor_converts_and_checks_u_and_c(self):
         d = np.array([1.0, 2.0, 3.0])

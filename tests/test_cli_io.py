@@ -24,7 +24,7 @@ from ecsqp.cli_io import (
 from ecsqp.encoding import EncodingSpec
 from ecsqp.evolution import Engine, GAConfig, SelectionMethod
 from ecsqp.hybrid import SwitchCriteria, SwitchReason, fitness_function, ga_phase
-from ecsqp.local_search import BoundBox
+from ecsqp.local_search import BoundBox, SQPConfig
 from ecsqp.price_monitor import SMOOTHING_WINDOW, sigma_width
 
 
@@ -138,6 +138,28 @@ class TestRunConfigInCode:
         with pytest.raises(ConfigError, match="mutation rate"):
             RunConfig(problem="ackley", dimension=2, validation_ga=GAConfig(),
                       validation_mutation_rate_raw=-0.5)
+
+    def test_selection_value_string_is_the_member(self, tmp_path):
+        assert GAConfig(selection="roulette-wheel").selection is SelectionMethod.ROULETTE_WHEEL
+        by_name = stack_config("roulette-wheel", "per-bit", 2)
+        assert by_name == stack_config(SelectionMethod.ROULETTE_WHEEL, "per-bit", 2)
+        run_batch(by_name, str(tmp_path / "name"), jobs=1)
+        run_batch(stack_config(SelectionMethod.ROULETTE_WHEEL, "per-bit", 2),
+                  str(tmp_path / "member"), jobs=1)
+        assert directory_bytes(tmp_path / "name") == directory_bytes(tmp_path / "member")
+        with pytest.raises(ValueError, match="unknown selection 'foo'; options: roulette-wheel"):
+            GAConfig(selection="foo")
+
+    @pytest.mark.parametrize("value", [20.0, True])
+    @pytest.mark.parametrize("cls, name", [
+        (GAConfig, "population_size"), (GAConfig, "max_generations"),
+        (SwitchCriteria, "stall_window"), (SwitchCriteria, "max_generations"),
+        (SQPConfig, "max_iter"),
+    ])
+    def test_count_must_be_an_int(self, cls, name, value):
+        # a float count would construct and then fail every run in range()
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
 
     def test_default_validation_rate_binds_to_the_problems_length(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -316,10 +338,10 @@ class TestRunBatch:
         finally:
             _REGISTRY.pop("fragile", None)
 
-    def test_nine_significant_digits(self):
-        assert cli_io._fmt(837.96577454486754) == "837.965775"
-        assert cli_io._fmt(0.000123456789123) == "0.000123456789"
-        assert cli_io._fmt(3) == "3"
+    def test_nine_significant_digits(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli_io._write_csv(path, ("a", "b", "c"), [(837.96577454486754, 0.000123456789123, 3)])
+        assert path.read_text() == "a,b,c\n837.965775,0.000123456789,3\n"
 
 
 def run_alone(cfg: RunConfig, index: int) -> dict:
@@ -508,6 +530,13 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--mode", mode, "--jobs", "1",
                      "--runs", "1", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_unknown_selection_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: ackley\ndimension: 2\nga: {selection: foo}\n")
+        assert main(["run", "--config", str(bad), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unknown selection 'foo'" in err
 
     def test_boolean_in_a_precision_list_exit_two(self, tmp_path, capsys):
         # numpy would read the true as a grid step of 1 in the first variable

@@ -1,5 +1,7 @@
 """Genotype mapping: bit lengths, decoding, encoding."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,14 @@ class TestComputeBitLength:
 
     def test_exact_power_takes_smaller_length(self):
         assert compute_bit_length(-5.12, 5.12, 0.01) == 10  # ratio exactly 1024
+
+    def test_ratio_one_ulp_above_a_power_takes_the_next_length(self):
+        # math.log2 rounds 1024 plus one ulp down to exactly 10
+        upper = 1024.0000000000002
+        assert upper > 2**10 and math.log2(upper) == 10.0
+        assert compute_bit_length(0.0, upper, 1.0) == 11
+        assert VariableSpec(0.0, upper, 1.0).bit_length == 11
+        assert EncodingSpec.for_bounds([0.0], [upper], 1.0).total_length == 11
 
     def test_both_inequality_sides_hold(self):
         rng = np.random.default_rng(7)

@@ -378,7 +378,7 @@ def ipm_two_solves(g, H, box, targets=None):
         if centred and (rnorm <= tol or rnorm >= last):
             break
         last = rnorm
-        W = H.plus_diagonal(z[:n] / t[:n] + z[n:] / t[n:])
+        W = Hessian(H.d + (z[:n] / t[:n] + z[n:] / t[n:]), H.U, H.C)
 
         def newton(c):
             ds = _factor(W)(c[:n] / t[:n] - c[n:] / t[n:] - r)
@@ -486,7 +486,7 @@ class TestFactorOnce:
         H = Hessian(np.array([1.0, 1.0]), np.array([[1.0], [0.0]]), np.array([[-3.0]]))
         g = np.array([1.0, 1.0])
         box = BoundBox(np.full(2, -1.0), np.full(2, 1.0))
-        solve = _factor(H.plus_diagonal(2.0))
+        solve = _factor(Hessian(H.d + 2.0, H.U, H.C))
         with pytest.raises(np.linalg.LinAlgError):
             solve(g)
         s = ipm_qp_solve(g, H, box)
@@ -500,7 +500,7 @@ class TestFactorOnce:
         g = np.array([1.0, 1.0])
         box = BoundBox(np.full(2, -1.0), np.full(2, 1.0))
         with pytest.raises(np.linalg.LinAlgError):
-            _factor(H.plus_diagonal(2.0))
+            _factor(Hessian(H.d + 2.0, H.U, H.C))
         s = ipm_qp_solve(g, H, box)
         np.testing.assert_array_equal(s, -BOUNDARY_FRACTION * g)
         np.testing.assert_array_equal(s, ipm_two_solves(g, H, box))
@@ -510,7 +510,7 @@ def ladder_by_rungs(hess, lambda_min):
     """The shift ladder testing every rung with _positive_definite (the oracle)."""
     lam = 0.0
     while True:
-        candidate = hess if lam == 0.0 else hess.plus_diagonal(lam)
+        candidate = hess if lam == 0.0 else Hessian(hess.d + lam, hess.U, hess.C)
         if _positive_definite(candidate):
             return candidate, lam
         lam = lambda_min if lam == 0.0 else lam * 10.0
