@@ -101,26 +101,25 @@ def _unique_key_loader() -> type:
 
 #: validation-round defaults for hybrid mode: a larger per-bit population with
 #: a patient stall detector digs the incumbent's basin out to grid precision.
-VALIDATION_GA_DEFAULTS = dict(
-    population_size=200, mutation_scheme="per-bit", mutation_rate="1/l"
-)
-VALIDATION_SWITCH_DEFAULTS = dict(
-    max_generations=800, stall_window=150, stall_epsilon=1e-9
-)
+VALIDATION_GA_DEFAULTS = dict(population_size=200, mutation_scheme="per-bit", mutation_rate="1/l")
+VALIDATION_SWITCH_DEFAULTS = dict(max_generations=800, stall_window=150, stall_epsilon=1e-9)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Settings for one experiment batch, checked and resolved at construction.
 
-    Building a ``RunConfig`` (from a file, in code, or by ``replace``) raises
-    :class:`ConfigError` for a bad seed, repetitions or mode, a problem that
-    does not exist at ``dimension``, a ``precision`` that gives no encoding
-    grid on the problem's bounds, or a mutation rate other than a number or
-    ``"1/l"``.  A ``mutation_rate_raw`` (``validation_mutation_rate_raw``)
-    is bound into ``ga`` (``validation_ga``): ``"1/l"`` as one over the
-    grid's string length, a number as itself; so ``ga`` and
-    ``validation_ga`` are final.  The runners rebuild the problem with
+    Building a ``RunConfig`` (from a file, in code, or by ``replace``)
+    raises :class:`ConfigError` for a bad seed, repetitions or mode, a
+    problem that does not exist at ``dimension``, a ``precision`` that gives
+    no encoding grid on the problem's bounds, or a mutation rate other than
+    a number or ``"1/l"``.  A ``mutation_rate_raw``
+    (``validation_mutation_rate_raw``) is bound into ``ga``
+    (``validation_ga``): ``"1/l"`` as one over the grid's string length, a
+    number as itself; so ``ga`` and ``validation_ga`` are final.  An unset
+    ``validation_ga`` or ``validation_switch`` gets the defaults that
+    :func:`load_config` gives an absent section, with a ``"1/l"`` rate
+    unless one is given.  The runners rebuild the problem with
     :meth:`make_problem` at run time rather than keep the one built here:
     ``get_problem`` may be rebound, or a problem factory registered again,
     after the config is built (``perfbench/tracing.py`` wraps it to trace
@@ -150,6 +149,15 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.mode not in ("hybrid", "ec", "sqp"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.validation_switch is None:
+            object.__setattr__(self, "validation_switch",
+                               SwitchCriteria(**VALIDATION_SWITCH_DEFAULTS))
+        if self.validation_ga is None:
+            defaults = dict(VALIDATION_GA_DEFAULTS)
+            rate = defaults.pop("mutation_rate")
+            object.__setattr__(self, "validation_ga", GAConfig(**defaults))
+            if self.validation_mutation_rate_raw is None:
+                object.__setattr__(self, "validation_mutation_rate_raw", rate)
         try:
             problem = self.make_problem()
         except KeyError as exc:
@@ -173,7 +181,7 @@ class RunConfig:
                     )
                 raw = 1.0 / spec.total_length
             ga = getattr(self, name)
-            if raw is not None and ga is not None:
+            if raw is not None:
                 try:
                     object.__setattr__(self, name, replace(ga, mutation_rate=float(raw)))
                 except (TypeError, ValueError) as exc:
@@ -244,10 +252,8 @@ def load_config(path: str | Path) -> RunConfig:
     val_ga_data = {**VALIDATION_GA_DEFAULTS, **section("validation_ga")}
     validation_ga, val_raw = parse_ga(val_ga_data, "validation_ga section")
     validation_switch = _build_section(
-        SwitchCriteria,
-        {**VALIDATION_SWITCH_DEFAULTS, **section("validation_switch")},
-        context="validation_switch section",
-    )
+        SwitchCriteria, {**VALIDATION_SWITCH_DEFAULTS, **section("validation_switch")},
+        context="validation_switch section")
     for required in ("problem", "dimension"):
         if required not in data:
             raise ConfigError(f"missing required key {required!r}")

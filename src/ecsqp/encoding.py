@@ -42,7 +42,9 @@ def compute_bit_length(lower: float, upper: float, precision: float) -> int:
         raise ValueError(f"need lower < upper, got [{lower}, {upper}]")
     if not precision > 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    ratio = (upper - lower) / precision
+    ratio = (float(upper) - float(lower)) / float(precision)  # overflows to inf, unwarned
+    if not math.isfinite(ratio):
+        raise ValueError(f"range [{lower}, {upper}] over precision {precision} is not finite")
     l = max(1, math.ceil(math.log2(ratio)))
     return l + 1 if ratio > 2**l else l
 

@@ -19,6 +19,7 @@ Sherman-Morrison-Woodbury through a ``k x k`` capacitance system in O(nk^2)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -42,11 +43,15 @@ __all__ = [
 WOLFE_C1 = 1e-4  # sufficient-decrease constant
 WOLFE_C2 = 0.9  # curvature constant
 LAMBDA_MIN = 1e-6  # first nonzero Hessian shift of the regularization ladder
-REGULARIZATION_LADDER_CAP = 1e8  # multiples of lambda_min tried before fallback
+REGULARIZATION_LADDER_CAP = 1e8  # multiples of LAMBDA_MIN tried before fallback
 DELTA_TOL = 1e-3  # gradient and direction norm change that counts as a stall
 MAX_LINE_SEARCH_EVALS = 50  # objective sweeps per line search
 BOUNDARY_FRACTION = 0.995  # fraction-to-boundary factor tau
 CENTRAL_PATH_END = 1e-8  # complementarity t_i z_i of the point the IPM returns
+#: the Hessian shifts 0, LAMBDA_MIN, 10 * LAMBDA_MIN, ... up to the cap, in the order tried
+SHIFT_LADDER = (0.0, *itertools.takewhile(
+    lambda lam: lam <= REGULARIZATION_LADDER_CAP * LAMBDA_MIN,
+    itertools.accumulate(itertools.repeat(10.0), lambda lam, _: lam * 10.0, initial=LAMBDA_MIN)))
 
 
 class LineSearchError(RuntimeError):
@@ -213,40 +218,26 @@ def _factor(W: Hessian, shift=None) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def regularize_hessian(hess: Hessian, lambda_min: float) -> tuple[Hessian | None, float]:
-    """Smallest diagonal shift from {0, lambda_min, 10*lambda_min, ...} that
-    makes the matrix positive definite.
+def regularize_hessian(hess: Hessian) -> tuple[Hessian | None, float]:
+    """The shifted matrix and the first shift of :data:`SHIFT_LADDER` that
+    makes ``hess`` positive definite; ``(None, inf)`` when none does.
 
-    Returns ``(shifted_matrix, lambda)`` or ``(None, inf)`` if the ladder cap
-    is exceeded; ``lambda_min`` must be positive with a finite cap
-    ``REGULARIZATION_LADDER_CAP * lambda_min``.  Rounding is monotone, so
-    ``d + lambda`` is positive exactly when ``min(d) + lambda`` is: a
-    diagonal ``hess`` (``k = 0``) is decided on that one number.  For
-    ``k > 0`` the elementwise tests of :func:`_positive_split`, ``d + lambda
-    > 0`` and ``d + lambda + diag(U C U^T) > 0``, are made for every rung at
-    once; a rung that fails both is not positive definite, and only the
-    others go to :func:`_positive_definite`, from the smallest up.
+    A rung ``lambda`` first takes :func:`_positive_split`'s elementwise test:
+    ``min(d) + lambda > 0`` (exact, as rounding is monotone) or, for ``k >
+    0``, ``d + lambda + diag(U C U^T) > 0``.  A rung that passes is accepted
+    as it is when ``k = 0`` and by :func:`_positive_definite` when ``k > 0``.
     """
-    if not (lambda_min > 0.0 and math.isfinite(REGULARIZATION_LADDER_CAP * lambda_min)):
-        raise ValueError(
-            f"lambda_min must be positive with a finite ladder cap, got {lambda_min!r}")
-    rungs, lam = [0.0], lambda_min
-    while lam <= REGULARIZATION_LADDER_CAP * lambda_min:
-        rungs.append(lam)
-        lam *= 10.0
-    if hess.k:
-        shifted = hess.d + np.array(rungs)[:, None]
-        split_ok = (shifted > 0.0).all(axis=1) | (
-            shifted + _low_rank_diagonal(hess.U, hess.C) > 0.0).all(axis=1)
-        chosen = (lam for lam, ok in zip(rungs, split_ok)
-                  if ok and _positive_definite(hess, None if lam == 0.0 else lam))
-    else:
-        lowest = float(hess.d.min(initial=np.inf))
-        chosen = (lam for lam in rungs if lowest + lam > 0.0)
-    lam = next(chosen, None)
-    if lam is None:
-        return None, math.inf
-    return (hess if lam == 0.0 else Hessian._new(hess.d + lam, hess.U, hess.C)), lam
+    lowest, low_rank = float(hess.d.min(initial=np.inf)), None
+    for lam in SHIFT_LADDER:
+        if not lowest + lam > 0.0:
+            if not hess.k:
+                continue
+            low_rank = _low_rank_diagonal(hess.U, hess.C) if low_rank is None else low_rank
+            if not (hess.d + lam + low_rank > 0.0).all():
+                continue
+        if not hess.k or _positive_definite(hess, None if lam == 0.0 else lam):
+            return (hess if lam == 0.0 else Hessian._new(hess.d + lam, hess.U, hess.C)), lam
+    return None, math.inf
 
 
 def wolfe_line_search(
@@ -393,20 +384,20 @@ def _search_direction(
 ) -> tuple[np.ndarray, float]:
     """Regularized Newton direction of ``0.5 d^T H d + g^T d`` and its shift.
 
-    ``H + lambda I`` is the first rung of :func:`regularize_hessian`'s ladder
-    that is positive definite.  The direction solves ``(H + lambda I) d =
-    -g``.  With ``step_box``, that step is kept when it goes at most
-    :data:`BOUNDARY_FRACTION` of the way to every bound: the shifted model
-    is strictly convex, so the step is then its exact minimizer over the
-    box.  Otherwise, or when the system cannot be solved or its solution
-    has a NaN entry (tested here, as :func:`_fraction_to_boundary` skips
-    NaN entries), :func:`ipm_qp_solve` minimizes the model over the step
-    box.  An exhausted ladder, a direction that does not point downhill,
-    or an unsolvable system without a step box falls back to steepest
-    descent with ``lambda = inf``, cut back to :data:`BOUNDARY_FRACTION` of
-    the way to the step box.
+    ``lambda`` is the first shift of :data:`SHIFT_LADDER` that makes ``H +
+    lambda I`` positive definite (:func:`regularize_hessian`), and the
+    direction solves ``(H + lambda I) d = -g``.  With ``step_box``, that
+    step is kept when it goes at most :data:`BOUNDARY_FRACTION` of the way
+    to every bound: the shifted model is strictly convex, so the step is
+    then its exact minimizer over the box.  Otherwise, or when the system
+    cannot be solved or its solution has a NaN entry (tested here, as
+    :func:`_fraction_to_boundary` skips NaN entries), :func:`ipm_qp_solve`
+    minimizes the model over the step box.  An exhausted ladder, a direction
+    that does not point downhill, or an unsolvable system without a step box
+    falls back to steepest descent with ``lambda = inf``, cut back to
+    :data:`BOUNDARY_FRACTION` of the way to the step box.
     """
-    shifted, lam = regularize_hessian(hess, LAMBDA_MIN)
+    shifted, lam = regularize_hessian(hess)
     if shifted is not None:
         try:
             d = _factor(shifted)(-grad)

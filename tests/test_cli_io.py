@@ -161,6 +161,38 @@ class TestRunConfigInCode:
         with pytest.raises(ValueError, match=name):
             cls(**{name: value})
 
+    def test_unset_validation_round_is_the_files_default(self, tmp_path):
+        # unfilled, a code-built hybrid run validated with the exploration GA:
+        # 3,156 evaluations here against the loaded config's 50,386
+        path = tmp_path / "run.yaml"
+        path.write_text("problem: schwefel-max\ndimension: 2\nseed: 3\n")
+        loaded = load_config(path)
+        built = RunConfig(problem="schwefel-max", dimension=2, seed=3)
+        assert built.validation_ga == loaded.validation_ga
+        assert built.validation_switch == loaded.validation_switch
+        assert built.validation_ga.mutation_rate == 1 / 34
+        run_batch(built, str(tmp_path / "built"), jobs=1)
+        run_batch(loaded, str(tmp_path / "loaded"), jobs=1)
+        assert directory_bytes(tmp_path / "built") == directory_bytes(tmp_path / "loaded")
+        summary = (tmp_path / "built" / "summary.txt").read_text()
+        assert "evaluations per run: mean=50386.0" in summary
+
+    def test_unset_validation_ga_takes_a_given_rate(self, tmp_path):
+        # the filled section binds validation_mutation_rate_raw, not "1/l"
+        path = tmp_path / "run.yaml"
+        path.write_text("problem: ackley\ndimension: 3\nvalidation_ga: {mutation_rate: 0.05}\n")
+        built = RunConfig(problem="ackley", dimension=3, validation_mutation_rate_raw=0.05)
+        assert built.validation_ga == load_config(path).validation_ga
+        assert built.validation_ga.mutation_rate == 0.05
+        assert built.validation_ga.population_size == 200
+
+    def test_given_validation_round_is_kept(self):
+        ga = GAConfig(population_size=30, mutation_rate=0.02)
+        switch = SwitchCriteria(max_generations=10, stall_window=4)
+        cfg = RunConfig(problem="ackley", dimension=3, validation_ga=ga,
+                        validation_switch=switch)
+        assert cfg.validation_ga == ga and cfg.validation_switch == switch
+
     def test_default_validation_rate_binds_to_the_problems_length(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("problem: ackley\ndimension: 3\n")
@@ -511,7 +543,7 @@ class TestCli:
         {"ga": "null"}, {"validation_ga": "null"}, {"sqp": "3"}, {"switch": "[1, 2]"},
         {"dimension": "two"}, {"dimension": "0"},
         {"problem": "schwefel-max", "dimension": "3"},
-        {"precision": "abc"}, {"precision": "-1"},
+        {"precision": "abc"}, {"precision": "-1"}, {"precision": "1.0e-320"},
         {"seed": "abc"}, {"seed": "1.5"}, {"seed": "-3"}, {"seed": "true"},
         {"repetitions": "2.5"}, {"repetitions": "true"},
         {"precision": "true"}, {"ga": "{max_generations: true}"},

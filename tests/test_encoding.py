@@ -65,6 +65,14 @@ class TestComputeBitLength:
         with pytest.raises(ValueError):
             compute_bit_length(2.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("lower, upper, precision", [
+        (0.0, 1.0, 1e-320), (-1.7e308, 1.7e308, 1.0), (0.0, math.inf, 1.0),
+    ])
+    def test_ratio_past_the_float_range_raises(self, lower, upper, precision):
+        # math.log2(inf) would raise OverflowError, which no caller turns into a config error
+        with pytest.raises(ValueError, match="not finite"):
+            compute_bit_length(lower, upper, precision)
+
 
 class TestDecode:
     def test_worked_example_follows_mapping_formula(self):

@@ -16,6 +16,7 @@ from ecsqp.local_search import (
     CENTRAL_PATH_END,
     LAMBDA_MIN,
     REGULARIZATION_LADDER_CAP,
+    SHIFT_LADDER,
     BoundBox,
     LineSearchError,
     SQPConfig,
@@ -79,7 +80,7 @@ class TestNewtonDirection:
 
     def test_regularize_ladder_gives_up(self):
         H = Hessian.from_dense(np.array([[-1e12]]))
-        H_pd, lam = regularize_hessian(H, 1e-6)
+        H_pd, lam = regularize_hessian(H)
         assert H_pd is None and lam == math.inf
 
 
@@ -157,7 +158,7 @@ class TestIpmQpSolve:
         problem = get_problem("ackley", 10)
         x = 1e-8 * np.linspace(-1.0, 1.0, 10) + 1e-9
         _, g, H = ad.evaluate(problem.fn, x)
-        H, lam = regularize_hessian(H, 1e-6)
+        H, lam = regularize_hessian(H)
         assert lam == 0.0
         box = BoundBox(problem.bounds.lower - x, problem.bounds.upper - x)
         solve = np.linalg.solve
@@ -192,7 +193,7 @@ class TestIpmQpSolve:
         x = np.full(10, 420.9687463)
         x[0] = -499.99999999403667
         _, g, H = ad.evaluate(problem.fn, x)
-        H, _ = regularize_hessian(H, LAMBDA_MIN)
+        H, _ = regularize_hessian(H)
         s = ipm_qp_solve(g, H, BoundBox(lower - x, upper - x))
         assert np.all(x + s > lower) and np.all(x + s < upper)
 
@@ -291,7 +292,7 @@ class TestWoodburySolve:
             if abs(lowest) < 1e-8:
                 continue
             decided += 1
-            assert (regularize_hessian(W, 1e-6)[1] == 0.0) == (lowest > 0.0)
+            assert (regularize_hessian(W)[1] == 0.0) == (lowest > 0.0)
         assert decided > 250
 
     def test_ipm_step_same_for_structured_and_dense(self, rng):
@@ -299,7 +300,7 @@ class TestWoodburySolve:
         for _ in range(10):
             x = rng.uniform(-3.0, 3.0, size=10)
             _, g, H = ad.evaluate(problem.fn, x)
-            H_pd, _ = regularize_hessian(H, 1e-6)
+            H_pd, _ = regularize_hessian(H)
             assert H_pd.k == 3
             box = BoundBox(problem.bounds.lower - x, problem.bounds.upper - x)
             structured = ipm_qp_solve(g, H_pd, box)
@@ -415,7 +416,7 @@ def captured_subproblems(monkeypatch, name, starts):
     direction = local_search._search_direction
 
     def record(grad, hess, step_box):
-        shifted, _ = regularize_hessian(hess, LAMBDA_MIN)
+        shifted, _ = regularize_hessian(hess)
         if shifted is not None:
             seen.append((grad, shifted, step_box))
         return direction(grad, hess, step_box)
@@ -506,30 +507,33 @@ class TestFactorOnce:
         np.testing.assert_array_equal(s, ipm_two_solves(g, H, box))
 
 
-def ladder_by_rungs(hess, lambda_min):
+def nonzero_rungs():
+    """The ladder's shifts after 0, up to the cap."""
+    lam, out = LAMBDA_MIN, []
+    while lam <= REGULARIZATION_LADDER_CAP * LAMBDA_MIN:
+        out.append(lam)
+        lam *= 10.0
+    return out
+
+
+def ladder_by_rungs(hess):
     """The shift ladder testing every rung with _positive_definite (the oracle)."""
-    lam = 0.0
-    while True:
+    for lam in [0.0] + nonzero_rungs():
         candidate = hess if lam == 0.0 else Hessian(hess.d + lam, hess.U, hess.C)
         if _positive_definite(candidate):
             return candidate, lam
-        lam = lambda_min if lam == 0.0 else lam * 10.0
-        if lam > REGULARIZATION_LADDER_CAP * lambda_min:
-            return None, math.inf
+    return None, math.inf
+
+
+def test_shift_ladder_is_the_recurrence():
+    assert [lam.hex() for lam in SHIFT_LADDER] == [lam.hex() for lam in [0.0] + nonzero_rungs()]
 
 
 class TestDiagonalLadder:
-    def rungs(self, lambda_min):
-        lam, out = lambda_min, []
-        while lam <= REGULARIZATION_LADDER_CAP * lambda_min:
-            out.append(lam)
-            lam *= 10.0
-        return out
-
-    def assert_same(self, d, lambda_min):
+    def assert_same(self, d):
         hess = Hessian(d)
-        got, lam = regularize_hessian(hess, lambda_min)
-        want, want_lam = ladder_by_rungs(hess, lambda_min)
+        got, lam = regularize_hessian(hess)
+        want, want_lam = ladder_by_rungs(hess)
         assert lam == want_lam
         if want is None:
             assert got is None and lam == math.inf
@@ -539,45 +543,35 @@ class TestDiagonalLadder:
         assert (got is hess) == (want is hess)
 
     def test_matches_the_rung_loop_bitwise(self, rng):
-        for lambda_min in (LAMBDA_MIN, 1e-3, 0.37):
-            rungs = self.rungs(lambda_min)
-            for _ in range(300):
-                n = int(rng.integers(1, 101))
-                d = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8, 3)
-                self.assert_same(d, lambda_min)
-            for _ in range(20):  # already positive
-                self.assert_same(rng.uniform(1e-12, 5.0, 50), lambda_min)
-            for lam in rungs:  # minimum exactly -lam, and its neighbours
-                for low in (-lam, np.nextafter(-lam, 0.0), np.nextafter(-lam, -np.inf)):
-                    d = rng.uniform(0.0, 5.0, 30)
-                    d[int(rng.integers(30))] = low
-                    self.assert_same(d, lambda_min)
-            for low in (-rungs[-1], -2.0 * rungs[-1]):  # past the cap
+        rungs = nonzero_rungs()
+        for _ in range(300):
+            n = int(rng.integers(1, 101))
+            self.assert_same(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8, 3))
+        for _ in range(20):  # already positive
+            self.assert_same(rng.uniform(1e-12, 5.0, 50))
+        for lam in rungs:  # minimum exactly -lam, and its neighbours
+            for low in (-lam, np.nextafter(-lam, 0.0), np.nextafter(-lam, -np.inf)):
                 d = rng.uniform(0.0, 5.0, 30)
-                d[3] = low
-                self.assert_same(d, lambda_min)
-                assert regularize_hessian(Hessian(d), lambda_min) == (None, math.inf)
+                d[int(rng.integers(30))] = low
+                self.assert_same(d)
+        for low in (-rungs[-1], -2.0 * rungs[-1]):  # past the cap
+            d = rng.uniform(0.0, 5.0, 30)
+            d[3] = low
+            self.assert_same(d)
+            assert regularize_hessian(Hessian(d)) == (None, math.inf)
         # Rastrigin's diagonal 2 - 40 pi^2 cos(2 pi x) reaches -393, past 1e-6 * 1e8
         d = np.full(100, 2.0 - 40.0 * math.pi**2)
-        assert regularize_hessian(Hessian(d), LAMBDA_MIN) == (None, math.inf)
-
-
-def nonzero_rungs(lambda_min):
-    """The ladder's shifts after 0, up to the cap."""
-    lam, out = lambda_min, []
-    while lam <= REGULARIZATION_LADDER_CAP * lambda_min:
-        out.append(lam)
-        lam *= 10.0
-    return out
+        assert regularize_hessian(Hessian(d)) == (None, math.inf)
 
 
 class TestLowRankLadder:
-    """The k > 0 ladder, which decides the rungs failing both elementwise
-    tests of ``_positive_split`` at once, against the rung loop."""
+    """The k > 0 ladder, which rejects a rung failing both elementwise tests
+    of ``_positive_split`` without a definiteness test, against the rung
+    loop."""
 
-    def assert_same(self, hess, lambda_min):
-        got, lam = regularize_hessian(hess, lambda_min)
-        want, want_lam = ladder_by_rungs(hess, lambda_min)
+    def assert_same(self, hess):
+        got, lam = regularize_hessian(hess)
+        want, want_lam = ladder_by_rungs(hess)
         assert lam == want_lam
         if want is None:
             assert got is None and lam == math.inf
@@ -595,19 +589,17 @@ class TestLowRankLadder:
 
     def test_matches_the_rung_loop_bitwise(self, rng):
         lams = set()
-        for lambda_min in (LAMBDA_MIN, 1e-3, 0.37):
-            for _ in range(300):
-                n = int(rng.integers(1, 41))
-                k = int(rng.integers(1, n + 1))
-                hess = self.structured(rng, n, k, 10.0 ** rng.uniform(-8, 3))
-                lams.add(self.assert_same(hess, lambda_min))
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            k = int(rng.integers(1, n + 1))
+            lams.add(self.assert_same(self.structured(rng, n, k, 10.0 ** rng.uniform(-8, 3))))
         assert {0.0, math.inf} < lams  # some shifted, some not, some exhausted
 
     def test_dense_resplit_rung(self, rng):
         # d + lambda is not positive at entry 0, the full diagonal is: the
         # matrix diag(1, 3) is positive definite with no shift
         hess = Hessian(np.array([-1.0, 3.0]), np.array([[1.0], [0.0]]), np.array([[2.0]]))
-        assert self.assert_same(hess, LAMBDA_MIN) == 0.0
+        assert self.assert_same(hess) == 0.0
         resplit = 0
         for _ in range(300):
             n = int(rng.integers(2, 30))
@@ -616,7 +608,7 @@ class TestLowRankLadder:
             full = ((U @ C) * U).sum(axis=1)
             d = rng.uniform(0.1, 2.0, n)
             d[0] = -rng.uniform(0.0, 1.5) * full[0]  # full diagonal may stay positive
-            lam = self.assert_same(Hessian(d, U, C), LAMBDA_MIN)
+            lam = self.assert_same(Hessian(d, U, C))
             resplit += lam < -d[0] and lam < math.inf
         assert resplit > 0
 
@@ -624,23 +616,21 @@ class TestLowRankLadder:
         # entry i of the matrix is decoupled (U[i] = 0), so its eigenvalue is
         # d[i] = -lam, one ulp either side of it, or past the cap; a second
         # entry puts the same value on the full diagonal through U C U^T
-        for lambda_min in (LAMBDA_MIN, 0.37):
-            rungs = nonzero_rungs(lambda_min)
-            for lam in rungs + [2.0 * rungs[-1]]:
-                for low in (-lam, np.nextafter(-lam, 0.0), np.nextafter(-lam, -np.inf)):
-                    n = 12
-                    U = rng.normal(size=(n, 2))
-                    U[3] = 0.0
-                    C = np.diag(rng.uniform(0.5, 3.0, 2))
-                    d = rng.uniform(0.1, 5.0, n)
-                    d[3] = low
-                    self.assert_same(Hessian(d, U, C), lambda_min)
-                    full = ((U @ C) * U).sum(axis=1)
-                    d[3], d[5] = 1.0, low - full[5]
-                    self.assert_same(Hessian(d, U, C), lambda_min)
-            d = np.full(5, -2.0 * rungs[-1])
-            assert regularize_hessian(Hessian(d, np.eye(5)[:, :2], np.eye(2)),
-                                      lambda_min) == (None, math.inf)
+        rungs = nonzero_rungs()
+        for lam in rungs + [2.0 * rungs[-1]]:
+            for low in (-lam, np.nextafter(-lam, 0.0), np.nextafter(-lam, -np.inf)):
+                n = 12
+                U = rng.normal(size=(n, 2))
+                U[3] = 0.0
+                C = np.diag(rng.uniform(0.5, 3.0, 2))
+                d = rng.uniform(0.1, 5.0, n)
+                d[3] = low
+                self.assert_same(Hessian(d, U, C))
+                full = ((U @ C) * U).sum(axis=1)
+                d[3], d[5] = 1.0, low - full[5]
+                self.assert_same(Hessian(d, U, C))
+        d = np.full(5, -2.0 * rungs[-1])
+        assert regularize_hessian(Hessian(d, np.eye(5)[:, :2], np.eye(2))) == (None, math.inf)
 
     def test_ackley_shift_of_one_makes_one_definiteness_test(self, monkeypatch):
         # the parent's rung loop made 8 calls here: lambda = 0, 1e-6, ..., 1
@@ -656,21 +646,28 @@ class TestLowRankLadder:
             return test(*args)
 
         monkeypatch.setattr(local_search, "_positive_definite", counting)
-        shifted, lam = regularize_hessian(hess, LAMBDA_MIN)
+        shifted, lam = regularize_hessian(hess)
         assert hess.k == 3 and lam == 1.0 and calls == 1
         monkeypatch.setattr(local_search, "_positive_definite", test)
-        want, want_lam = ladder_by_rungs(hess, LAMBDA_MIN)
+        want, want_lam = ladder_by_rungs(hess)
         assert want_lam == lam
         np.testing.assert_array_equal(shifted.d, want.d)
 
-    @pytest.mark.parametrize("lambda_min", [0.0, math.nan, -1e-6, math.inf, 1e301])
-    @pytest.mark.parametrize("k", [0, 2])
-    def test_bad_lambda_min_raises(self, lambda_min, k):
-        # not positive definite, so a zero or NaN lambda_min, or one whose cap
-        # 1e8 * lambda_min overflows, would climb forever
-        hess = Hessian(np.array([-1.0, 2.0, 3.0]), np.eye(3)[:, :k], np.eye(k))
-        with pytest.raises(ValueError, match="lambda_min"):
-            regularize_hessian(hess, lambda_min)
+    def test_positive_diagonal_part_skips_the_low_rank_diagonal(self, monkeypatch):
+        # rung 0 passes on d alone, so diag(U C U^T) is never formed: one
+        # definiteness test, which splits as (d, U, C) without it either
+        hess = Hessian(np.array([2.0, 3.0, 4.0]), np.eye(3)[:, :2], np.diag([1.0, -0.5]))
+        diagonal = local_search._low_rank_diagonal
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return diagonal(*args)
+
+        monkeypatch.setattr(local_search, "_low_rank_diagonal", counting)
+        shifted, lam = regularize_hessian(hess)
+        assert shifted is hess and lam == 0.0 and calls == 0
 
 
 class TestNanNewtonStep:

@@ -25,13 +25,17 @@ def sqp_audit():
 
 
 def test_two_starts(sqp_audit, capsys):
-    counted = (local_search.ipm_qp_solve, local_search._positive_definite, np.linalg.qr)
+    counted = (local_search.ipm_qp_solve, local_search._positive_definite, np.linalg.qr,
+               local_search.regularize_hessian)
     assert sqp_audit.main(["--seed", "4242", "--seconds", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert (local_search.ipm_qp_solve, local_search._positive_definite, np.linalg.qr) == counted
+    assert (local_search.ipm_qp_solve, local_search._positive_definite, np.linalg.qr,
+            local_search.regularize_hessian) == counted
 
     header, *starts, total, digest = lines
     assert header.split()[:4] == ["start", "f_hex", "sweeps", "iterations"]
+    assert header.split()[-6:] == ["k0_lam0", "k0_shift", "k0_none",
+                                   "k1_lam0", "k1_shift", "k1_none"]
     assert [line.split()[0].split("/")[1] for line in starts] == ["ackley", "rastrigin"]
     rows = [[int(v) for v in line.split()[2:]] for line in starts]
     assert total.split()[0] == "seed=4242/total"
@@ -50,6 +54,9 @@ def test_two_starts(sqp_audit, capsys):
     # Ackley's Hessian has k = 3 columns, so its ladder tests definiteness;
     # Rastrigin's is diagonal and decided in closed form
     assert rows[0][3] > 0 and rows[1][3] == 0 == rows[1][4]
+    ackley, rastrigin = rows[0][-6:], rows[1][-6:]
+    assert ackley[:3] == [0, 0, 0] and sum(ackley) >= rows[0][1]
+    assert rastrigin[3:] == [0, 0, 0] and sum(rastrigin) >= rows[1][1]
 
     assert sqp_audit.main(["--seed", "4242", "--seconds", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == digest

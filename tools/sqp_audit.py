@@ -12,7 +12,11 @@ Ackley and Rastrigin at n=100.  Every start runs through the workload's own
 One line per start gives its label, the final ``f.hex()``, the objective
 sweeps, the iterations, and the calls of ``ipm_qp_solve``,
 ``_positive_definite`` and ``np.linalg.qr`` it made (counted by wrappers
-around those module attributes).  A ``total`` line per seed sums the counts,
+around those module attributes).  Six more columns count the
+``regularize_hessian`` calls by the Hessian's kind, diagonal (``k0``) or
+low-rank (``k1``, for k > 0), and by where its shift ladder ended: at
+lambda = 0 (``lam0``), at a positive shift (``shift``) or past the last
+rung (``none``).  A ``total`` line per seed sums the counts,
 and the last line is the SHA-256 of the full trace of every start of every
 seed: the final ``f``, sweeps and stop reason, and per iterate its ``f``,
 shift ``lambda_used``, step length and the sum of its ``x``, all as
@@ -38,6 +42,8 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 COUNTED = ((local_search, "ipm_qp_solve"), (local_search, "_positive_definite"),
            (np.linalg, "qr"))
 NAMES = [attr for _, attr in COUNTED]
+LADDER = [f"{kind}_{end}" for kind in ("k0", "k1") for end in ("lam0", "shift", "none")]
+COLUMNS = NAMES + LADDER
 
 
 def sqp_n100():
@@ -55,6 +61,16 @@ def counting(calls: Counter, name: str, fn):
     def wrapped(*args, **kwargs):
         calls[name] += 1
         return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def ladder_counting(calls: Counter, regularize):
+    def wrapped(hess):
+        shifted, lam = out = regularize(hess)
+        end = "lam0" if lam == 0.0 else "none" if shifted is None else "shift"
+        calls[f"k{min(hess.k, 1)}_{end}"] += 1
+        return out
 
     return wrapped
 
@@ -79,26 +95,30 @@ def main(argv: list[str] | None = None) -> int:
     originals = [getattr(owner, attr) for owner, attr in COUNTED]
     for (owner, attr), fn in zip(COUNTED, originals):
         setattr(owner, attr, counting(calls, attr, fn))
+    regularize = local_search.regularize_hessian
+    local_search.regularize_hessian = ladder_counting(calls, regularize)
     digest = hashlib.sha256()
     try:
-        print("start f_hex sweeps iterations " + " ".join(f"{c}_calls" for c in NAMES))
+        print("start f_hex sweeps iterations "
+              + " ".join([f"{c}_calls" for c in NAMES] + LADDER))
         for seed in args.seed:
             totals: Counter = Counter()
             for case in workload.cases(seed, args.seconds):
                 calls.clear()
                 label, result = case.label, workload.run(case, lambda p: p)
                 row = Counter(sweeps=result.evaluations, iterations=len(result.trace),
-                              **{c: calls[c] for c in NAMES})
+                              **{c: calls[c] for c in COLUMNS})
                 totals.update(row)
                 print(f"seed={seed}/{label} {result.f.hex()} {row['sweeps']} "
-                      f"{row['iterations']} " + " ".join(str(row[c]) for c in NAMES))
+                      f"{row['iterations']} " + " ".join(str(row[c]) for c in COLUMNS))
                 for line in trace_lines(f"seed={seed}/{label}", result):
                     digest.update(line.encode() + b"\n")
             print(f"seed={seed}/total - {totals['sweeps']} {totals['iterations']} "
-                  + " ".join(str(totals[c]) for c in NAMES))
+                  + " ".join(str(totals[c]) for c in COLUMNS))
     finally:
         for (owner, attr), fn in zip(COUNTED, originals):
             setattr(owner, attr, fn)
+        local_search.regularize_hessian = regularize
     print(f"trace-sha256 {digest.hexdigest()}")
     return 0
 
