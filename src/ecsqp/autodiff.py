@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 from numbers import Real
 from typing import Callable
 
@@ -62,6 +63,14 @@ class ADDomainError(ValueError):
         super().__init__(f"{op} undefined at value {value!r}")
         self.op = op
         self.value = value
+
+
+@lru_cache(maxsize=8)
+def _zeros(n: int) -> np.ndarray:
+    """Read-only zero vector of length ``n``."""
+    zeros = np.zeros(n)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def _require(op: str, ok, value) -> None:
@@ -366,7 +375,9 @@ class ADVector(ADScalar):
             raise ValueError("value/gradient/Hessian diagonals must be 1-D of one length")
 
     def _chain(self, op: str, value, d1, d2) -> "ADVector":
-        if not math.isfinite((value + d1 + d2).sum()):  # or a sum of finite ones overflowed
+        # the dot with zeros is 0 when every entry is finite and NaN otherwise,
+        # or when an entry's sum of finite terms overflowed
+        if not math.isfinite(np.dot(value + d1 + d2, _zeros(self.n))):
             _require(op, np.isfinite(value) & np.isfinite(d1) & np.isfinite(d2), self.value)
         return ADVector._new(value, d1 * self.grad, self.hess * d1 + d2 * (self.grad * self.grad),
                              self.nonsmooth)

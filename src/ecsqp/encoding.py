@@ -28,6 +28,9 @@ __all__ = [
 MAX_BIT_LENGTH = 53
 #: Widest field whose integer codes float32 holds exactly.
 FLOAT32_BIT_LENGTH = 24
+#: Fields per place-value product in :func:`decode_batch`, below the size at
+#: which OpenBLAS runs a product on several threads.
+DECODE_BLOCK = 8192
 
 
 def compute_bit_length(lower: float, upper: float, precision: float) -> int:
@@ -107,30 +110,33 @@ class EncodingSpec:
         return len(self.variables)
 
     @cached_property
-    def _decoder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(W, lower, span, denom)`` for decoding by one matmul.
+    def _decoder(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """``(powers, spread, lower, span, denom)`` for decoding field by field.
 
-        ``W`` is the ``(L, n)`` place-value matrix: column i holds the powers
-        of two of variable i's field (big-endian, the first bit is the most
-        significant) and zeros elsewhere.  Every code is an integer below
-        2**53, so ``bits @ W`` is exact in float64.  When no field is wider
-        than 24 bits, ``W`` is float32: every partial sum of the product is
-        then an integer below 2**24, so the float32 product is exact too,
-        and dividing it by the float64 ``denom`` gives the float64 result
-        bit for bit.
+        ``powers`` is the ``(w,)`` place-value vector of the widest field
+        (big-endian: the first bit is the most significant), and a row's
+        fields, each left-padded with zero bits to width ``w``, decode as
+        ``row.reshape(n, w) @ powers``.  ``spread`` is None when every field
+        is ``w`` bits wide; otherwise it holds each bit's column in the
+        ``n * w`` padded row.  Every code is an integer below 2**53, so the
+        product is exact in float64.  When no field is wider than 24 bits,
+        ``powers`` is float32: every partial sum is then an integer below
+        2**24, so the float32 product is exact too, and dividing it by the
+        float64 ``denom`` gives the float64 result bit for bit.
         """
-        exact_in_float32 = max(v.bit_length for v in self.variables) <= FLOAT32_BIT_LENGTH
-        W = np.zeros((self.total_length, self.dimension),
-                     dtype=np.float32 if exact_in_float32 else np.float64)
-        start = 0
-        for i, v in enumerate(self.variables):
-            stop = start + v.bit_length
-            W[start:stop, i] = 2.0 ** np.arange(v.bit_length - 1, -1, -1)
-            start = stop
+        widths = np.array([v.bit_length for v in self.variables])
+        w = int(widths.max())
+        powers = 2.0 ** np.arange(w - 1, -1, -1)
+        if w <= FLOAT32_BIT_LENGTH:
+            powers = powers.astype(np.float32)
+        spread = None
+        if (widths < w).any():  # field i's bits shift right by its padding and all before it
+            spread = np.arange(self.total_length) + np.repeat(np.cumsum(w - widths), widths)
         lower = np.array([v.lower for v in self.variables])
         span = np.array([v.upper - v.lower for v in self.variables])
-        denom = np.array([2.0**v.bit_length - 1 for v in self.variables])
-        return W, lower, span, denom
+        denom = 2.0**widths - 1
+        return powers, spread, lower, span, denom
 
 
 def random_bits(length: int, count: int, rng) -> np.ndarray:
@@ -140,7 +146,12 @@ def random_bits(length: int, count: int, rng) -> np.ndarray:
 
 
 def decode_batch(bits: np.ndarray, spec: EncodingSpec) -> np.ndarray:
-    """Decode a ``(m, L)`` bit matrix into a ``(m, n)`` matrix of reals."""
+    """Decode a ``(m, L)`` bit matrix into a ``(m, n)`` matrix of reals.
+
+    The fields go through the place-value product in blocks of
+    :data:`DECODE_BLOCK`, which keeps each product below the size at which
+    the BLAS starts threads.
+    """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
         raise ValueError("expected a 2-D bit matrix")
@@ -149,8 +160,21 @@ def decode_batch(bits: np.ndarray, spec: EncodingSpec) -> np.ndarray:
             f"chromosome length {bits.shape[1]} does not match encoding length "
             f"{spec.total_length}"
         )
-    W, lower, span, denom = spec._decoder
-    return lower + span * ((bits @ W) / denom)
+    powers, spread, lower, span, denom = spec._decoder
+    m, n, w = bits.shape[0], spec.dimension, powers.shape[0]
+    if spread is not None:
+        padded = np.zeros((m, n * w), dtype=np.uint8)
+        padded[:, spread] = bits
+        bits = padded
+    fields = bits.reshape(m * n, w)
+    codes = np.empty(m * n, dtype=powers.dtype)
+    for start in range(0, m * n, DECODE_BLOCK):
+        stop = start + DECODE_BLOCK
+        np.matmul(fields[start:stop], powers, out=codes[start:stop])
+    x = codes.reshape(m, n) / denom
+    x *= span
+    x += lower
+    return x
 
 
 def decode(bits: np.ndarray, spec: EncodingSpec) -> np.ndarray:

@@ -237,11 +237,12 @@ class FitnessStats:
             raise ValueError("cannot summarize an empty fitness vector")
         mean = np.add.reduce(values, axis=-1) / n  # ndarray.mean's sum, without its overhead
         d = values - _per_run(mean)
+        d *= d
         fields = (
             mean,
-            np.add.reduce(d * d, axis=-1) / n,  # population form, as ndarray.var
-            values.max(axis=-1),
-            values.min(axis=-1),
+            np.add.reduce(d, axis=-1) / n,  # population form, as ndarray.var
+            np.maximum.reduce(values, axis=-1),
+            np.minimum.reduce(values, axis=-1),
         )
         if values.ndim == 1:
             fields = map(float, fields)
@@ -319,20 +320,20 @@ def binary_tournament_cycle(
     The population is randomly paired off twice, so every chromosome takes
     part in exactly two contests and the best member always wins both of its
     contests.  Yields exactly N winner indices per run; ties break uniformly.
+    Each round draws its pairing permutation, then its N/2 tie coins (the
+    first round's before the second's); the two rounds' contests are then
+    decided together, the first round's winners first.
     """
     n = len(pop)
     if n % 2 != 0:
         raise ValueError("tournament cycles need an even population")
-    f = pop.fitness.ravel()
-    half = n // 2
-    rounds = []
-    for _ in range(2):
-        perm = rng.permutation(n)
-        coin = rng.random(half) < 0.5
-        a, b = perm[..., 0::2], perm[..., 1::2]
-        fa, fb = f[_flat(a, n)], f[_flat(b, n)]
-        rounds.append(np.where((fa > fb) | ((fa == fb) & coin), a, b))
-    return np.concatenate(rounds, axis=-1)
+    perm1, coin1 = rng.permutation(n), rng.random(n // 2)
+    perm2, coin2 = rng.permutation(n), rng.random(n // 2)
+    perm = np.concatenate((perm1, perm2), axis=-1)
+    coin = np.concatenate((coin1, coin2), axis=-1) < 0.5
+    f = pop.fitness.ravel().take(_flat(perm, n))
+    fa, fb = f[..., 0::2], f[..., 1::2]
+    return np.where(np.where(fa == fb, coin, fa > fb), perm[..., 0::2], perm[..., 1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,7 @@ def single_point_crossover(
     loci = rng.integers(1, length, size=pairs)
     pair = bits.reshape(bits.shape[:-2] + (pairs, 2, length))
     diff = pair[..., 0, :] ^ pair[..., 1, :]
-    diff &= _suffix_masks(length)[np.where(coins, loci, length)]
+    diff &= _suffix_masks(length).take(np.where(coins, loci, length), axis=0)
     child = (pair ^ diff[..., None, :]).reshape(bits.shape)
     return child, coins.repeat(2, axis=-1), diff.any(axis=-1).repeat(2, axis=-1)
 
@@ -626,17 +627,21 @@ class Engine:
         mutate = bit_flip_mutation if cfg.mutation_scheme == "per-bit" else single_bit_mutation
         mutated, touched = mutate(child, cfg.mutation_rate, self.rng)
 
-        crossed_rows = child[changed]
-        rows = np.concatenate((crossed_rows, mutated[touched]))
-        self.run_evaluations += np.add.reduce(changed, axis=-1) + np.add.reduce(touched, axis=-1)
+        xo_at, mut_at = np.flatnonzero(changed), np.flatnonzero(touched)
+        n_xo = xo_at.shape[0]
+        rows = np.concatenate((child.reshape(-1, length).take(xo_at, axis=0),
+                               mutated.reshape(-1, length).take(mut_at, axis=0)))
+        if changed.ndim == 1:  # one run scored every gathered row
+            self.run_evaluations += rows.shape[0]
+        else:
+            self.run_evaluations += np.add.reduce(changed, -1) + np.add.reduce(touched, -1)
         values = self._evaluate(rows) if rows.shape[0] else np.empty(0)
         if not np.isfinite(values).all():
             raise ValueError("all members must carry finite fitness")
-        n_xo = crossed_rows.shape[0]
         f_xo = f_sel.copy()
-        f_xo[changed] = values[:n_xo]
+        f_xo.put(xo_at, values[:n_xo])
         f_mut = f_xo.copy()
-        f_mut[touched] = values[n_xo:]
+        f_mut.put(mut_at, values[n_xo:])
 
         offspring = Population._checked(mutated, f_mut)
         nxt = adaptive_elitism_replace(pop, offspring, self.elite)

@@ -68,17 +68,30 @@ def selection_term(z, q):
     return cov / z_bar
 
 
-def _stage_moments(deltas: np.ndarray):
-    """Mean and standard deviation of one stage's per-child deltas."""
-    if deltas.size < 1:
+def _operator_moments(lineage: LineageRecord):
+    """Mean and standard deviation of the crossover and the mutation stage's
+    per-slot deltas, :meth:`LineageRecord.stage_deltas`.
+
+    Both stages' deltas and their squares fill one ``(4, ...)`` buffer,
+    which is reduced once along its last axis, each row bitwise as if it
+    were reduced alone.  Returns ``([xo, mut], [xo_sigma, mut_sigma])``, as
+    Python floats for one run and ``(2, R)`` arrays for a stack.
+    """
+    f_sel, f_xo = lineage.fitness_after_selection, lineage.fitness_after_crossover
+    n = f_sel.shape[-1]
+    if n < 1:
         raise ValueError("stage carries no children")
-    n = deltas.shape[-1]
-    mean = np.add.reduce(deltas, axis=-1) / n
-    second = np.add.reduce(deltas * deltas, axis=-1) / n
-    var = second - mean * mean
-    if deltas.ndim == 1:
-        return float(mean), math.sqrt(max(var, 0.0))
-    return mean, np.sqrt(np.maximum(var, 0.0))
+    buf = np.empty((4,) + f_sel.shape)
+    np.subtract(f_xo, f_sel, out=buf[0])  # the crossover stage's deltas
+    np.subtract(lineage.fitness_after_mutation, f_xo, out=buf[1])  # the mutation stage's
+    np.multiply(buf[:2], buf[:2], out=buf[2:])
+    sums = np.add.reduce(buf, axis=-1) / n
+    if f_sel.ndim == 1:  # the same float arithmetic on Python floats
+        xo, mut, xo2, mut2 = sums.tolist()
+        return [xo, mut], [math.sqrt(max(xo2 - xo * xo, 0.0)),
+                           math.sqrt(max(mut2 - mut * mut, 0.0))]
+    mean, second = sums[:2], sums[2:]
+    return mean, np.sqrt(np.maximum(second - mean * mean, 0.0))
 
 
 def sigma_width(sigma):
@@ -119,8 +132,7 @@ def decompose_generation(
     """
     parents, offspring = lineage.parent_stats, lineage.offspring_stats
     sel = selection_term(lineage.selection_stage_z(), lineage.parent_fitness)
-    xo, xo_sigma = _stage_moments(lineage.stage_deltas("crossover"))
-    mut, mut_sigma = _stage_moments(lineage.stage_deltas("mutation"))
+    (xo, mut), (xo_sigma, mut_sigma) = _operator_moments(lineage)
     total = offspring.mean - parents.mean
     parts = sel + xo + mut
     # |total - parts| > tol * max(|total|, |parts|, |parent mean|, 1), as one

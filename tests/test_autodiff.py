@@ -171,6 +171,18 @@ class TestFunctions:
             evaluate(f, x)
         assert (info.value.op, info.value.value) == (op, value)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the check's own overflow
+    @pytest.mark.parametrize("x", [[708.0, 708.0, 708.0], [709.5, 0.0]],
+                             ids=["across-elements", "within-an-element"])
+    def test_finite_map_whose_check_sum_overflows_is_no_domain_error(self, x):
+        # exp's value, slope and curvature are finite, but adding them up
+        # (over the elements, or within one at 709.5) passes the float range
+        node = ad.exp(variables(x))
+        assert np.isfinite(node.value).all() and np.isfinite(node.hess).all()
+        value, grad, hess = evaluate(lambda v: ad.exp(v).sum(), x)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        assert np.isfinite(np.asarray(hess)).all()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ackley_near_the_origin_is_a_domain_error(self):
         # sqrt of mean(x^2) = 1e-320: its second derivative divides by an

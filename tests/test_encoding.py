@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ecsqp.encoding import (
+    DECODE_BLOCK,
+    FLOAT32_BIT_LENGTH,
     EncodingSpec,
     VariableSpec,
     compute_bit_length,
@@ -193,6 +195,88 @@ class TestDecode:
         mat = ((codes[:, None] >> np.arange(l - 1, -1, -1)) & 1).astype(np.uint8)
         values = decode_batch(mat, spec)[:, 0]
         assert np.all(np.diff(values) > 0)
+
+
+def width_spec(widths) -> EncodingSpec:
+    """A spec whose fields have the given bit widths (and distinct ranges):
+    precision span / (2**w - 0.5) derives w bits."""
+    bounds = [(-0.3 * w - i, 0.7 * w + 0.1 + i) for i, w in enumerate(widths)]
+    spec = EncodingSpec(tuple(
+        VariableSpec(lo, up, (up - lo) / (2**w - 0.5)) for (lo, up), w in zip(bounds, widths)
+    ))
+    assert [v.bit_length for v in spec.variables] == list(widths)
+    return spec
+
+
+def dense_decode(mat: np.ndarray, spec: EncodingSpec) -> np.ndarray:
+    """The decode as a product with the dense ``(L, n)`` place-value matrix
+    whose column i holds field i's powers of two and zeros elsewhere (float32
+    while no field is wider than 24 bits), kept as the oracle."""
+    widths = [v.bit_length for v in spec.variables]
+    exact_in_float32 = max(widths) <= FLOAT32_BIT_LENGTH
+    W = np.zeros((spec.total_length, spec.dimension),
+                 dtype=np.float32 if exact_in_float32 else np.float64)
+    start = 0
+    for i, w in enumerate(widths):
+        W[start:start + w, i] = 2.0 ** np.arange(w - 1, -1, -1)
+        start += w
+    lower = np.array([v.lower for v in spec.variables])
+    span = np.array([v.upper - v.lower for v in spec.variables])
+    denom = np.array([2.0**w - 1 for w in widths])
+    return lower + span * ((mat @ W) / denom)
+
+
+def edge_rows(mat: np.ndarray, spec: EncodingSpec) -> np.ndarray:
+    """``mat`` with its first rows all zeros, all ones, and alternately whole
+    fields of zeros and of ones."""
+    field = np.repeat(np.arange(spec.dimension), [v.bit_length for v in spec.variables])
+    mat[0], mat[1] = 0, 1
+    mat[2] = field % 2
+    mat[3] = 1 - mat[2]
+    return mat
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestDecodeOracle:
+    """The per-field decode in row blocks equals the dense place-value
+    product bit for bit."""
+
+    @pytest.mark.parametrize("width", range(1, 54))
+    def test_every_width_equals_dense_oracle(self, width, rng):
+        # widths 1-24 decode in float32, 25-53 in float64
+        spec = width_spec([width] * 3)
+        assert spec._decoder[0].dtype == (np.float32 if width <= 24 else np.float64)
+        mat = edge_rows(random_bits(spec.total_length, 60, rng), spec)
+        assert_bitwise(decode_batch(mat, spec), dense_decode(mat, spec))
+
+    @pytest.mark.parametrize("widths", [
+        (1, 10, 17, 34, 53), (24, 25), (25, 24, 1), (3, 1, 24), (13, 10, 13, 7),
+    ])
+    def test_unequal_widths_equal_dense_oracle(self, widths, rng):
+        # shorter fields are left-padded with zero bits to the widest
+        spec = width_spec(widths)
+        assert spec._decoder[1] is not None
+        mat = edge_rows(random_bits(spec.total_length, 200, rng), spec)
+        assert_bitwise(decode_batch(mat, spec), dense_decode(mat, spec))
+
+    @pytest.mark.parametrize("widths", [(13,) * 8, (13,) * 10, (17,) * 3, (24, 25), (5, 53, 2)])
+    def test_row_counts_around_the_block_size_equal_dense_oracle(self, widths, rng):
+        # a block holds DECODE_BLOCK fields: unless n divides it, a block
+        # boundary falls inside a row
+        spec = width_spec(widths)
+        rows = DECODE_BLOCK // spec.dimension
+        mat = edge_rows(random_bits(spec.total_length, 2 * rows + 2, rng), spec)
+        want = dense_decode(mat, spec)
+        for m in (1, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1, 2 * rows + 2):
+            assert_bitwise(decode_batch(mat[:m], spec), want[:m])
+
+    def test_empty_batch_decodes_to_no_rows(self):
+        spec = width_spec((4, 9))
+        assert decode_batch(np.zeros((0, 13), np.uint8), spec).shape == (0, 2)
 
 
 class TestEncode:

@@ -130,6 +130,66 @@ class TestTournamentCycle:
             assert counts.max() <= 2
 
 
+def two_round_tournament_cycle(pop, rng):
+    """The tournament cycle as it was, round by round, kept as its oracle:
+    each round draws its permutation and coins, then decides its contests."""
+    n = len(pop)
+    f = pop.fitness.ravel()
+    rounds = []
+    for _ in range(2):
+        perm = rng.permutation(n)
+        coin = rng.random(n // 2) < 0.5
+        a, b = perm[..., 0::2], perm[..., 1::2]
+        offset = (n * np.arange(a.shape[0]))[:, None] if a.ndim == 2 else 0
+        fa, fb = f[a + offset], f[b + offset]
+        rounds.append(np.where((fa > fb) | ((fa == fb) & coin), a, b))
+    return np.concatenate(rounds, axis=-1)
+
+
+class TestTournamentCycleOracle:
+    """Both rounds drawn first and decided together: the winners and the
+    draws consumed equal the round-by-round oracle's, ties included."""
+
+    @pytest.mark.parametrize("n", [2, 6, 200])
+    def test_single_run_with_ties_equals_two_round_oracle(self, n):
+        for seed in range(20):
+            # integer fitness from a small range ties most contests
+            fitness = np.random.default_rng(seed).integers(0, 3, n).astype(float)
+            pop = make_pop(fitness, seed=seed)
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = binary_tournament_cycle(pop, new_rng)
+            want = two_round_tournament_cycle(pop, old_rng)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert new_rng.random() == old_rng.random()  # the same draws were consumed
+
+    def test_three_run_stack_with_ties_equals_two_round_oracle(self):
+        seeds = [7, 8, 9]
+        for gen in range(20):
+            fitness = np.random.default_rng(gen).integers(0, 3, (3, 10)).astype(float)
+            pop = Population(np.zeros((3, 10, 4), np.uint8), fitness)
+            new = RunStreams(np.random.default_rng([s, gen]) for s in seeds)
+            old = RunStreams(np.random.default_rng([s, gen]) for s in seeds)
+            got = binary_tournament_cycle(pop, new)
+            want = two_round_tournament_cycle(pop, old)
+            assert got.shape == (3, 10)
+            np.testing.assert_array_equal(got, want)
+            # each run's winners are its own, from its own generator alone
+            for r, s in enumerate(seeds):
+                alone = binary_tournament_cycle(Population(pop.bits[r], fitness[r]),
+                                                np.random.default_rng([s, gen]))
+                np.testing.assert_array_equal(got[r], alone)
+            assert [g.random() for g in new] == [g.random() for g in old]
+
+    def test_all_tied_population_is_decided_by_the_coins_alone(self):
+        pop = make_pop(np.ones(8))
+        got = binary_tournament_cycle(pop, np.random.default_rng(5))
+        replay = np.random.default_rng(5)
+        draws = [(replay.permutation(8), replay.random(4) < 0.5) for _ in range(2)]
+        want = np.concatenate([np.where(coin, p[0::2], p[1::2]) for p, coin in draws])
+        np.testing.assert_array_equal(got, want)
+
+
 def rows(*texts):
     return np.array([[int(c) for c in t] for t in texts], dtype=np.uint8)
 

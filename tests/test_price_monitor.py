@@ -8,12 +8,20 @@ import pytest
 from conftest import brute_force_decomposition
 from ecsqp.encoding import EncodingSpec, decode_batch
 from ecsqp.benchmarks import get_problem
-from ecsqp.evolution import Engine, FitnessStats, GAConfig, LineageRecord, SelectionMethod
+from ecsqp.evolution import (
+    Engine,
+    FitnessStats,
+    GAConfig,
+    LineageRecord,
+    RunStreams,
+    SelectionMethod,
+)
 from ecsqp.hybrid import fitness_function
 from ecsqp.price_monitor import (
     DECOMPOSITION_RTOL,
     ConvergenceState,
     OperatorContribution,
+    _operator_moments,
     decompose_generation,
     selection_term,
     sigma_width,
@@ -347,3 +355,76 @@ class TestDecompositionOracle:
         lin = lineage_from([0, 0, 2, 1], [4.0, 2.0, 9.0],
                            f_xo=[5.0, 3.5, 8.0, 2.0], f_mut=[5.0, 1.0, 8.5, 2.0])
         assert decompose_generation(lin, 3) == reference_decompose_generation(lin, 3)
+
+
+def two_pass_stage_moments(deltas):
+    """One stage's moments as they were, one call per stage, kept as the
+    oracle of the stacked reduction: ``(N,)`` or ``(R, N)`` deltas."""
+    n = deltas.shape[-1]
+    mean = np.add.reduce(deltas, axis=-1) / n
+    second = np.add.reduce(deltas * deltas, axis=-1) / n
+    var = second - mean * mean
+    if deltas.ndim == 1:
+        return float(mean), math.sqrt(max(var, 0.0))
+    return mean, np.sqrt(np.maximum(var, 0.0))
+
+
+class TestStackedMomentsOracle:
+    """Crossover and mutation moments from one stacked reduction equal the
+    per-stage two-pass oracle bitwise, for one run and for a stack."""
+
+    @staticmethod
+    def oracle_terms(lineage):
+        (xo, xo_sigma), (mut, mut_sigma) = (
+            two_pass_stage_moments(lineage.stage_deltas(stage))
+            for stage in ("crossover", "mutation"))
+        return xo, mut, xo_sigma, mut_sigma
+
+    @staticmethod
+    def terms(c):
+        return c.crossover_term, c.mutation_term, c.crossover_sigma, c.mutation_sigma
+
+    def test_single_run_with_ties_equals_two_pass_oracle(self):
+        # integer weights tie many rows, so many deltas are exactly zero
+        weights = np.random.default_rng(0).integers(-2, 3, size=24).astype(float)
+        cfg = GAConfig(population_size=30, crossover_rate=0.8, mutation_rate=0.4,
+                       overlap_fraction=0.1, mutation_scheme="per-bit")
+        eng = Engine(cfg, 24, lambda bits: bits @ weights + 1.0, rng=np.random.default_rng(2))
+        pop = eng.random_population()
+        for gen in range(1, 41):
+            pop, lineage, _ = eng.step(pop)
+            got = self.terms(decompose_generation(lineage, gen))
+            want = self.oracle_terms(lineage)
+            assert got == want
+            assert all(type(g) is float for g in got)
+
+    def test_three_run_stack_with_ties_equals_two_pass_oracle(self):
+        weights = np.random.default_rng(1).integers(-2, 3, size=24).astype(float)
+        cfg = GAConfig(population_size=30, crossover_rate=0.8, mutation_rate=0.4,
+                       overlap_fraction=0.1, mutation_scheme="per-bit")
+        eng = Engine(cfg, 24, lambda bits: bits @ weights + 1.0,
+                     rng=RunStreams(np.random.default_rng(s) for s in (4, 5, 6)))
+        pop = eng.random_population()
+        for gen in range(1, 41):
+            pop, lineage, _ = eng.step(pop)
+            got = self.terms(decompose_generation(lineage, gen))
+            for g, w in zip(got, self.oracle_terms(lineage)):
+                assert g.shape == (3,)
+                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (200,), (3, 200), (3, 1001)])
+    def test_each_row_reduces_as_if_alone(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        f_sel = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        f_xo = f_sel + rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        f_mut = f_xo + np.round(rng.normal(size=shape))  # ties and exact zeros
+        stats = FitnessStats.from_values(f_sel)
+        lineage = LineageRecord(f_sel, np.zeros(shape, np.int64), np.ones(shape, bool),
+                                f_sel, f_xo, f_mut, stats, stats)
+        means, sigmas = _operator_moments(lineage)
+        for i, stage in enumerate(("crossover", "mutation")):
+            mean, sigma = two_pass_stage_moments(lineage.stage_deltas(stage))
+            np.testing.assert_array_equal(np.asarray(means[i]).view(np.uint64),
+                                          np.asarray(mean).view(np.uint64))
+            np.testing.assert_array_equal(np.asarray(sigmas[i]).view(np.uint64),
+                                          np.asarray(sigma).view(np.uint64))

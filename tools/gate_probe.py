@@ -13,11 +13,12 @@ validation generation adds about 300) those rows are the full run's, and so
 is the fraction; a seed whose capped round ends at or below 5,000 is flagged.
 It takes seconds where the full batches take minutes.
 
-One line per seed gives the exploration switch reason, the exploration
-evaluations, the best value at 5,000 evaluations and the fraction of the gap
-closed there (all digits, to compare checkouts); one line per problem gives
-the mean fraction, the number the criterion 7 gate compares with 0.90 over
-seeds 0-99.
+One line per seed gives the exploration switch reason and the generation it
+fired at, the exploration evaluations, the best value at 5,000 evaluations,
+the phase (``ec``, ``sqp`` or ``validation``) whose trace row first reached
+that best, and the fraction of the gap closed there (all digits, to compare
+checkouts); one line per problem gives the mean fraction, the number the
+criterion 7 gate compares with 0.90 over seeds 0-99.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ def probe(suite, name: str, seed: int):
     return results[0], frac
 
 
+def best_within_budget(trace) -> tuple[float, str]:
+    """The least best value among the trace rows at <= BUDGET evaluations, and
+    the phase of the first row that reached it."""
+    row = min((row for row in trace if row.evaluations <= BUDGET), key=lambda row: row.best)
+    return row.best, row.phase
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--problems", nargs="+", choices=PROBLEMS, default=list(PROBLEMS))
@@ -71,16 +79,17 @@ def main(argv: list[str] | None = None) -> int:
 
     suite = acceptance_suite()
     suite.VALIDATE_SWITCH = replace(suite.VALIDATE_SWITCH, max_generations=VALIDATION_CAP)
-    print("problem seed switch ec_evals best_5k frac_5k")
+    print("problem seed switch switch_gen ec_evals best_5k best_phase frac_5k")
     for name in args.problems:
         fracs = []
         for seed in args.seeds:
             result, frac = probe(suite, name, seed)
-            best = min(row.best for row in result.trace if row.evaluations <= BUDGET)
+            switch_gen = max(row.step for row in result.trace if row.phase == "ec")
+            best, phase = best_within_budget(result.trace)
             end = max(row.evaluations for row in result.trace if row.phase == "validation")
             flag = "" if end > BUDGET else f" capped-round-ends-at-{end}"
-            print(f"{name} {seed} {result.switch_reason.value} {result.evaluations['ec']} "
-                  f"{best:.6g} {frac!r}{flag}")
+            print(f"{name} {seed} {result.switch_reason.value} {switch_gen} "
+                  f"{result.evaluations['ec']} {best:.6g} {phase} {frac!r}{flag}")
             fracs.append(frac)
         print(f"{name} mean_frac_5k {sum(fracs) / len(fracs):.4f} over {len(fracs)} seeds")
     return 0
