@@ -346,7 +346,7 @@ class ADScalar:
         else:
             op, ok = "powf", v > 0.0
         _require(op, ok, v)
-        d2 = 0.0 if p == 1.0 else p * (p - 1.0) * v ** (p - 2.0)
+        d2 = np.zeros_like(v) if p == 1.0 else p * (p - 1.0) * v ** (p - 2.0)
         return self._chain(op, v**p, p * v ** (p - 1.0), d2)
 
 
@@ -375,9 +375,10 @@ class ADVector(ADScalar):
             raise ValueError("value/gradient/Hessian diagonals must be 1-D of one length")
 
     def _chain(self, op: str, value, d1, d2) -> "ADVector":
-        # the dot with zeros is 0 when every entry is finite and NaN otherwise,
-        # or when an entry's sum of finite terms overflowed
-        if not math.isfinite(np.dot(value + d1 + d2, _zeros(self.n))):
+        # value, d1 and d2 are arrays; a dot with zeros is 0 when every entry
+        # is finite and NaN otherwise, and no sum of finite terms can overflow
+        z = _zeros(self.n)
+        if not math.isfinite(value.dot(z) + d1.dot(z) + d2.dot(z)):
             _require(op, np.isfinite(value) & np.isfinite(d1) & np.isfinite(d2), self.value)
         return ADVector._new(value, d1 * self.grad, self.hess * d1 + d2 * (self.grad * self.grad),
                              self.nonsmooth)
@@ -482,7 +483,7 @@ def fabs(x):
     if not isinstance(x, ADScalar):
         return np.abs(x)
     v = x.value
-    return _kinked(x, "fabs", np.abs(v), np.sign(v), 0.0, v == 0.0)
+    return _kinked(x, "fabs", np.abs(v), np.sign(v), np.zeros_like(v), v == 0.0)
 
 
 def evaluate(f: Callable[[ADVector], ADScalar], x0) -> tuple[float, np.ndarray, Hessian]:

@@ -38,7 +38,8 @@ from .benchmarks import BenchmarkProblem, get_problem, list_problems
 from .encoding import EncodingSpec
 from .evolution import Engine, GAConfig, RunStreams
 from .fdcheck import fd_gradient, fd_hessian, max_relative_error
-from .hybrid import SwitchCriteria, SwitchReason, fitness_function, ga_phase, run_hybrid
+from .hybrid import (VALIDATION_GA, VALIDATION_SWITCH, SwitchCriteria, SwitchReason,
+                     fitness_function, ga_phase, run_hybrid)
 from .local_search import SQPConfig, sqp_run
 from .price_monitor import sigma_width
 # unused here, but perfbench/tracing.py rebinds these names on this module
@@ -99,12 +100,6 @@ def _unique_key_loader() -> type:
     return _UniqueKeyLoader
 
 
-#: validation-round defaults for hybrid mode: a larger per-bit population with
-#: a patient stall detector digs the incumbent's basin out to grid precision.
-VALIDATION_GA_DEFAULTS = dict(population_size=200, mutation_scheme="per-bit", mutation_rate="1/l")
-VALIDATION_SWITCH_DEFAULTS = dict(max_generations=800, stall_window=150, stall_epsilon=1e-9)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Settings for one experiment batch, checked and resolved at construction.
@@ -117,9 +112,9 @@ class RunConfig:
     (``validation_mutation_rate_raw``) is bound into ``ga``
     (``validation_ga``): ``"1/l"`` as one over the grid's string length, a
     number as itself; so ``ga`` and ``validation_ga`` are final.  An unset
-    ``validation_ga`` or ``validation_switch`` gets the defaults that
-    :func:`load_config` gives an absent section, with a ``"1/l"`` rate
-    unless one is given.  The runners rebuild the problem with
+    ``validation_ga`` or ``validation_switch`` is the acceptance protocol's
+    (:func:`_validation_round`), as in a file without that section.  The
+    runners rebuild the problem with
     :meth:`make_problem` at run time rather than keep the one built here:
     ``get_problem`` may be rebound, or a problem factory registered again,
     after the config is built (``perfbench/tracing.py`` wraps it to trace
@@ -149,15 +144,14 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.mode not in ("hybrid", "ec", "sqp"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.validation_switch is None:
-            object.__setattr__(self, "validation_switch",
-                               SwitchCriteria(**VALIDATION_SWITCH_DEFAULTS))
-        if self.validation_ga is None:
-            defaults = dict(VALIDATION_GA_DEFAULTS)
-            rate = defaults.pop("mutation_rate")
-            object.__setattr__(self, "validation_ga", GAConfig(**defaults))
-            if self.validation_mutation_rate_raw is None:
-                object.__setattr__(self, "validation_mutation_rate_raw", rate)
+        if self.validation_ga is None or self.validation_switch is None:
+            validation_ga, rate, validation_switch = _validation_round({}, {})
+            if self.validation_switch is None:
+                object.__setattr__(self, "validation_switch", validation_switch)
+            if self.validation_ga is None:
+                object.__setattr__(self, "validation_ga", validation_ga)
+                if self.validation_mutation_rate_raw is None:
+                    object.__setattr__(self, "validation_mutation_rate_raw", rate)
         try:
             problem = self.make_problem()
         except KeyError as exc:
@@ -211,6 +205,32 @@ def _build_section(cls, data: dict, *, context: str = ""):
         raise ConfigError(f"bad {context or cls.__name__}: {exc}") from exc
 
 
+def _parse_ga(section: dict, context: str):
+    """A ga section's ``GAConfig``, and its ``mutation_rate`` when that is not a
+    number (such as ``"1/l"``), for :class:`RunConfig` to bind; else None."""
+    if "rng_seed" in section:
+        raise ConfigError(
+            f"rng_seed is not accepted in the {context}: run i is seeded "
+            "with seed + i from the top-level seed"
+        )
+    section = dict(section)
+    raw = section.pop("mutation_rate", None)
+    if isinstance(raw, (int, float)):  # a bool too, which _build_section rejects
+        section["mutation_rate"] = raw
+        raw = None
+    return _build_section(GAConfig, section, context=context), raw
+
+
+def _validation_round(ga: dict, switch: dict):
+    """The validation round's ``GAConfig``, unbound rate and ``SwitchCriteria``:
+    the acceptance protocol's at a ``1/l`` rate, with the keys of the
+    ``validation_ga`` and ``validation_switch`` sections ``ga`` and ``switch``."""
+    validation_ga, raw = _parse_ga({"mutation_rate": "1/l", **VALIDATION_GA, **ga},
+                                   "validation_ga section")
+    return validation_ga, raw, _build_section(SwitchCriteria, {**VALIDATION_SWITCH, **switch},
+                                              context="validation_switch section")
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run-configuration file."""
     import yaml  # on first use, as the process pool below: each takes milliseconds
@@ -224,19 +244,6 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
 
-    def parse_ga(section: dict, context: str):
-        if "rng_seed" in section:
-            raise ConfigError(
-                f"rng_seed is not accepted in the {context}: run i is seeded "
-                "with seed + i from the top-level seed"
-            )
-        section = dict(section)
-        raw = section.pop("mutation_rate", None)
-        if isinstance(raw, (int, float)):  # a bool too, which _build_section rejects
-            section["mutation_rate"] = raw
-            raw = None
-        return _build_section(GAConfig, section, context=context), raw
-
     data = dict(data)
 
     def section(name: str) -> dict:
@@ -245,15 +252,12 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"the {name} section must be a mapping, got {value!r}")
         return value
 
-    ga, mutation_raw = parse_ga(section("ga"), "ga section")
+    ga, mutation_raw = _parse_ga(section("ga"), "ga section")
     sqp = _build_section(SQPConfig, section("sqp"), context="sqp section")
     switch = _build_section(SwitchCriteria, section("switch"), context="switch section")
     # parsed in every mode: `run --mode hybrid` may override the file's mode
-    val_ga_data = {**VALIDATION_GA_DEFAULTS, **section("validation_ga")}
-    validation_ga, val_raw = parse_ga(val_ga_data, "validation_ga section")
-    validation_switch = _build_section(
-        SwitchCriteria, {**VALIDATION_SWITCH_DEFAULTS, **section("validation_switch")},
-        context="validation_switch section")
+    validation_ga, val_raw, validation_switch = _validation_round(
+        section("validation_ga"), section("validation_switch"))
     for required in ("problem", "dimension"):
         if required not in data:
             raise ConfigError(f"missing required key {required!r}")

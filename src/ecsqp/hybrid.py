@@ -37,6 +37,9 @@ __all__ = [
     "PhaseTraceRow",
     "SwitchCriteria",
     "SwitchReason",
+    "VALIDATION_GA",
+    "VALIDATION_SWITCH",
+    "acceptance_protocol",
     "fitness_function",
     "ga_phase",
     "run_hybrid",
@@ -69,6 +72,22 @@ class SwitchCriteria:
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # a float or a bool is no count
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+#: the validation round's ``GAConfig`` and ``SwitchCriteria`` fields over their defaults
+VALIDATION_GA = dict(population_size=200, mutation_scheme="per-bit")
+VALIDATION_SWITCH = dict(max_generations=800, stall_window=150, stall_epsilon=1e-9)
+
+
+def acceptance_protocol(length: int) -> tuple[GAConfig, SwitchCriteria, GAConfig, SwitchCriteria]:
+    """The hybrid's GA and switch settings for chromosomes of ``length`` bits,
+    each phase mutating at one over ``length``: exploration's, the defaults,
+    which switch fast; then the validation round's, a larger per-bit
+    population whose long stall window digs the refined incumbent's basin out
+    to grid precision."""
+    rate = 1.0 / length
+    return (GAConfig(mutation_rate=rate), SwitchCriteria(),
+            GAConfig(mutation_rate=rate, **VALIDATION_GA), SwitchCriteria(**VALIDATION_SWITCH))
 
 
 def should_switch(
@@ -169,8 +188,9 @@ def run_hybrid(
     crit: SwitchCriteria,
     rng_seed: int,
     precision: float = 0.01,
-    validation_criteria: SwitchCriteria | None = None,
-    validation_ga: GAConfig | None = None,
+    *,
+    validation_criteria: SwitchCriteria,
+    validation_ga: GAConfig,
 ) -> HybridResult:
     """Run the full exploration -> refinement -> validation pipeline.
 
@@ -179,14 +199,11 @@ def run_hybrid(
     failed line search degrades gracefully: the incumbent is kept and a
     warning recorded.  Any other exception raises.
 
-    The validation round reuses the exploration settings unless
-    ``validation_criteria``/``validation_ga`` override them; the two phases
-    have different jobs (fast exploration with automatic switching versus
-    certification and refinement of the incumbent), so the override allows a
-    larger, longer-running validation population.  When the validation round
-    improves on the refined solution, its best point receives a final local
-    polish with absolute tolerances: the validation population only carries
-    grid projections, and the polish restores sub-grid precision.
+    The validation round runs ``validation_ga`` under ``validation_criteria``
+    (:func:`acceptance_protocol` gives the protocol's).  When it improves on
+    the refined solution, its best point receives a final local polish with
+    absolute tolerances: the validation population only carries grid
+    projections, and the polish restores sub-grid precision.
 
     The trace has a row per generation of a GA phase (``ec``, ``validation``)
     and per iterate of an SQP phase (``sqp``, ``polish``), plus a closing row at
@@ -254,9 +271,7 @@ def run_hybrid(
     # phase 3: seeded validation round
     seed = encode(x_sqp, spec)
     x_val, f_val, val_evals, val_reason = phase(
-        "validation", validation_ga or ga_cfg, validation_criteria or crit,
-        [seed, 1 - seed], ec_evals + sqp_evals,
-    )
+        "validation", validation_ga, validation_criteria, [seed, 1 - seed], ec_evals + sqp_evals)
 
     # phase 4: a validation best that beat the refined point is polished
     x_star, f_star, polish_result = x_sqp, f_sqp, None

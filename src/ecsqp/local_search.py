@@ -291,7 +291,9 @@ def _step_to_zero(v: np.ndarray, dv: np.ndarray) -> float:
     """Step at which ``v + step * dv`` (``v > 0``) first reaches zero; ``inf``
     when no entry decreases.  A NaN entry of ``dv`` is skipped."""
     falling = dv < 0
-    return -float((v[falling] / dv[falling]).max(initial=-np.inf))
+    with np.errstate(over="ignore"):  # a tiny ``-dv`` gives inf, the right step
+        steps = v[falling] / dv[falling]
+    return -float(steps.max(initial=-np.inf))
 
 
 def _fraction_to_boundary(p: np.ndarray, box: BoundBox) -> float:

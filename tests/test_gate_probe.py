@@ -1,6 +1,7 @@
 """``tools/gate_probe.py`` against criterion 7's full runs on three seeds.
 
-The tool is loaded by path and its ``main`` run in this process.
+The tool is loaded by path and its ``main`` run in this process; the full
+runs are a private copy of ``tests/test_acceptance.py``'s ``run_hybrid_batch``.
 """
 
 import importlib.util
@@ -9,15 +10,22 @@ from pathlib import Path
 import pytest
 
 GATE_PROBE = Path(__file__).resolve().parents[1] / "tools" / "gate_probe.py"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 SEEDS = [0, 1, 2]
+
+
+def load(name: str, path: Path):
+    """A fresh module from ``path``: rebinding its globals leaves any module
+    pytest imported alone."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def gate_probe():
-    spec = importlib.util.spec_from_file_location("gate_probe", GATE_PROBE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("gate_probe", GATE_PROBE)
 
 
 def test_capped_fractions_are_the_full_runs(gate_probe, capsys):
@@ -29,11 +37,11 @@ def test_capped_fractions_are_the_full_runs(gate_probe, capsys):
     assert all(len(row.split()) == 8 for row in rows)  # no capped round ended before 5k
 
     # criterion 7's batch with the full validation round, on the same seeds
-    suite = gate_probe.acceptance_suite()
+    suite = load("gate_probe_acceptance", ACCEPTANCE)
     results = []
 
     def run_hybrid(*args, **kwargs):
-        results.append(gate_probe.ecsqp.hybrid.run_hybrid(*args, **kwargs))
+        results.append(gate_probe.run_hybrid(*args, **kwargs))
         return results[-1]
 
     suite.run_hybrid, suite.BASE_SEED = run_hybrid, SEEDS[0]

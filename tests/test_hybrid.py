@@ -6,6 +6,7 @@ import pytest
 from ecsqp import hybrid
 from ecsqp.autodiff import ADDomainError
 from ecsqp.benchmarks import BenchmarkProblem, Orientation, get_problem
+from ecsqp.cli_io import RunConfig, load_config
 from ecsqp.encoding import EncodingSpec, decode, encode
 from ecsqp.evolution import Engine, GAConfig, RunStreams
 from ecsqp.hybrid import (
@@ -101,8 +102,9 @@ class TestGaPhase:
         monkeypatch.setattr(hybrid, "ga_phase", spy)
         problem = get_problem("ackley", 2)  # minimized: rows carry the native sign
         ga = GAConfig(population_size=20, mutation_rate=0.05, overlap_fraction=0.1)
-        result = run_hybrid(problem, ga, SQPConfig(), SwitchCriteria(max_generations=15),
-                            rng_seed=2)
+        crit = SwitchCriteria(max_generations=15)
+        result = run_hybrid(problem, ga, SQPConfig(), crit, rng_seed=2,
+                            validation_criteria=crit, validation_ga=ga)
         ec, validation = reports
         # the validation phase counts on from the exploration and SQP phases
         # (the polish after it comes later)
@@ -146,7 +148,8 @@ class TestRunHybrid:
 
     def test_idempotent_at_grid_optimum(self):
         problem, target = grid_sphere_problem()
-        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=3)
+        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=3,
+                            validation_criteria=self.CRIT, validation_ga=self.GA)
         # the bowl is easy enough that the first phase lands on the grid
         # optimum; the local phase cannot improve and validation keeps it
         assert result.f_ec == pytest.approx(0.0, abs=1e-12)
@@ -164,9 +167,11 @@ class TestRunHybrid:
 
         monkeypatch.setattr(hybrid, "sqp_run", failing(TypeError("a bug")))
         with pytest.raises(TypeError):
-            run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=3)
+            run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=3,
+                       validation_criteria=self.CRIT, validation_ga=self.GA)
         monkeypatch.setattr(hybrid, "sqp_run", failing(ADDomainError("sqrt", -1.0)))
-        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=3)
+        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=3,
+                            validation_criteria=self.CRIT, validation_ga=self.GA)
         np.testing.assert_array_equal(result.x_sqp, result.x_ec)
         assert result.f_sqp == result.f_ec
         assert result.sqp_result is None and result.evaluations["sqp"] == 0
@@ -184,7 +189,8 @@ class TestRunHybrid:
         problem = BenchmarkProblem("ackley-at-1e-160", 10, ackley.bounds, ackley.orientation,
                                    0.0, None, fn, fn)
         result = run_hybrid(problem, self.GA, SQPConfig(), SwitchCriteria(max_generations=5),
-                            rng_seed=3, validation_criteria=SwitchCriteria(max_generations=2))
+                            rng_seed=3, validation_criteria=SwitchCriteria(max_generations=2),
+                            validation_ga=self.GA)
         np.testing.assert_array_equal(result.x_sqp, result.x_ec)
         assert result.sqp_result is None and result.evaluations["sqp"] == 0
         assert any(w.startswith("local phase failed (sqrt undefined") for w in result.warnings)
@@ -214,16 +220,18 @@ class TestRunHybrid:
         problem = get_problem("schwefel-max", 2)
         ga = GAConfig(population_size=50, mutation_rate=1 / 34, rng_seed=5,
                       overlap_fraction=0.1)
-        result = run_hybrid(problem, ga, SQPConfig(),
-                            SwitchCriteria(max_generations=60), rng_seed=5)
+        crit = SwitchCriteria(max_generations=60)
+        result = run_hybrid(problem, ga, SQPConfig(), crit, rng_seed=5,
+                            validation_criteria=crit, validation_ga=ga)
         assert result.f_star >= result.f_sqp >= result.f_ec
 
     def test_phase_monotonicity_minimization(self):
         problem = get_problem("rastrigin", 3)
         ga = GAConfig(population_size=30, mutation_rate=0.02, rng_seed=6,
                       overlap_fraction=0.1)
-        result = run_hybrid(problem, ga, SQPConfig(),
-                            SwitchCriteria(max_generations=40), rng_seed=6)
+        crit = SwitchCriteria(max_generations=40)
+        result = run_hybrid(problem, ga, SQPConfig(), crit, rng_seed=6,
+                            validation_criteria=crit, validation_ga=ga)
         assert result.f_star <= result.f_sqp <= result.f_ec
 
     def test_deterministic_given_seed(self):
@@ -231,8 +239,8 @@ class TestRunHybrid:
         ga = GAConfig(population_size=20, mutation_rate=1 / 34, rng_seed=9,
                       overlap_fraction=0.1)
         crit = SwitchCriteria(max_generations=25)
-        a = run_hybrid(problem, ga, SQPConfig(), crit, rng_seed=9)
-        b = run_hybrid(problem, ga, SQPConfig(), crit, rng_seed=9)
+        a, b = (run_hybrid(problem, ga, SQPConfig(), crit, rng_seed=9,
+                           validation_criteria=crit, validation_ga=ga) for _ in range(2))
         assert a.f_star == b.f_star
         np.testing.assert_array_equal(a.x_star, b.x_star)
         assert a.evaluations == b.evaluations
@@ -244,7 +252,8 @@ class TestRunHybrid:
         # pinned seeded outcome; it changes whenever the RNG draw order or a
         # GA operator's result changes
         problem, _ = grid_sphere_problem()
-        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=4)
+        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=4,
+                            validation_criteria=self.CRIT, validation_ga=self.GA)
         assert result.f_ec == float.fromhex("0x1.a693b4833adcep-11")
         assert result.f_star == 0.0
         assert result.evaluations == {"ec": 135, "sqp": 2, "validation": 119, "total": 256}
@@ -253,8 +262,9 @@ class TestRunHybrid:
         problem = get_problem("ackley", 2)
         ga = GAConfig(population_size=20, mutation_rate=0.05, rng_seed=2,
                       overlap_fraction=0.1)
-        result = run_hybrid(problem, ga, SQPConfig(),
-                            SwitchCriteria(max_generations=20), rng_seed=2)
+        crit = SwitchCriteria(max_generations=20)
+        result = run_hybrid(problem, ga, SQPConfig(), crit, rng_seed=2,
+                            validation_criteria=crit, validation_ga=ga)
         ev = result.evaluations
         assert ev["total"] == ev["ec"] + ev["sqp"] + ev["validation"]
         assert ev["ec"] > 0 and ev["validation"] > 0
@@ -276,7 +286,8 @@ class TestRunHybrid:
 
         monkeypatch.setattr(hybrid_mod.Engine, "seeded_population", spy)
         problem, _ = grid_sphere_problem()
-        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=4)
+        result = run_hybrid(problem, self.GA, SQPConfig(), self.CRIT, rng_seed=4,
+                            validation_criteria=self.CRIT, validation_ga=self.GA)
 
         spec = EncodingSpec.for_bounds([0.0, 0.0], [1.0, 1.0], 0.01)
         seed = encode(result.x_sqp, spec)
@@ -296,8 +307,9 @@ class TestRunHybrid:
         )
         ga = GAConfig(population_size=30, mutation_rate=1 / 34, rng_seed=11,
                       overlap_fraction=0.1)
-        result = run_hybrid(problem, ga, SQPConfig(),
-                            SwitchCriteria(max_generations=40), rng_seed=11)
+        crit = SwitchCriteria(max_generations=40)
+        result = run_hybrid(problem, ga, SQPConfig(), crit, rng_seed=11,
+                            validation_criteria=crit, validation_ga=ga)
         seed_fitness = problem.evaluate(decode(encode(result.x_sqp, spec), spec))
         val_rows = [r for r in result.trace if r.phase == "validation"]
         assert val_rows
@@ -338,3 +350,25 @@ class TestRunHybrid:
             [(r.phase, r.step, r.best, r.mean, r.evaluations) for r in a.trace],
             [(r.phase, r.step, r.best, r.mean, r.evaluations) for r in b.trace],
         )
+
+
+def test_acceptance_protocol_is_defined_once(tmp_path):
+    # the acceptance suite's and the benchmark's literal protocols equal the
+    # package's, and a code-built config and a file without validation sections
+    # both run its validation round
+    import test_acceptance as suite
+    from test_benchmark_workloads import workloads
+
+    problem = get_problem("ackley", 10)
+    length = EncodingSpec.for_bounds(problem.bounds.lower, problem.bounds.upper, 0.01).total_length
+    protocol = hybrid.acceptance_protocol(length)
+    for copy in (suite, workloads):
+        assert protocol == (GAConfig(mutation_rate=1.0 / length, **copy.EXPLORE_GA),
+                            copy.EXPLORE_SWITCH,
+                            GAConfig(mutation_rate=1.0 / length, **copy.VALIDATE_GA),
+                            copy.VALIDATE_SWITCH)
+    path = tmp_path / "run.yaml"
+    path.write_text("problem: ackley\ndimension: 10\n", encoding="utf-8")
+    loaded, built = load_config(path), RunConfig("ackley", 10)
+    assert (loaded.validation_ga, loaded.validation_switch) == protocol[2:]
+    assert (built.validation_ga, built.validation_switch) == protocol[2:]

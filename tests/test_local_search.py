@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,17 @@ def test_step_to_zero_is_bitwise_the_concatenated_rule(rng):
         joined = fraction_to_boundary_two_masks(np.concatenate([t, z]), np.concatenate([dt, dz]),
                                                 np.zeros(2 * m), np.full(2 * m, np.inf))
         assert min(1.0, BOUNDARY_FRACTION * nearest) == joined
+
+
+def test_step_to_zero_overflows_to_inf_without_a_warning():
+    # 1 / -1e-310 passes the float range: the step is inf, the right float
+    # answer, and no warning leaves the ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _step_to_zero(np.array([1.0]), np.array([-1e-310])) == math.inf
+        box = BoundBox(np.array([-1.0]), np.array([1.0]))
+        assert _fraction_to_boundary(np.array([-1e-310]), box) == 1.0
+        assert _fraction_to_boundary(np.array([1e-310]), box) == 1.0
 
 
 def ipm_two_solves(g, H, box, targets=None):
