@@ -492,11 +492,14 @@ def evaluate(f: Callable[[ADVector], ADScalar], x0) -> tuple[float, np.ndarray, 
     ``f`` receives the independent variables as one :class:`ADVector`; it
     may index it or reduce it with ``sum``/``mean`` and returns an ADScalar
     or a plain number.  The Hessian is the structured :class:`Hessian`;
-    ``np.asarray`` of it is the dense ``n x n`` matrix.
+    ``np.asarray`` of it is the dense ``n x n`` matrix.  The sweep runs with
+    numpy's float warnings off: a map that leaves its domain or float range
+    raises :class:`ADDomainError` from its finiteness test instead.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
-    out = f(ADVector(x0, np.ones(n), np.zeros(n)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = f(ADVector(x0, np.ones(n), np.zeros(n)))
     if isinstance(out, ADVector):
         raise TypeError("the objective returned an ADVector; reduce it to a scalar")
     if not isinstance(out, ADScalar):

@@ -38,8 +38,8 @@ from .benchmarks import BenchmarkProblem, get_problem, list_problems
 from .encoding import EncodingSpec
 from .evolution import Engine, GAConfig, RunStreams
 from .fdcheck import fd_gradient, fd_hessian, max_relative_error
-from .hybrid import (VALIDATION_GA, VALIDATION_SWITCH, SwitchCriteria, SwitchReason,
-                     fitness_function, ga_phase, run_hybrid)
+from .hybrid import (VALIDATION_GA, VALIDATION_SWITCH, PhaseTraceRow, SwitchCriteria,
+                     SwitchReason, fitness_function, ga_phase, run_hybrid)
 from .local_search import SQPConfig, sqp_run
 from .price_monitor import sigma_width
 # unused here, but perfbench/tracing.py rebinds these names on this module
@@ -66,7 +66,7 @@ PRICE_COLUMNS = (
     "mean",
     "worst",
 )
-HYBRID_COLUMNS = ("phase", "step", "best", "mean", "evaluations")
+HYBRID_COLUMNS = PhaseTraceRow._fields
 SQP_COLUMNS = ("iteration", "f", "grad_norm", "step_norm", "alpha", "lambda")
 
 GRAD_TOLERANCE = 1e-6

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, NamedTuple
 
@@ -201,9 +201,9 @@ def run_hybrid(
 
     The validation round runs ``validation_ga`` under ``validation_criteria``
     (:func:`acceptance_protocol` gives the protocol's).  When it improves on
-    the refined solution, its best point receives a final local polish with
-    absolute tolerances: the validation population only carries grid
-    projections, and the polish restores sub-grid precision.
+    the refined solution, its best point receives a final local polish under
+    the same ``sqp_cfg`` as the refine: the validation population only
+    carries grid projections, and the polish restores sub-grid precision.
 
     The trace has a row per generation of a GA phase (``ec``, ``validation``)
     and per iterate of an SQP phase (``sqp``, ``polish``), plus a closing row at
@@ -236,13 +236,11 @@ def run_hybrid(
         return (decode(pop.bits[best], spec), sign * float(pop.fitness[best]),
                 engine.evaluations, report.reason)
 
-    def local(name: str, x0: np.ndarray, stopping: str, eval_base: int,
-              failed: str) -> SQPResult | None:
-        """:func:`sqp_run` from ``x0`` under ``stopping``, adding its trace rows
+    def local(name: str, x0: np.ndarray, eval_base: int, failed: str) -> SQPResult | None:
+        """:func:`sqp_run` from ``x0`` under ``sqp_cfg``, adding its trace rows
         (see above); a local failure returns None with the warning ``failed``."""
         try:
-            result = sqp_run(problem.minimand, x0, problem.bounds,
-                             replace(sqp_cfg, stopping=stopping))
+            result = sqp_run(problem.minimand, x0, problem.bounds, sqp_cfg)
         except _LOCAL_FAILURES as exc:
             warnings.append(failed.format(exc))
             return None
@@ -258,8 +256,7 @@ def run_hybrid(
 
     # phase 2: local refinement from the decoded incumbent
     x_sqp, f_sqp = x_ec, f_ec
-    sqp_result = local("sqp", x_ec, sqp_cfg.stopping or "delta", ec_evals,
-                       "local phase failed ({}); kept x_ec")
+    sqp_result = local("sqp", x_ec, ec_evals, "local phase failed ({}); kept x_ec")
     if sqp_result is not None:
         f_candidate = -sign * sqp_result.f
         if sign * f_candidate >= sign * f_ec:
@@ -277,7 +274,7 @@ def run_hybrid(
     x_star, f_star, polish_result = x_sqp, f_sqp, None
     if sign * f_val > sign * f_sqp:
         x_star, f_star = x_val, f_val
-        polish_result = local("polish", x_val, "absolute", ec_evals + sqp_evals + val_evals,
+        polish_result = local("polish", x_val, ec_evals + sqp_evals + val_evals,
                               "final polish failed ({}); kept validation best")
         if polish_result is not None:
             sqp_evals += polish_result.evaluations

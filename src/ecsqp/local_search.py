@@ -44,9 +44,9 @@ WOLFE_C1 = 1e-4  # sufficient-decrease constant
 WOLFE_C2 = 0.9  # curvature constant
 LAMBDA_MIN = 1e-6  # first nonzero Hessian shift of the regularization ladder
 REGULARIZATION_LADDER_CAP = 1e8  # multiples of LAMBDA_MIN tried before fallback
-DELTA_TOL = 1e-3  # gradient and direction norm change that counts as a stall
 MAX_LINE_SEARCH_EVALS = 50  # objective sweeps per line search
 BOUNDARY_FRACTION = 0.995  # fraction-to-boundary factor tau
+INWARD_INSET = 1e-6  # start-point inset from each bound, as a fraction of its range
 CENTRAL_PATH_END = 1e-8  # complementarity t_i z_i of the point the IPM returns
 #: the Hessian shifts 0, LAMBDA_MIN, 10 * LAMBDA_MIN, ... up to the cap, in the order tried
 SHIFT_LADDER = (0.0, *itertools.takewhile(
@@ -91,35 +91,27 @@ class BoundBox:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
-    def project_inward(self, x, rel: float = 1e-6) -> np.ndarray:
-        """Clip onto the box shrunk inward by ``rel`` times each range."""
-        inset = rel * (self.upper - self.lower)
+    def project_inward(self, x) -> np.ndarray:
+        """Clip onto the box shrunk inward by :data:`INWARD_INSET` times each range."""
+        inset = INWARD_INSET * (self.upper - self.lower)
         return np.clip(np.asarray(x, dtype=float), self.lower + inset, self.upper - inset)
 
 
 @dataclass(frozen=True)
 class SQPConfig:
-    """Solver tolerances and termination regime.
-
-    ``stopping`` selects the termination regime: ``"absolute"`` stops on the
-    gradient/step tolerances alone, ``"delta"`` additionally stops once the
-    gradient and direction norms change by at most :data:`DELTA_TOL` between
-    iterations.  ``None`` means "absolute" standalone but "delta" when driven
-    by the hybrid pipeline.
-    """
+    """Solver tolerances: a run stops once the gradient max-norm is at most
+    ``grad_tol`` or the search direction's norm at most ``step_tol``, or after
+    ``max_iter`` iterations."""
 
     grad_tol: float = 1e-6
     step_tol: float = 1e-6
     max_iter: int = 200
-    stopping: str | None = None
 
     def __post_init__(self) -> None:
         if self.grad_tol <= 0 or self.step_tol <= 0:
             raise ValueError("tolerances must be positive")
         if type(self.max_iter) is not int or self.max_iter < 1:  # a float or a bool is no count
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
-        if self.stopping not in (None, "absolute", "delta"):
-            raise ValueError(f"unknown stopping regime {self.stopping!r}")
 
 
 @dataclass
@@ -243,19 +235,16 @@ def regularize_hessian(hess: Hessian) -> tuple[Hessian | None, float]:
 def wolfe_line_search(
     phi: Callable[[float], float],
     dphi: Callable[[float], float],
-    c1: float = WOLFE_C1,
-    c2: float = WOLFE_C2,
-    max_evals: int = MAX_LINE_SEARCH_EVALS,
 ) -> float:
     """Step length in (0, 1] satisfying the sufficient-decrease and curvature
-    conditions.
+    conditions with :data:`WOLFE_C1` and :data:`WOLFE_C2`.
 
     The unit step is tried first and returned immediately when admissible.
     Otherwise the bracket is shrunk by safeguarded quadratic interpolation
     (and re-expanded inside the bracket when only the curvature condition
-    fails).  If the evaluation budget runs out, the best step with sufficient
-    decrease is returned; with none found a :class:`LineSearchError` is
-    raised.
+    fails).  If the budget of :data:`MAX_LINE_SEARCH_EVALS` trials runs out,
+    the best step with sufficient decrease is returned; with none found a
+    :class:`LineSearchError` is raised.
     """
     phi0 = phi(0.0)
     g0 = dphi(0.0)
@@ -265,10 +254,10 @@ def wolfe_line_search(
     alpha = 1.0
     hi: float | None = None  # smallest alpha violating sufficient decrease
     best: float | None = None
-    for _ in range(max_evals):
+    for _ in range(MAX_LINE_SEARCH_EVALS):
         f_a = phi(alpha)
-        if f_a <= phi0 + c1 * alpha * g0:
-            if dphi(alpha) >= c2 * g0:
+        if f_a <= phi0 + WOLFE_C1 * alpha * g0:
+            if dphi(alpha) >= WOLFE_C2 * g0:
                 return alpha
             best = alpha
             # hi is None only at the unit step, which cannot expand past its cap
@@ -418,7 +407,7 @@ def sqp_run(
     objective: Callable[[ADVector], ADScalar],
     x0,
     box: BoundBox | None,
-    cfg: SQPConfig | None = None,
+    cfg: SQPConfig,
 ) -> SQPResult:
     """Minimize an AD-capable objective with Newton/Wolfe line-search steps.
 
@@ -427,13 +416,13 @@ def sqp_run(
     Hessian.  Search directions are regularized Newton steps.  With ``box``
     given, a step that would pass the boundary fraction of the box is
     replaced by the interior-point solution of the quadratic subproblem, and
-    all iterates stay strictly feasible.
+    all iterates stay strictly feasible.  The run stops on ``cfg``'s
+    tolerances (``stop_reason`` ``grad_tol`` or ``step_tol``), its
+    ``max_iter`` or a failed line search (``line_search_failure``).
     Any sweep raises :class:`~ecsqp.autodiff.ADDomainError` where a chain-rule map
     leaves its domain or float range.  Other non-finite results raise :class:`ValueError`
     at the start point or an accepted iterate; a NaN line-search trial is only rejected.
     """
-    cfg = cfg or SQPConfig()
-    stopping = cfg.stopping or "absolute"
     x = np.asarray(x0, dtype=float).copy()
     if box is not None:
         x = box.project_inward(x)
@@ -448,8 +437,6 @@ def sqp_run(
     trace: list[NewtonIterate] = []
     f, grad, hess = sweep(x)
     gnorm = float(np.abs(grad).max())
-    prev_gnorm: float | None = None
-    prev_dnorm: float | None = None
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
         if not (math.isfinite(f) and np.isfinite(grad).all() and np.isfinite(hess.d).all()
@@ -467,15 +454,6 @@ def sqp_run(
         if dnorm <= cfg.step_tol:
             stop_reason = "step_tol"
             break
-        if (
-            stopping == "delta"
-            and prev_gnorm is not None
-            and abs(gnorm - prev_gnorm) <= DELTA_TOL
-            and abs(dnorm - prev_dnorm) <= DELTA_TOL
-        ):
-            stop_reason = "delta_stall"
-            break
-        prev_gnorm, prev_dnorm = gnorm, dnorm
 
         cache: dict[float, tuple[float, np.ndarray, Hessian]] = {}
 

@@ -166,7 +166,7 @@ class ConvergenceState:
     raw single-generation widths are too noisy to act on directly.
     """
 
-    threshold: float = 0.01
+    threshold: float
     converged_at: int | None = None
     _streak: int = 0
 

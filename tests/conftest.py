@@ -1,15 +1,33 @@
-"""Shared oracles for the test suite.
+"""Shared oracles for the test suite, and its loader of files by path.
 
-Everything here recomputes expected values through routes independent of the
+The oracles recompute expected values through routes independent of the
 code paths under test: explicit per-parent grouping for the fitness-change
 decomposition, plain-float finite differences and gradient descent for the
 local solver, and direct enumeration for the selection operators.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ecsqp.evolution import LineageRecord
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(name: str, path: Path):
+    """A fresh module ``name`` executed from ``path``, as a script or the
+    benchmark loads its file.  It is registered in ``sys.modules`` under
+    ``name`` (its dataclasses resolve annotations there); a name of its own
+    leaves any module pytest imported alone when a test rebinds its globals."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_force_decomposition(lineage: LineageRecord):

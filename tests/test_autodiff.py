@@ -139,7 +139,6 @@ class TestFunctions:
         with pytest.raises(ADDomainError):
             evaluate(lambda v: ad.log(v[0]), [0.0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's inf on the way
     @pytest.mark.parametrize("f, x", [
         (lambda v: ad.log(v[0]), 6.9e-213),
         (lambda v: 1.0 / v[0], 1e-160),
@@ -153,7 +152,6 @@ class TestFunctions:
             evaluate(f, [x])
         assert info.value.value == x
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's inf on the way
     @pytest.mark.parametrize("f, x, op, value", [
         (lambda v: ad.sqrt(v[0]), [1e-300, 1.0], "sqrt", 1e-300),
         (lambda v: ad.sqrt(v).sum(), [1.0, 1e-300], "sqrt", 1e-300),
@@ -184,7 +182,6 @@ class TestFunctions:
         assert np.isfinite(value) and np.isfinite(grad).all()
         assert np.isfinite(np.asarray(hess)).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ackley_near_the_origin_is_a_domain_error(self):
         # sqrt of mean(x^2) = 1e-320: its second derivative divides by an
         # underflowed 0
@@ -528,7 +525,8 @@ VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False).map(lambda 
 PLAIN = VALUES | st.integers(-1000, 1000)
 
 
-# at extreme values a map overflows or divides by zero in numpy floats
+# at extreme values a map overflows or divides by zero in numpy floats, and these
+# tests call the maps outside the evaluate sweep that turns numpy's warnings off
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestScalarFastPaths:
     @settings(max_examples=200, deadline=None, database=None)

@@ -5,22 +5,18 @@ build the run records it reads by hand.
 """
 
 import copy
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+from conftest import ROOT, load_module
+
 BETTER = {"runs_per_s": "higher", "evals_per_run": "lower"}
 PER_LAYER = ["evolution.step_s"]
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 
 
 def record(runs_per_s, digest="same", rows=(("case", 1.0),)):

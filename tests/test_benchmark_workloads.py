@@ -7,24 +7,11 @@ failed benchmark run.  The file is loaded by path, as the benchmark loads it,
 and each workload runs its first, cheapest case.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from conftest import ROOT, load_module
 
-
-def _load():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses resolve annotations there
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load()
+workloads = load_module("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 
 @pytest.mark.parametrize("name", workloads.NAMES)

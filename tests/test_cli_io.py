@@ -529,7 +529,8 @@ class TestCli:
 
     @pytest.mark.parametrize("section, key", [
         ("sqp", "c1"), ("sqp", "c2"), ("sqp", "lambda_min"), ("sqp", "delta_tol"),
-        ("sqp", "max_line_search_evals"), ("switch", "smoothing_window"), (None, "x0"),
+        ("sqp", "max_line_search_evals"), ("sqp", "stopping"), ("switch", "smoothing_window"),
+        (None, "x0"),
     ])
     def test_removed_keys_exit_two(self, tmp_path, capsys, section, key):
         bad = tmp_path / "bad.yaml"

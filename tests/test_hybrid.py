@@ -23,25 +23,25 @@ from ecsqp.price_monitor import ConvergenceState
 
 class TestShouldSwitch:
     def test_stall_detected_on_flat_history(self):
-        state = ConvergenceState()
+        state = ConvergenceState(threshold=0.01)
         history = [5.0] * 25
         crit = SwitchCriteria(stall_window=20, stall_epsilon=0.001, max_generations=100)
         assert should_switch(state, history, 24, crit) is SwitchReason.STALLED
 
     def test_sigma_convergence_has_priority(self):
-        state = ConvergenceState()
+        state = ConvergenceState(threshold=0.01)
         state.converged_at = 12
         crit = SwitchCriteria(max_generations=100)
         assert should_switch(state, [1.0] * 30, 12, crit) is SwitchReason.SIGMA_CONVERGED
 
     def test_generation_cap(self):
-        state = ConvergenceState()
+        state = ConvergenceState(threshold=0.01)
         history = list(np.linspace(0, 50, 51))  # still improving
         crit = SwitchCriteria(stall_window=20, max_generations=50)
         assert should_switch(state, history, 50, crit) is SwitchReason.MAX_GEN
 
     def test_nothing_fires(self):
-        state = ConvergenceState()
+        state = ConvergenceState(threshold=0.01)
         history = list(np.linspace(0, 10, 11))
         crit = SwitchCriteria(max_generations=100)
         assert should_switch(state, history, 10, crit) is None
@@ -177,7 +177,6 @@ class TestRunHybrid:
         assert result.sqp_result is None and result.evaluations["sqp"] == 0
         assert any(w.startswith("local phase failed (sqrt") for w in result.warnings)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's inf on the way
     def test_refine_degrades_where_a_derivative_leaves_the_float_range(self):
         # every point maps to Ackley at 1e-160 * 1, where sqrt's second
         # derivative is not finite: the refine's first sweep raises

@@ -4,24 +4,17 @@
 The tool is loaded by path and its ``main`` run in this process.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from conftest import ROOT, load_module
 import ecsqp.local_search as local_search
 from ecsqp.benchmarks import get_problem
-
-SQP_AUDIT = Path(__file__).resolve().parents[1] / "tools" / "sqp_audit.py"
 
 
 @pytest.fixture(scope="module")
 def sqp_audit():
-    spec = importlib.util.spec_from_file_location("sqp_audit", SQP_AUDIT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("sqp_audit", ROOT / "tools" / "sqp_audit.py")
 
 
 def test_two_starts(sqp_audit, capsys):

@@ -5,27 +5,21 @@ deletion in ``src/`` would otherwise only surface as a failed ``--trace 1``
 benchmark run.  The file is loaded by path, as the benchmark loads it.
 """
 
-import importlib.util
 from collections import defaultdict
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import ROOT, load_module
 import ecsqp.benchmarks
 import ecsqp.cli_io
 import ecsqp.evolution
 import ecsqp.local_search
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
 
 
 def test_function_spans_resolve(tracing):

@@ -15,9 +15,10 @@ minutes.
 One line per seed gives the exploration switch reason and the generation it
 fired at, the exploration evaluations, the best value at 5,000 evaluations,
 the phase (``ec``, ``sqp`` or ``validation``) whose trace row first reached
-that best, and the fraction of the gap closed there (all digits, to compare
-checkouts); one line per problem gives the mean fraction, the number the
-criterion 7 gate compares with 0.90 over seeds 0-99.
+that best, the fraction of the gap closed there (all digits, to compare
+checkouts) and why the refine stopped (``sqp_run``'s stop reason, or
+``failed`` when it raised); one line per problem gives the mean fraction,
+the number the criterion 7 gate compares with 0.90 over seeds 0-99.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(100)))
     args = parser.parse_args(argv)
 
-    print("problem seed switch switch_gen ec_evals best_5k best_phase frac_5k")
+    print("problem seed switch switch_gen ec_evals best_5k best_phase frac_5k sqp_stop")
     for name in args.problems:
         fracs = []
         for seed in args.seeds:
@@ -67,8 +68,9 @@ def main(argv: list[str] | None = None) -> int:
             switch_gen = max(row.step for row in result.trace if row.phase == "ec")
             end = max(row.evaluations for row in result.trace if row.phase == "validation")
             flag = "" if end > BUDGET else f" capped-round-ends-at-{end}"
+            stop = "failed" if result.sqp_result is None else result.sqp_result.stop_reason
             print(f"{name} {seed} {result.switch_reason.value} {switch_gen} "
-                  f"{result.evaluations['ec']} {best:.6g} {phase} {frac!r}{flag}")
+                  f"{result.evaluations['ec']} {best:.6g} {phase} {frac!r} {stop}{flag}")
             fracs.append(frac)
         print(f"{name} mean_frac_5k {sum(fracs) / len(fracs):.4f} over {len(fracs)} seeds")
     return 0
