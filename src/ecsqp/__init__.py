@@ -7,7 +7,7 @@ followed by a seeded evolutionary validation round.
 
 from .autodiff import ADDomainError, ADScalar, ADVector, evaluate
 from .benchmarks import BenchmarkProblem, Orientation, get_problem, list_problems
-from .encoding import EncodingSpec, VariableSpec, compute_bit_length, decode, encode
+from .encoding import EncodingSpec, compute_bit_length, decode, encode
 from .evolution import Engine, FitnessStats, GAConfig, Population, SelectionMethod
 from .hybrid import HybridResult, SwitchCriteria, SwitchReason, run_hybrid
 from .local_search import BoundBox, SQPConfig, SQPResult, sqp_run
@@ -35,7 +35,6 @@ __all__ = [
     "SelectionMethod",
     "SwitchCriteria",
     "SwitchReason",
-    "VariableSpec",
     "compute_bit_length",
     "decode",
     "decompose_generation",

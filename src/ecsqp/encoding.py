@@ -1,22 +1,22 @@
 """Real <-> binary genotype mapping for bounded continuous variables.
 
-Each decision variable is stored as an unsigned big-endian bit field whose
-length is derived from the variable's range and precision requirement.  A
-chromosome is a uint8 row of 0/1 values that concatenates the fields of all
-variables; a population is an ``(N, L)`` matrix of such rows.
+Each decision variable is an unsigned big-endian bit field whose length is
+derived from its range and precision; :class:`EncodingSpec` holds that grid
+as four arrays, read by both :func:`decode_batch` and :func:`encode`.  A
+chromosome is a uint8 row of 0/1 values concatenating all fields, and a
+population an ``(N, L)`` matrix of such rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "EncodingSpec",
-    "VariableSpec",
     "compute_bit_length",
     "decode",
     "decode_batch",
@@ -52,62 +52,46 @@ def compute_bit_length(lower: float, upper: float, precision: float) -> int:
     return l + 1 if ratio > 2**l else l
 
 
-@dataclass(frozen=True)
-class VariableSpec:
-    """Range, precision and bit budget of one encoded variable.
-
-    ``bit_length`` is derived from the precision requirement via
-    :func:`compute_bit_length`.
+@dataclass(frozen=True, eq=False, init=False)
+class EncodingSpec:
+    """Field grid of a chromosome, one bit field per variable in order:
+    read-only 1-D arrays of the variables' ``lower`` and ``upper`` bounds
+    (copies of those given), ``precision`` requirements, and the field
+    ``widths`` that :func:`compute_bit_length` derives from them.  Built only
+    by :meth:`for_bounds`.
     """
 
-    lower: float
-    upper: float
-    precision: float
-    bit_length: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        l = compute_bit_length(self.lower, self.upper, self.precision)
-        if l > MAX_BIT_LENGTH:
-            raise ValueError(
-                f"bit_length {l} exceeds {MAX_BIT_LENGTH}, the widest field "
-                "decoded exactly in float64"
-            )
-        object.__setattr__(self, "bit_length", l)
-
-
-@dataclass(frozen=True)
-class EncodingSpec:
-    """Ordered variable layout of a chromosome."""
-
-    variables: tuple[VariableSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.variables:
-            raise ValueError("EncodingSpec needs at least one variable")
-        object.__setattr__(self, "variables", tuple(self.variables))
+    lower: np.ndarray
+    upper: np.ndarray
+    precision: np.ndarray
+    widths: np.ndarray
 
     @classmethod
     def for_bounds(cls, lower, upper, precision) -> "EncodingSpec":
         """Build a spec from bound vectors and a scalar or per-variable precision."""
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if lower.shape != upper.shape:
-            raise ValueError("lower/upper length mismatch")
-        prec = np.broadcast_to(np.asarray(precision, dtype=float), lower.shape)
-        return cls(
-            tuple(
-                VariableSpec(lo, up, p)
-                for lo, up, p in zip(lower, upper, prec, strict=True)
-            )
-        )
+        lower = np.atleast_1d(np.array(lower, dtype=float))
+        upper = np.atleast_1d(np.array(upper, dtype=float))
+        if not lower.size or lower.shape != upper.shape:
+            raise ValueError("lower/upper must be non-empty and of one length")
+        precision = np.broadcast_to(np.asarray(precision, dtype=float), lower.shape).copy()
+        widths = np.array([compute_bit_length(*v) for v in zip(lower, upper, precision)])
+        if widths.max() > MAX_BIT_LENGTH:
+            raise ValueError(f"bit_length {widths.max()} exceeds {MAX_BIT_LENGTH}, the widest "
+                             "field decoded exactly in float64")
+        spec = object.__new__(cls)
+        for name, value in dict(lower=lower, upper=upper, precision=precision,
+                                widths=widths).items():
+            value.flags.writeable = False
+            object.__setattr__(spec, name, value)
+        return spec
 
     @cached_property
     def total_length(self) -> int:
-        return sum(v.bit_length for v in self.variables)
+        return int(self.widths.sum())
 
     @property
     def dimension(self) -> int:
-        return len(self.variables)
+        return len(self.widths)
 
     @cached_property
     def _decoder(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray,
@@ -125,18 +109,14 @@ class EncodingSpec:
         2**24, so the float32 product is exact too, and dividing it by the
         float64 ``denom`` gives the float64 result bit for bit.
         """
-        widths = np.array([v.bit_length for v in self.variables])
-        w = int(widths.max())
+        widths, w = self.widths, int(self.widths.max())
         powers = 2.0 ** np.arange(w - 1, -1, -1)
         if w <= FLOAT32_BIT_LENGTH:
             powers = powers.astype(np.float32)
         spread = None
         if (widths < w).any():  # field i's bits shift right by its padding and all before it
             spread = np.arange(self.total_length) + np.repeat(np.cumsum(w - widths), widths)
-        lower = np.array([v.lower for v in self.variables])
-        span = np.array([v.upper - v.lower for v in self.variables])
-        denom = 2.0**widths - 1
-        return powers, spread, lower, span, denom
+        return powers, spread, self.lower, self.upper - self.lower, 2.0**widths - 1
 
 
 def random_bits(length: int, count: int, rng) -> np.ndarray:
@@ -186,23 +166,20 @@ def encode(x, spec: EncodingSpec) -> np.ndarray:
     """Nearest-grid-point inverse of :func:`decode`, as a uint8 bit row.
 
     Values marginally outside a variable's range (by at most its precision)
-    are clamped; anything further out raises.  Midpoint ties round toward the
-    smaller integer code.
+    are clamped; the first variable further out or not finite raises.
+    Midpoint ties round toward the smaller integer code.  Each code is
+    written big-endian at the widest width, undoing decode's left-padding.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dimension,):
         raise ValueError(f"expected vector of length {spec.dimension}, got {x.shape}")
-    fields = []
-    for xi, var in zip(x, spec.variables, strict=True):
-        if xi < var.lower - var.precision or xi > var.upper + var.precision:
-            raise ValueError(
-                f"value {xi} outside [{var.lower}, {var.upper}] beyond clamp tolerance"
-            )
-        xi = min(max(xi, var.lower), var.upper)
-        denom = 2**var.bit_length - 1
-        t = (xi - var.lower) / (var.upper - var.lower) * denom
-        code = int(math.ceil(t - 0.5))  # round half down
-        code = min(max(code, 0), denom)
-        digits = (code >> np.arange(var.bit_length - 1, -1, -1)) & 1
-        fields.append(digits.astype(np.uint8))
-    return np.concatenate(fields)
+    within = (x >= spec.lower - spec.precision) & (x <= spec.upper + spec.precision)  # NaN: False
+    if not within.all():
+        i = int(within.argmin())
+        raise ValueError(f"value {x[i]} outside [{spec.lower[i]}, {spec.upper[i]}] beyond "
+                         "clamp tolerance")
+    powers, spread, lower, span, denom = spec._decoder
+    t = (np.minimum(np.maximum(x, lower), spec.upper) - lower) / span * denom
+    codes = np.clip(np.ceil(t - 0.5), 0, denom).astype(np.int64)  # round half down
+    bits = ((codes[:, None] >> np.arange(powers.shape[0] - 1, -1, -1)) & 1).astype(np.uint8)
+    return bits.ravel() if spread is None else bits.ravel()[spread]

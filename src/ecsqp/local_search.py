@@ -170,11 +170,9 @@ def _positive_definite(W: Hessian, shift=None) -> bool:
     With ``A^{-1/2} U = Q R`` (``R`` is ``k x k``), the matrix is congruent
     to ``I + Q R C R^T Q^T``, which is positive definite exactly when the
     symmetric capacitance matrix ``I + R C R^T`` is (Cholesky succeeds).
+    Raises :class:`numpy.linalg.LinAlgError` where :func:`_positive_split` does.
     """
-    try:
-        d, U, C = _positive_split(W, shift)
-    except np.linalg.LinAlgError:
-        return False
+    d, U, C = _positive_split(W, shift)
     if U.shape[1]:
         R = np.linalg.qr(U / np.sqrt(d)[:, None], mode="r")
         try:

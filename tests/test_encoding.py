@@ -9,7 +9,6 @@ from ecsqp.encoding import (
     DECODE_BLOCK,
     FLOAT32_BIT_LENGTH,
     EncodingSpec,
-    VariableSpec,
     compute_bit_length,
     decode,
     decode_batch,
@@ -44,8 +43,8 @@ class TestComputeBitLength:
         upper = 1024.0000000000002
         assert upper > 2**10 and math.log2(upper) == 10.0
         assert compute_bit_length(0.0, upper, 1.0) == 11
-        assert VariableSpec(0.0, upper, 1.0).bit_length == 11
-        assert EncodingSpec.for_bounds([0.0], [upper], 1.0).total_length == 11
+        spec = EncodingSpec.for_bounds([0.0], [upper], 1.0)
+        assert spec.widths.tolist() == [11] and spec.total_length == 11
 
     def test_both_inequality_sides_hold(self):
         rng = np.random.default_rng(7)
@@ -112,25 +111,19 @@ class TestDecode:
 
     def test_matmul_is_bitwise_equal_to_per_field_loop(self, rng):
         # widths 1, 10, 17, 34 and 53 bits; 53 is the widest field allowed
-        spec = EncodingSpec(
-            variables=(
-                VariableSpec(0.0, 1.0, 1.0),
-                VariableSpec(-5.0, 5.0, 0.01),
-                VariableSpec(-500.0, 500.0, 0.01),
-                VariableSpec(0.0, 10.0, 1e-9),
-                VariableSpec(-1.0, 1.0, 2.0**-52),
-            )
+        spec = EncodingSpec.for_bounds(
+            [0.0, -5.0, -500.0, 0.0, -1.0], [1.0, 5.0, 500.0, 10.0, 1.0],
+            [1.0, 0.01, 0.01, 1e-9, 2.0**-52],
         )
-        assert [v.bit_length for v in spec.variables] == [1, 10, 17, 34, 53]
+        assert spec.widths.tolist() == [1, 10, 17, 34, 53]
 
         def per_field_loop(mat):
             out = np.empty((mat.shape[0], spec.dimension))
             start = 0
-            for i, var in enumerate(spec.variables):
-                l = var.bit_length
+            for i, (lo, up, l) in enumerate(zip(spec.lower, spec.upper, spec.widths)):
                 field = mat[:, start : start + l].astype(np.int64)
                 codes = field @ (2 ** np.arange(l - 1, -1, -1)).astype(np.int64)
-                out[:, i] = var.lower + (var.upper - var.lower) * (codes / (2**l - 1))
+                out[:, i] = lo + (up - lo) * (codes / (2**l - 1))
                 start += l
             return out
 
@@ -141,28 +134,27 @@ class TestDecode:
 
     def test_fields_up_to_24_bits_decode_exactly_in_float32(self, rng):
         # widths 1..24: precision span / (2**w - 0.5) derives w bits
-        fields = [(-0.3 * w, 0.7 * w + 0.1) for w in range(1, 25)]
-        spec = EncodingSpec(tuple(
-            VariableSpec(lo, up, (up - lo) / (2**w - 0.5))
-            for w, (lo, up) in enumerate(fields, start=1)
-        ))
-        assert [v.bit_length for v in spec.variables] == list(range(1, 25))
+        lower = np.array([-0.3 * w for w in range(1, 25)])
+        upper = np.array([0.7 * w + 0.1 for w in range(1, 25)])
+        spec = EncodingSpec.for_bounds(lower, upper,
+                                       (upper - lower) / (2.0 ** np.arange(1, 25) - 0.5))
+        assert spec.widths.tolist() == list(range(1, 25))
         assert spec._decoder[0].dtype == np.float32
 
         def reference(row):
             # exact codes as Python ints; int / int is correctly rounded
             out, start = [], 0
-            for v in spec.variables:
-                code = int("".join(map(str, row[start : start + v.bit_length])), 2)
-                out.append(v.lower + (v.upper - v.lower) * (code / (2**v.bit_length - 1)))
-                start += v.bit_length
+            for lo, up, l in zip(spec.lower.tolist(), spec.upper.tolist(), spec.widths.tolist()):
+                code = int("".join(map(str, row[start : start + l])), 2)
+                out.append(lo + (up - lo) * (code / (2**l - 1)))
+                start += l
             return out
 
         mat = random_bits(spec.total_length, 400, rng)
         mat[0] = 0
         mat[1] = 1
         mat[2] = np.arange(spec.total_length) % 2
-        ends = np.cumsum([v.bit_length for v in spec.variables])
+        ends = np.cumsum(spec.widths)
         # every other field all ones, the rest all zeros, and the reverse
         field_index = np.searchsorted(ends, np.arange(spec.total_length), side="right")
         mat[3] = field_index % 2
@@ -173,11 +165,8 @@ class TestDecode:
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_a_25_bit_field_keeps_float64(self):
-        spec = EncodingSpec((
-            VariableSpec(0.0, 1.0, 1.0 / (2**25 - 0.5)),
-            VariableSpec(-5.0, 5.0, 0.01),
-        ))
-        assert [v.bit_length for v in spec.variables] == [25, 10]
+        spec = EncodingSpec.for_bounds([0.0, -5.0], [1.0, 5.0], [1.0 / (2**25 - 0.5), 0.01])
+        assert spec.widths.tolist() == [25, 10]
         assert spec._decoder[0].dtype == np.float64
         # codes from 2**24 up, where float32 no longer holds every integer
         codes = [2**24, 2**24 + 1, 2**24 + 3, 2**25 - 3, 2**25 - 1]
@@ -190,7 +179,7 @@ class TestDecode:
 
     def test_monotone_in_integer_code(self):
         spec = EncodingSpec.for_bounds([2.0], [7.0], 0.01)
-        l = spec.variables[0].bit_length
+        l = int(spec.widths[0])
         codes = np.arange(2**l)
         mat = ((codes[:, None] >> np.arange(l - 1, -1, -1)) & 1).astype(np.uint8)
         values = decode_batch(mat, spec)[:, 0]
@@ -201,10 +190,10 @@ def width_spec(widths) -> EncodingSpec:
     """A spec whose fields have the given bit widths (and distinct ranges):
     precision span / (2**w - 0.5) derives w bits."""
     bounds = [(-0.3 * w - i, 0.7 * w + 0.1 + i) for i, w in enumerate(widths)]
-    spec = EncodingSpec(tuple(
-        VariableSpec(lo, up, (up - lo) / (2**w - 0.5)) for (lo, up), w in zip(bounds, widths)
-    ))
-    assert [v.bit_length for v in spec.variables] == list(widths)
+    lower, upper = np.array(bounds).T
+    spec = EncodingSpec.for_bounds(lower, upper,
+                                   (upper - lower) / (2.0 ** np.array(widths) - 0.5))
+    assert spec.widths.tolist() == list(widths)
     return spec
 
 
@@ -212,7 +201,7 @@ def dense_decode(mat: np.ndarray, spec: EncodingSpec) -> np.ndarray:
     """The decode as a product with the dense ``(L, n)`` place-value matrix
     whose column i holds field i's powers of two and zeros elsewhere (float32
     while no field is wider than 24 bits), kept as the oracle."""
-    widths = [v.bit_length for v in spec.variables]
+    widths = spec.widths.tolist()
     exact_in_float32 = max(widths) <= FLOAT32_BIT_LENGTH
     W = np.zeros((spec.total_length, spec.dimension),
                  dtype=np.float32 if exact_in_float32 else np.float64)
@@ -220,16 +209,14 @@ def dense_decode(mat: np.ndarray, spec: EncodingSpec) -> np.ndarray:
     for i, w in enumerate(widths):
         W[start:start + w, i] = 2.0 ** np.arange(w - 1, -1, -1)
         start += w
-    lower = np.array([v.lower for v in spec.variables])
-    span = np.array([v.upper - v.lower for v in spec.variables])
     denom = np.array([2.0**w - 1 for w in widths])
-    return lower + span * ((mat @ W) / denom)
+    return spec.lower + (spec.upper - spec.lower) * ((mat @ W) / denom)
 
 
 def edge_rows(mat: np.ndarray, spec: EncodingSpec) -> np.ndarray:
     """``mat`` with its first rows all zeros, all ones, and alternately whole
     fields of zeros and of ones."""
-    field = np.repeat(np.arange(spec.dimension), [v.bit_length for v in spec.variables])
+    field = np.repeat(np.arange(spec.dimension), spec.widths)
     mat[0], mat[1] = 0, 1
     mat[2] = field % 2
     mat[3] = 1 - mat[2]
@@ -293,14 +280,13 @@ class TestEncode:
             np.testing.assert_array_equal(encode(decode(c, spec), spec), c)
 
     def test_midpoint_ties_round_down(self):
-        spec = EncodingSpec(variables=(VariableSpec(0.0, 3.0, 1.0),))
+        spec = EncodingSpec.for_bounds([0.0], [3.0], 1.0)
         # grid {0, 1, 2, 3}; 1.5 sits exactly between codes 1 and 2
         np.testing.assert_array_equal(encode([1.5], spec), bits("01"))
 
     def test_nearest_grid_point_error_bound(self, rng):
         spec = EncodingSpec.for_bounds([-5.0], [5.0], 0.01)
-        var = spec.variables[0]
-        step = (var.upper - var.lower) / (2**var.bit_length - 1)  # grid spacing
+        step = 10.0 / (2 ** int(spec.widths[0]) - 1)  # grid spacing
         for _ in range(300):
             x = rng.uniform(-5.0, 5.0)
             back = decode(encode([x], spec), spec)[0]
@@ -314,18 +300,120 @@ class TestEncode:
             encode([1.5], spec)
 
 
+def loop_encode(x, spec: EncodingSpec) -> np.ndarray:
+    """The encode as a loop over the variables, one Python integer code each,
+    kept as the oracle."""
+    fields = []
+    for xi, lo, up, p, l in zip(np.asarray(x, dtype=float), spec.lower, spec.upper,
+                                spec.precision, spec.widths.tolist(), strict=True):
+        if xi < lo - p or xi > up + p:
+            raise ValueError(f"value {xi} outside [{lo}, {up}] beyond clamp tolerance")
+        xi = min(max(xi, lo), up)
+        denom = 2**l - 1
+        code = int(math.ceil((xi - lo) / (up - lo) * denom - 0.5))  # round half down
+        code = min(max(code, 0), denom)
+        fields.append(((code >> np.arange(l - 1, -1, -1)) & 1).astype(np.uint8))
+    return np.concatenate(fields)
+
+
+def encode_inputs(spec: EncodingSpec, rng, count: int) -> list[np.ndarray]:
+    """Points to encode: random ones in range, grid points, grid points moved
+    half a step either way (ties), and points past the bounds by up to twice
+    the precision (clamped within one, raising beyond)."""
+    lower, upper, p = spec.lower, spec.upper, spec.precision
+    step = (upper - lower) / (2.0**spec.widths - 1)
+    n = spec.dimension
+    grid = decode_batch(random_bits(spec.total_length, count, rng), spec)
+    past = rng.uniform(0.0, 2.0, (count, n)) * p
+    return [*rng.uniform(lower, upper, (count, n)), *grid, *(grid + step / 2),
+            *(grid - step / 2), *(lower - past), *(upper + past)]
+
+
+class TestEncodeOracle:
+    """The vectorized encode equals the per-variable loop bit for bit and
+    raises where it does, with the same message."""
+
+    @pytest.mark.parametrize("widths", [
+        (1, 10, 17, 34, 53), (24, 25), (25, 24, 1), (53, 53), (10,) * 10, (17, 17),
+    ])
+    def test_equals_loop_oracle(self, widths, rng):
+        spec = width_spec(widths)
+        raised = 0
+        for x in encode_inputs(spec, rng, 200):
+            try:
+                want = loop_encode(x, spec)
+            except ValueError as err:
+                raised += 1
+                with pytest.raises(ValueError) as got:
+                    encode(x, spec)
+                assert str(got.value) == str(err)
+                continue
+            got = encode(x, spec)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+        assert 0 < raised < 1200
+
+    def test_exact_midpoints_equal_loop_oracle(self):
+        # codes are the values themselves: every k + 0.5 is a tie, to the smaller code
+        spec = EncodingSpec.for_bounds([0.0, 0.0], [2.0**25 - 1, 1023.0], 1.0)
+        assert spec.widths.tolist() == [25, 10]
+        for k in (0, 1, 2, 511, 1021, 2**24, 2**25 - 2):
+            x = [k + 0.5, min(k, 1022) + 0.5]
+            np.testing.assert_array_equal(encode(x, spec), loop_encode(x, spec))
+            np.testing.assert_array_equal(decode(encode(x, spec), spec), [k, min(k, 1022)])
+
+    def test_first_offending_variable_raises(self):
+        spec = width_spec((5, 12, 3))
+        x = np.array([spec.lower[0], spec.upper[1] + 3 * spec.precision[1],
+                      spec.lower[2] - 3 * spec.precision[2]])
+        with pytest.raises(ValueError, match=f"value {x[1]} outside") as got:
+            encode(x, spec)
+        with pytest.raises(ValueError) as want:
+            loop_encode(x, spec)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_raise(self, value):
+        spec = width_spec((10, 25))
+        for i in range(2):
+            x = (spec.lower + spec.upper) / 2
+            x[i] = value
+            with pytest.raises(ValueError, match="outside"):
+                encode(x, spec)
+
+
 class TestSpecs:
     def test_total_length_sums_fields(self):
         spec = EncodingSpec.for_bounds([-5.0, -500.0], [5.0, 500.0], 0.01)
         assert spec.total_length == 10 + 17
         assert spec.dimension == 2
 
-    def test_bit_length_is_derived_only(self):
-        assert VariableSpec(0.0, 1.0, 0.01).bit_length == 7
+    def test_widths_cannot_be_passed(self):
+        assert EncodingSpec.for_bounds([0.0], [1.0], 0.01).widths.tolist() == [7]
         with pytest.raises(TypeError):
-            VariableSpec(0.0, 1.0, 0.01, bit_length=3)
+            EncodingSpec.for_bounds([0.0], [1.0], 0.01, widths=[3])
+        with pytest.raises(TypeError):  # nor a spec built around for_bounds' checks
+            EncodingSpec([0.0], [1.0], 0.01, [3])
 
     def test_fields_wider_than_53_bits_rejected(self):
-        assert VariableSpec(0.0, 1.0, 2.0**-53).bit_length == 53
+        assert EncodingSpec.for_bounds([0.0], [1.0], 2.0**-53).widths.tolist() == [53]
         with pytest.raises(ValueError, match="exceeds 53"):
-            VariableSpec(0.0, 1.0, 2.0**-54)  # derived width 54
+            EncodingSpec.for_bounds([0.0, 0.0], [1.0, 1.0], [0.1, 2.0**-54])  # derived width 54
+
+    def test_grid_is_read_only_copies_of_the_bounds(self):
+        lower, upper = np.array([-5.0, 0.0]), np.array([5.0, 2.0])
+        spec = EncodingSpec.for_bounds(lower, upper, [0.01, 0.5])
+        for grid in (spec.lower, spec.upper, spec.precision, spec.widths):
+            assert grid.ndim == 1 and not grid.flags.writeable
+        np.testing.assert_array_equal(spec.precision, [0.01, 0.5])
+        np.testing.assert_array_equal(spec.widths, [10, 2])
+        assert lower.flags.writeable and upper.flags.writeable
+        lower[0] = -1.0
+        assert spec.lower[0] == -5.0
+
+    @pytest.mark.parametrize("lower, upper, precision", [
+        ([], [], 0.1), ([0.0, 0.0], [1.0], 0.1), ([0.0, 0.0], [1.0, 1.0], [0.1, 0.1, 0.1]),
+    ])
+    def test_bad_shapes_rejected(self, lower, upper, precision):
+        with pytest.raises(ValueError):
+            EncodingSpec.for_bounds(lower, upper, precision)

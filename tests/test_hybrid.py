@@ -124,7 +124,7 @@ def grid_sphere_problem():
     """Quadratic bowl whose minimizer sits exactly on the encoding grid."""
     spec = EncodingSpec.for_bounds([0.0, 0.0], [1.0, 1.0], 0.01)
     target_code = 64
-    step = 1.0 / (2 ** spec.variables[0].bit_length - 1)
+    step = 1.0 / (2 ** int(spec.widths[0]) - 1)
     target = target_code * step
 
     def fn(v):

@@ -113,6 +113,20 @@ class TestWolfeLineSearch:
         assert phi(alpha) <= phi(0) + 1e-4 * alpha * dphi(0)
         assert dphi(alpha) >= 0.9 * dphi(0)
 
+    def test_curvature_failure_re_expands_inside_the_bracket(self):
+        # phi(1) = 9 fails sufficient decrease; the interpolated 0.05 is
+        # clamped to 0.1, which decreases enough but has slope -0.9994 <
+        # 0.9 * -1, so the search bisects toward hi = 1 and takes 0.55
+        f = lambda a: -a + 10.0 * a**6
+        dphi = lambda a: -1.0 + 60.0 * a**5
+        assert f(1.0) == 9.0 and f(0.1) <= 1e-4 * 0.1 * -1.0
+        assert dphi(0.1) == pytest.approx(-0.9994, abs=1e-15) and dphi(0.1) < 0.9 * -1.0
+        trials = []
+        alpha = wolfe_line_search(lambda a: trials.append(a) or f(a), dphi)
+        assert trials == [0.0, 1.0, 0.1, 0.5 * (0.1 + 1.0)] and alpha == trials[-1]
+        assert alpha == pytest.approx(0.55, abs=1e-15)
+        assert f(alpha) <= 1e-4 * alpha * -1.0 and dphi(alpha) >= 0.9 * -1.0
+
     def test_failure_signalled(self):
         # function that only increases beyond any representable decrease
         phi = lambda a: 0.0 if a == 0 else 1.0
@@ -529,11 +543,15 @@ def nonzero_rungs():
 
 
 def ladder_by_rungs(hess):
-    """The shift ladder testing every rung with _positive_definite (the oracle)."""
+    """The shift ladder testing every rung with _positive_definite (the oracle);
+    a rung that fails the diagonal test raises there and is skipped."""
     for lam in [0.0] + nonzero_rungs():
         candidate = hess if lam == 0.0 else Hessian(hess.d + lam, hess.U, hess.C)
-        if _positive_definite(candidate):
-            return candidate, lam
+        try:
+            if _positive_definite(candidate):
+                return candidate, lam
+        except np.linalg.LinAlgError:
+            continue
     return None, math.inf
 
 
